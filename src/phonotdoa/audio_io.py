@@ -75,14 +75,14 @@ class StereoRecording:
 
 
 def _decode_pcm(raw: bytes, sampwidth: int) -> np.ndarray:
-    if sampwidth == 2:
-        return np.frombuffer(raw, dtype="<i2").astype(np.int64)
-    if sampwidth == 4:
-        return np.frombuffer(raw, dtype="<i4").astype(np.int64)
-    # 24-bit: assemble little-endian triplets with sign extension
-    b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
-    val = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-    return np.where(val & 0x800000, val - 0x1000000, val)
+    if sampwidth == 3:
+        # little-endian triplets: read each one as the top three bytes of
+        # an int32 (its low byte is the previous triplet's last byte, or
+        # the leading pad), then shift right to sign-extend
+        padded = b"\0" + raw
+        words = np.ndarray((len(raw) // 3,), dtype="<i4", buffer=padded, strides=(3,))
+        return words >> 8
+    return np.frombuffer(raw, dtype="<i2" if sampwidth == 2 else "<i4")
 
 
 def _encode_pcm(q: np.ndarray, sampwidth: int) -> bytes:
@@ -137,7 +137,7 @@ def load_wav(path) -> StereoRecording:
     samples = _decode_pcm(raw, sampwidth)
     bits = _SUPPORTED_WIDTHS[sampwidth]
     scale = float(2 ** (bits - 1))
-    interleaved = samples.reshape(-1, 2).astype(np.float64) / scale
+    interleaved = samples.reshape(-1, 2) / scale
     return StereoRecording(
         sample_rate=rate, top=interleaved[:, 0], bottom=interleaved[:, 1]
     )

@@ -223,7 +223,11 @@ def transform_tdoa(
     diff = d1 - d2
     # triangle inequality against the implied mic separation
     mic_sep = math.hypot(by - x2, pose.l1 - bz)
-    assert abs(diff) <= mic_sep + 1e-9
+    if not abs(diff) <= mic_sep + 1e-9:
+        raise InvalidPoseError(
+            f"transformed delay path difference {diff} m exceeds the mic "
+            f"separation {mic_sep} m"
+        )
     return diff / c * sample_rate
 
 

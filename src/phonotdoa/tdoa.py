@@ -182,13 +182,11 @@ def gcc_phat(a, b, max_lag: int, spectral_floor: float = PHAT_SPECTRAL_FLOOR) ->
     n_seg = max(1, length // max(PHAT_SEGMENT_FACTOR * max_lag, 256))
     seg = length // n_seg
     n = 1 << int(math.ceil(math.log2(seg + max_lag)))
-    window = np.hanning(seg) if n_seg > 1 else np.ones(seg)
-    spec = np.zeros(n // 2 + 1, dtype=complex)
-    for i in range(n_seg):
-        lo, hi = i * seg, (i + 1) * seg
-        spec += np.conj(np.fft.rfft(a[lo:hi] * window, n)) * np.fft.rfft(
-            b[lo:hi] * window, n
-        )
+    frames = np.stack((a[: n_seg * seg], b[: n_seg * seg])).reshape(2, n_seg, seg)
+    if n_seg > 1:
+        frames *= np.hanning(seg)
+    spec_a, spec_b = np.fft.rfft(frames, n, axis=-1)
+    spec = np.sum(np.conj(spec_a) * spec_b, axis=0)
     mag = np.abs(spec)
     peak = mag.max()
     if peak <= 0.0:

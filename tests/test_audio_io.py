@@ -78,6 +78,18 @@ def test_truncated_file_rejected(tmp_path):
         load_wav(path)
 
 
+def test_24bit_cut_mid_frame_rejected(tmp_path):
+    rng = np.random.default_rng(3)
+    rec = StereoRecording(48000, rng.uniform(-1, 1, 500), rng.uniform(-1, 1, 500))
+    path = tmp_path / "t24.wav"
+    write_wav(rec, path, bit_depth=24)
+    raw = path.read_bytes()
+    for cut in (1, 2, 4, 6 * 100 + 5):
+        path.write_bytes(raw[: len(raw) - cut])
+        with pytest.raises(CorruptFileError):
+            load_wav(path)
+
+
 def test_not_a_wav_rejected(tmp_path):
     path = tmp_path / "junk.wav"
     path.write_bytes(b"this is not RIFF data at all" * 4)

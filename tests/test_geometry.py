@@ -205,6 +205,14 @@ def test_transform_respects_triangle_inequality():
             assert abs(out) * 340.0 / FS <= REFERENCE_POSE.l + 1e-9
 
 
+def test_transform_outside_mic_geometry_is_typed_error():
+    # a NaN tilt fails the triangle-inequality guard; the guard is a
+    # raise, not an assert, so it also holds under python -O
+    tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
+    with pytest.raises(InvalidPoseError):
+        transform_tdoa(tdoa, REFERENCE_POSE, alpha=math.nan, sample_rate=FS)
+
+
 def test_make_beep_shape():
     beep = make_beep(192000)
     assert len(beep) == 9600  # 50 ms at 192 kHz
