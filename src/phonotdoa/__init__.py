@@ -20,8 +20,7 @@ from .geometry import (
     make_beep,
     pose_to_tdoa,
     solve_source_distance,
-    transform_tdoa_for_angle,
-    transform_tdoa_for_distance,
+    transform_tdoa,
 )
 from .phonemes import INVENTORY, PhonemeInventory
 from .profiles import (

@@ -255,8 +255,7 @@ def cmd_verify(args) -> int:
         }
 
     # pose release: map enrolled templates onto the verification pose
-    # (an explicit 0-degree angle means "not rotated")
-    alpha = math.radians(args.angle_deg) if args.angle_deg else 0.0
+    alpha = math.radians(args.angle_deg or 0.0)
     new_x = None
     if args.beep_echo is not None:
         echo_rec = load_wav(args.beep_echo)
@@ -269,13 +268,12 @@ def cmd_verify(args) -> int:
     if alpha != 0.0 or delta_x != 0.0:
         templates = transform_templates(
             templates, profile.enrollment_pose, alpha, delta_x,
-            profile.sample_rate, config.pivot,
+            profile.sample_rate,
         )
 
     method = ScoringMethod(config.method)
     sim = score_dynamic(
-        dynamic, templates, method=method,
-        inventory_stats=inventory_stats, weight_mode=config.weight_mode,
+        dynamic, templates, method=method, inventory_stats=inventory_stats
     )
     decision = decide(sim, config.threshold)
     _emit(decision.to_json_dict())
@@ -335,19 +333,14 @@ def cmd_pose(args) -> int:
         ),
     }
     if args.angle_deg is not None or args.delta_x_m is not None:
-        # an explicit --angle-deg requests the rotated form (pivot
-        # convention applies, even at 0); --delta-x-m alone does not
-        alpha = math.radians(args.angle_deg) if args.angle_deg is not None else None
         result["tdoa2"] = transform_tdoa(
             args.tdoa,
             pose,
-            alpha=alpha,
+            alpha=math.radians(args.angle_deg or 0.0),
             delta_x=args.delta_x_m or 0.0,
             sample_rate=args.sample_rate,
-            pivot=config.pivot,
             c=config.c,
         )
-        result["pivot"] = config.pivot
     _emit(result)
     return 0
 

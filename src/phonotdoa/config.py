@@ -5,42 +5,46 @@ log at the start of every run."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .geometry import DEFAULT_PIVOT, PIVOT_BOTTOM, PIVOT_TOP, SPEED_OF_SOUND
-from .scoring import WEIGHT_MODE_DIRECT, WEIGHT_MODE_INVERSE
+from .geometry import SPEED_OF_SOUND
+from .scoring import ScoringMethod
 
 DEFAULT_THRESHOLD = 0.60
+
+# config-file section -> keys it may hold
+_KEYS = {"geometry": ("c",), "scoring": ("method", "threshold")}
 
 
 @dataclass
 class CliConfig:
     c: float = SPEED_OF_SOUND
-    pivot: str = DEFAULT_PIVOT
     method: str = "combined"
     threshold: float = DEFAULT_THRESHOLD
-    weight_mode: str = WEIGHT_MODE_INVERSE
 
     def validate(self):
-        if self.pivot not in (PIVOT_TOP, PIVOT_BOTTOM):
-            raise ConfigError(f"geometry.pivot must be 'top' or 'bottom', got {self.pivot!r}")
-        if self.weight_mode not in (WEIGHT_MODE_INVERSE, WEIGHT_MODE_DIRECT):
+        try:
+            ScoringMethod(self.method)
+        except ValueError:
             raise ConfigError(
-                f"scoring.weight_mode must be 'inverse' or 'direct', got {self.weight_mode!r}"
-            )
-        if self.c <= 0:
+                f"scoring.method must be one of "
+                f"{', '.join(m.value for m in ScoringMethod)}, got {self.method!r}"
+            ) from None
+        for name, value in (("geometry.c", self.c), ("scoring.threshold", self.threshold)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if not self.c > 0:
             raise ConfigError("geometry.c must be positive")
         return self
 
     def as_dict(self) -> dict:
         return {
-            "geometry": {"c": self.c, "pivot": self.pivot},
-            "scoring": {
-                "method": self.method,
-                "threshold": self.threshold,
-                "weight_mode": self.weight_mode,
-            },
+            "geometry": {"c": self.c},
+            "scoring": {"method": self.method, "threshold": self.threshold},
         }
 
 
@@ -52,13 +56,15 @@ def load_config(path=None, overrides=None) -> CliConfig:
             doc = json.load(f)
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        geometry = doc.get("geometry", {})
-        scoring = doc.get("scoring", {})
-        config.c = float(geometry.get("c", config.c))
-        config.pivot = str(geometry.get("pivot", config.pivot))
-        config.method = str(scoring.get("method", config.method))
-        config.threshold = float(scoring.get("threshold", config.threshold))
-        config.weight_mode = str(scoring.get("weight_mode", config.weight_mode))
+        for name, section in doc.items():
+            if name not in _KEYS:
+                raise ConfigError(f"{path}: unknown config section {name!r}")
+            if not isinstance(section, dict):
+                raise ConfigError(f"{path}: {name} must be a JSON object")
+            for key, value in section.items():
+                if key not in _KEYS[name]:
+                    raise ConfigError(f"{path}: unknown config key {name}.{key}")
+                setattr(config, key, value)
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(config, key, value)

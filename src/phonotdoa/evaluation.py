@@ -17,13 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, EmptySetError, NoSolutionError
-from .geometry import (
-    DEFAULT_PIVOT,
-    PIVOT_TOP,
-    REFERENCE_POSE,
-    DevicePose,
-    transform_tdoa,
-)
+from .geometry import REFERENCE_POSE, DevicePose, transform_tdoa
 from .phonemes import INVENTORY
 from .profiles import (
     PhonemeTemplate,
@@ -140,7 +134,6 @@ class ExperimentConfig:
     methods: tuple = ("correlation", "probability", "combined")
     pose_changes: tuple = ()  # (alpha_deg, delta_x_m) pairs
     transform: bool = True
-    pivot: str = PIVOT_TOP
     per_user_variation: bool = True
     oral_only: bool = False
     device: DeviceSpec = field(default_factory=lambda: DeviceSpec(0.15, "reference"))
@@ -214,7 +207,6 @@ def transform_templates(
     alpha: float,
     delta_x: float,
     sample_rate: int,
-    pivot: str = DEFAULT_PIVOT,
 ):
     """Map template means to a new handset pose. Templates whose delay
     admits no on-axis source (e.g. nasals, whose source sits high above
@@ -223,8 +215,8 @@ def transform_templates(
     for t in templates:
         try:
             new_mean = transform_tdoa(
-                t.mean_delay, pose, alpha=alpha if alpha != 0.0 else None,
-                delta_x=delta_x, sample_rate=sample_rate, pivot=pivot,
+                t.mean_delay, pose, alpha=alpha, delta_x=delta_x,
+                sample_rate=sample_rate,
             )
         except NoSolutionError:
             new_mean = t.mean_delay
@@ -334,7 +326,7 @@ def run_experiment(config: ExperimentConfig, model=None) -> dict:
                 ) if (alpha_deg or delta_x) else pose0
                 if (alpha_deg or delta_x) and config.transform:
                     templates = transform_templates(
-                        base_templates, pose0, alpha, delta_x, fs, config.pivot
+                        base_templates, pose0, alpha, delta_x, fs
                     )
                 else:
                     templates = base_templates
@@ -439,7 +431,6 @@ def _aggregate(config: ExperimentConfig, rows) -> dict:
             "live_trials": config.live_trials,
             "methods": list(config.methods),
             "transform": config.transform,
-            "pivot": config.pivot,
         },
         "methods": {},
         "rows": rows,

@@ -26,11 +26,6 @@ from .errors import InvalidPoseError, NoEchoError, NoSolutionError, Underdetermi
 
 SPEED_OF_SOUND = 340.0  # m/s
 
-# pivot forms for the tilt transform (config key geometry.pivot)
-PIVOT_TOP = "top"        # rotated bottom-mic height measured from the top mic
-PIVOT_BOTTOM = "bottom"  # ... measured from the bottom mic's own offset
-DEFAULT_PIVOT = PIVOT_BOTTOM
-
 SOLVE_BRACKET = (1e-4, 10.0)  # meters
 SOLVE_TOL = 1e-6
 
@@ -62,12 +57,13 @@ class DevicePose:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.x <= 0:
-            raise InvalidPoseError(f"x must be positive, got {self.x}")
-        if self.l <= 0:
-            raise InvalidPoseError(f"l must be positive, got {self.l}")
-        if self.l1 < 0 or self.l2 < 0:
-            raise InvalidPoseError("l1 and l2 must be non-negative")
+        # written so that NaN and infinity fail every check
+        if not 0 < self.x < math.inf:
+            raise InvalidPoseError(f"x must be positive and finite, got {self.x}")
+        if not 0 < self.l < math.inf:
+            raise InvalidPoseError(f"l must be positive and finite, got {self.l}")
+        if not (0 <= self.l1 < math.inf and 0 <= self.l2 < math.inf):
+            raise InvalidPoseError("l1 and l2 must be non-negative and finite")
         if not abs(self.alpha) < math.pi / 2:
             raise InvalidPoseError("|alpha| must be below pi/2")
 
@@ -174,90 +170,27 @@ def solve_source_distance(
     return 0.5 * (lo + hi)
 
 
-def _rotated_bottom_height(pose: DevicePose, alpha: float, pivot: str) -> float:
-    if pivot == PIVOT_TOP:
-        return pose.l1 - pose.l * math.cos(alpha)
-    if pivot == PIVOT_BOTTOM:
-        return pose.l2 - pose.l * math.cos(alpha)
-    raise InvalidPoseError(f"unknown pivot form {pivot!r}")
-
-
 def transform_tdoa(
     tdoa_samples: float,
     pose: DevicePose,
-    alpha: float = None,
+    alpha: float = 0.0,
     delta_x: float = 0.0,
     sample_rate: int = 192000,
-    pivot: str = DEFAULT_PIVOT,
     c: float = SPEED_OF_SOUND,
 ) -> float:
     """Predict the delay after moving the handset back by delta_x and
-    tilting it by alpha, keeping the source fixed.
+    tilting it by alpha about its top mic, keeping the source fixed.
 
     Solves the enrolled delay for the source distance x, then evaluates
-    the forward model at x + delta_x. alpha=None means no rotation was
-    requested: the bottom mic stays at its own vertical offset and the
-    pivot convention never enters. When a rotation is requested (alpha
-    given, including 0.0), the rotated bottom-mic height follows the
-    pivot form: "top" is self-consistent with pose_to_tdoa and reduces
-    to identity at alpha = 0; "bottom" measures the rotated height from
-    the bottom mic's own offset instead, which is kept because some
-    derivations state it that way, but it does not reduce to identity
-    (the simulator cross-check shows the mismatch).
+    the forward model at the moved pose, so the transform and the
+    simulator share one geometry. The moved pose is validated by
+    DevicePose (x + delta_x > 0, |alpha| < pi/2, all finite).
     """
     x = solve_source_distance(tdoa_samples, pose.l1, pose.l2, sample_rate, c=c)
-    if alpha is None and delta_x == 0.0:
+    if alpha == 0.0 and delta_x == 0.0:
         return tdoa_samples  # no pose change (solve above validated the input)
-    x2 = x + delta_x
-    if x2 <= 0:
-        raise InvalidPoseError(f"x + delta_x = {x2:.4f} m must stay positive")
-    if alpha is None:
-        bz = -pose.l2
-        sin_alpha = 0.0
-    else:
-        bz = _rotated_bottom_height(pose, alpha, pivot)
-        sin_alpha = math.sin(alpha)
-    by = x2 + pose.l * sin_alpha
-    d1 = math.hypot(pose.l1, x2)
-    d2 = math.hypot(by, bz)
-    diff = d1 - d2
-    # triangle inequality against the implied mic separation
-    mic_sep = math.hypot(by - x2, pose.l1 - bz)
-    if not abs(diff) <= mic_sep + 1e-9:
-        raise InvalidPoseError(
-            f"transformed delay path difference {diff} m exceeds the mic "
-            f"separation {mic_sep} m"
-        )
-    return diff / c * sample_rate
-
-
-def transform_tdoa_for_angle(
-    tdoa_samples: float,
-    pose: DevicePose,
-    alpha: float,
-    sample_rate: int = 192000,
-    pivot: str = DEFAULT_PIVOT,
-    c: float = SPEED_OF_SOUND,
-) -> float:
-    """Delay after tilting the handset by alpha at unchanged distance."""
-    return transform_tdoa(
-        tdoa_samples, pose, alpha=alpha, delta_x=0.0,
-        sample_rate=sample_rate, pivot=pivot, c=c,
-    )
-
-
-def transform_tdoa_for_distance(
-    tdoa_samples: float,
-    pose: DevicePose,
-    delta_x: float,
-    sample_rate: int = 192000,
-    c: float = SPEED_OF_SOUND,
-) -> float:
-    """Delay after moving the handset delta_x farther (vertical pose)."""
-    return transform_tdoa(
-        tdoa_samples, pose, alpha=None, delta_x=delta_x,
-        sample_rate=sample_rate, c=c,
-    )
+    moved = pose.with_(x=x + delta_x, alpha=alpha)
+    return pose_to_tdoa(moved, sample_rate=sample_rate, c=c)
 
 
 def make_beep(

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
-import threading
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,13 +134,6 @@ def enroll_text_dependent(
     )
 
 
-def add_passphrase(profile: UserProfile, other: UserProfile) -> UserProfile:
-    """Merge the passphrase templates of two text-dependent profiles."""
-    merged = dict(profile.passphrase_templates)
-    merged.update(other.passphrase_templates)
-    return replace(profile, passphrase_templates=merged)
-
-
 def enroll_text_independent(
     user_id: str,
     samples,
@@ -227,20 +218,6 @@ def normalize_dynamic(
         sample_rate=rate,
         device=to_device,
     )
-
-
-def scale_templates(templates, factor: float) -> list:
-    """Apply a device/rate scale to template means, stds and raw delays."""
-    return [
-        PhonemeTemplate(
-            label=t.label,
-            mean_delay=t.mean_delay * factor,
-            std_delay=t.std_delay * abs(factor),
-            trial_count=t.trial_count,
-            delays=tuple(d * factor for d in t.delays),
-        )
-        for t in templates
-    ]
 
 
 # --- persistence ---
@@ -330,28 +307,3 @@ def load_profile(path) -> UserProfile:
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed profile: {exc}") from exc
     return profile
-
-
-class ProfileStore:
-    """Directory of profile files keyed by user id.
-
-    Writes are serialized behind a lock (last writer wins per user);
-    reads need no coordination because profiles are immutable values.
-    """
-
-    def __init__(self, directory):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._write_lock = threading.Lock()
-
-    def _path(self, user_id: str) -> Path:
-        return self.directory / f"{user_id}.json"
-
-    def save(self, profile: UserProfile) -> Path:
-        path = self._path(profile.user_id)
-        with self._write_lock:
-            save_profile(profile, path)
-        return path
-
-    def load(self, user_id: str) -> UserProfile:
-        return load_profile(self._path(user_id))

@@ -27,10 +27,7 @@ from .tdoa import TdoaDynamic
 MIN_SEQUENCE_LENGTH = 3
 
 # weighting for the stability-aware correlation: stable phonemes count
-# more ("inverse", w = 1/(sigma + eps)); "direct" uses w = sigma and is
-# kept for comparison only.
-WEIGHT_MODE_INVERSE = "inverse"
-WEIGHT_MODE_DIRECT = "direct"
+# more, w = 1/(sigma + eps)
 WEIGHT_EPSILON = 0.1  # samples
 
 _VARIANCE_EPS = 1e-24
@@ -132,31 +129,18 @@ def probability_score(dynamic: TdoaDynamic, templates) -> float:
     return float(np.mean(scores))
 
 
-def _weights(templates, inventory_stats, mode: str) -> np.ndarray:
-    sigmas = np.array(
-        [float(inventory_stats[t.label]) for t in templates], dtype=float
-    )
-    if mode == WEIGHT_MODE_INVERSE:
-        return 1.0 / (sigmas + WEIGHT_EPSILON)
-    if mode == WEIGHT_MODE_DIRECT:
-        if np.all(sigmas <= 0):
-            return np.ones_like(sigmas)
-        return sigmas
-    raise ValueError(f"unknown weight mode {mode!r}")
-
-
 def weighted_correlation_score(
     dynamic: TdoaDynamic,
     templates,
     inventory_stats,
-    weight_mode: str = WEIGHT_MODE_INVERSE,
 ) -> float:
     """Stability-weighted correlation: per-phoneme group stds from
     inventory_stats set the weights, so stable phonemes dominate and a
     wild phoneme cannot drag the whole score down."""
     templates = list(templates)
     x, means, _ = _paired(dynamic, templates)
-    w = _weights(templates, inventory_stats, weight_mode)
+    sigmas = np.array([float(inventory_stats[t.label]) for t in templates])
+    w = 1.0 / (sigmas + WEIGHT_EPSILON)
     return _pearson(x, means, w)
 
 
@@ -164,7 +148,6 @@ def combined_score(
     dynamic: TdoaDynamic,
     templates,
     inventory_stats=None,
-    weight_mode: str = WEIGHT_MODE_INVERSE,
 ) -> float:
     """Mean of the rescaled correlation ((rho+1)/2) and the probability
     score. A degenerate (constant) measured sequence contributes the
@@ -174,9 +157,7 @@ def combined_score(
     prob = probability_score(dynamic, templates)
     try:
         if inventory_stats is not None:
-            rho = weighted_correlation_score(
-                dynamic, templates, inventory_stats, weight_mode
-            )
+            rho = weighted_correlation_score(dynamic, templates, inventory_stats)
         else:
             rho = correlation_score(dynamic, templates)
         corr_part = (rho + 1.0) / 2.0
@@ -190,22 +171,19 @@ def score_dynamic(
     templates,
     method: ScoringMethod = ScoringMethod.COMBINED,
     inventory_stats=None,
-    weight_mode: str = WEIGHT_MODE_INVERSE,
 ) -> SimilarityScore:
     """All three scores for one comparison; degenerate correlation maps
     to 0.0 at this level (a flat replay dynamic earns no similarity)."""
     templates = list(templates)
     try:
         if method == ScoringMethod.WEIGHTED and inventory_stats is not None:
-            corr = weighted_correlation_score(
-                dynamic, templates, inventory_stats, weight_mode
-            )
+            corr = weighted_correlation_score(dynamic, templates, inventory_stats)
         else:
             corr = correlation_score(dynamic, templates)
     except DegenerateSequenceError:
         corr = 0.0
     prob = probability_score(dynamic, templates)
-    comb = combined_score(dynamic, templates, inventory_stats, weight_mode)
+    comb = combined_score(dynamic, templates, inventory_stats)
     return SimilarityScore(
         correlation=corr, probability=prob, combined=comb, method_used=method
     )

@@ -22,15 +22,7 @@ from phonotdoa.evaluation import (
     eer,
     run_experiment,
 )
-from phonotdoa.geometry import (
-    PIVOT_BOTTOM,
-    PIVOT_TOP,
-    REFERENCE_POSE,
-    pose_to_tdoa,
-    transform_tdoa,
-    transform_tdoa_for_angle,
-    transform_tdoa_for_distance,
-)
+from phonotdoa.geometry import REFERENCE_POSE, pose_to_tdoa, transform_tdoa
 from phonotdoa.phonemes import AFFRICATE, INVENTORY, NASAL, STOP
 from phonotdoa.profiles import PhonemeTemplate, normalize_dynamic
 from phonotdoa.scoring import (
@@ -320,25 +312,15 @@ def test_c6_transform_matches_simulator(source_model):
                     alpha=math.radians(alpha_deg),
                     delta_x=dx,
                     sample_rate=FS,
-                    pivot=PIVOT_TOP,
                 )
                 worst = max(worst, abs(predicted - m.delay_samples))
     report(
         6,
         worst <= 2.0,
         f"pose transform vs simulator over 3 angles x 3 distances: worst "
-        f"|error| {worst:.2f} samples (need <=2) under the top-mic pivot",
+        f"|error| {worst:.2f} samples (need <=2)",
     )
     assert worst <= 2.0
-
-
-def test_c6_bottom_pivot_documented_mismatch(source_model):
-    # the bottom-referenced (as-printed) form does not match the
-    # physical rotation; this documents the divergence
-    base = source_model.reference_delay("AA")
-    top = transform_tdoa_for_angle(base, REFERENCE_POSE, math.radians(30), FS, pivot=PIVOT_TOP)
-    bottom = transform_tdoa_for_angle(base, REFERENCE_POSE, math.radians(30), FS, pivot=PIVOT_BOTTOM)
-    assert abs(top - bottom) > 5.0
 
 
 def _pose_experiment(transform):
@@ -360,7 +342,6 @@ def _pose_experiment(transform):
                 [30.0, 0.15], [45.0, 0.15], [60.0, 0.15],
             ],
             "transform": transform,
-            "pivot": "top",
             "per_user_variation": False,
             "oral_only": True,
             # fixed system operating point: per-pose accuracy collapses
@@ -475,13 +456,13 @@ def test_c9_identities(source_model):
     sym = DevicePose(x=0.05, l1=0.075, l2=0.075, l=0.15)
     checks.append(abs(pose_to_tdoa(sym, (0.0, 0.0), FS)) < 1e-12)
 
-    # alpha = 0 identity (top pivot) and delta_x = 0 exact identity
+    # alpha = 0 identity and delta_x = 0 exact identity
     base = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
     checks.append(
-        abs(transform_tdoa_for_angle(base, REFERENCE_POSE, 0.0, FS, pivot=PIVOT_TOP) - base)
+        abs(transform_tdoa(base, REFERENCE_POSE, alpha=0.0, sample_rate=FS) - base)
         < 0.01
     )
-    checks.append(transform_tdoa_for_distance(base, REFERENCE_POSE, 0.0, FS) == base)
+    checks.append(transform_tdoa(base, REFERENCE_POSE, delta_x=0.0, sample_rate=FS) == base)
 
     # uniform weights reduce the weighted correlation to Pearson
     labels = ["AA", "S", "K", "OW", "M"]

@@ -1,9 +1,15 @@
 import io
 import json
 import contextlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phonotdoa
 from phonotdoa.cli import main
 
 LABELS = ["IY", "S", "K", "AA", "T", "OW", "N", "EH"]
@@ -153,19 +159,88 @@ def test_pose_subcommand_solves_and_transforms():
     assert doc["tdoa2"] == pytest.approx(17.44, abs=0.05)
 
 
-def test_pose_angle_uses_config_pivot(tmp_path):
+def test_pose_angle_zero_returns_input():
+    code, out = run_cli("pose", "--tdoa", "62.996", "--angle-deg", "0")
+    assert code == 0
+    assert json.loads(out)["tdoa2"] == 62.996
+
+
+@pytest.mark.parametrize("flag", ["--angle-deg", "--delta-x-m"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_pose_non_finite_is_typed_error(flag, value, capsys):
+    code, _ = run_cli("pose", "--tdoa", "63", f"{flag}={value}")
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidPoseError"
+
+
+def test_pose_nan_angle_exits_2_under_optimize():
+    # the pose check is a raise, not an assert, so python -O keeps it
+    src = str(Path(phonotdoa.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "phonotdoa", "pose", "--tdoa", "63",
+         "--angle-deg", "nan"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "InvalidPoseError" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", [
+    "--angle-deg=inf", "--angle-deg=-inf", "--angle-deg=nan", "--distance-m=nan",
+])
+def test_verify_non_finite_pose_is_typed_error(pipeline, flag, capsys):
+    _, profile, live_dir, _ = pipeline
+    code, _ = run_cli(
+        "verify", live_dir / "recording.wav", live_dir / "alignment.json",
+        "--profile", profile, flag,
+    )
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidPoseError"
+
+
+@pytest.mark.parametrize("doc", [
+    {"scoring": {"method": "foo"}},
+    {"scoring": {"threshold": "abc"}},
+    {"scoring": {"threshold": math.nan}},
+    {"scoring": {"threshold": True}},
+    {"scoring": []},
+    {"geometry": "x"},
+    {"geometry": {"c": "nan"}},
+    {"geometry": {"c": math.inf}},
+    {"geometry": {"c": 0.0}},
+    {"geometry": {"pivot": "top"}},
+    {"weights": {}},
+    [1],
+], ids=repr)
+def test_bad_config_file_is_typed_error(pipeline, tmp_path, doc, capsys):
+    _, profile, live_dir, _ = pipeline
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"geometry": {"pivot": "top"}}))
-    code, out = run_cli(
-        "pose", "--tdoa", "62.996", "--angle-deg", "0", "--config", config,
+    config.write_text(json.dumps(doc))
+    code, _ = run_cli(
+        "verify", live_dir / "recording.wav", live_dir / "alignment.json",
+        "--profile", profile, "--config", config,
+    )
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_verify_tilted_live_accepts(pipeline, tmp_path):
+    # live speech with the handset tilted 30 degrees about its top mic:
+    # the transformed templates follow the simulator's geometry
+    _, profile, _, _ = pipeline
+    pose = {"x": 0.03, "l1": 0.14, "l2": 0.01, "l": 0.15, "alpha": math.radians(30)}
+    out = tmp_path / "tilted"
+    code, _ = run_cli("simulate", _scene(tmp_path, "tilted.json", seed=77, pose=pose), out)
+    assert code == 0
+    code, doc = run_cli(
+        "verify", out / "recording.wav", out / "alignment.json",
+        "--profile", profile, "--angle-deg", "30",
     )
     assert code == 0
-    doc = json.loads(out)
-    assert doc["tdoa2"] == pytest.approx(62.996, abs=1e-3)
-    assert doc["pivot"] == "top"
-    # bottom-referenced default does not return the input at angle 0
-    code, out = run_cli("pose", "--tdoa", "62.996", "--angle-deg", "0")
-    assert abs(json.loads(out)["tdoa2"] - 62.996) > 1.0
+    assert json.loads(doc)["verdict"] == "live"
 
 
 def test_simulate_beep_scene(tmp_path):
@@ -188,17 +263,10 @@ def test_verify_with_beep_distance(pipeline, tmp_path):
         "verify", live_dir / "recording.wav", live_dir / "alignment.json",
         "--profile", profile,
         "--beep-echo", tmp_path / "beep_out" / "recording.wav",
-        "--config", _write_top_pivot_config(tmp_path),
     )
     assert code in (0, 1)
     doc = json.loads(out)
     assert "verdict" in doc
-
-
-def _write_top_pivot_config(tmp_path):
-    config = tmp_path / "pivot_top.json"
-    config.write_text(json.dumps({"geometry": {"pivot": "top"}}))
-    return config
 
 
 def test_evaluate_command(tmp_path):

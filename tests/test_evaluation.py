@@ -135,6 +135,12 @@ def test_config_validation():
     assert config.mode == ProfileMode.TEXT_INDEPENDENT
 
 
+def test_config_rejects_removed_pivot_key():
+    # the tilt always rotates about the top mic; the old knob is refused
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"pivot": "top"})
+
+
 _SMALL = {
     "seed": 5,
     "users": 2,

@@ -12,8 +12,6 @@ from phonotdoa.errors import (
     UnderdeterminedError,
 )
 from phonotdoa.geometry import (
-    PIVOT_BOTTOM,
-    PIVOT_TOP,
     REFERENCE_POSE,
     DevicePose,
     estimate_face_distance,
@@ -22,8 +20,6 @@ from phonotdoa.geometry import (
     pose_to_tdoa,
     solve_source_distance,
     transform_tdoa,
-    transform_tdoa_for_angle,
-    transform_tdoa_for_distance,
 )
 from phonotdoa.simulator import synthesize_beep_scene
 
@@ -89,21 +85,16 @@ def test_solve_underdetermined_and_no_solution():
         solve_source_distance(-30.0, 0.14, 0.01, FS)
 
 
-def test_angle_identity_at_zero_top_pivot():
-    # identity up to the source-distance solver tolerance (1e-6 m)
+@pytest.mark.parametrize("alpha", [0.0, 1e-6])
+def test_angle_identity_at_zero(alpha):
+    # exact at 0 (no pose change); at a vanishing tilt, identity up to
+    # the source-distance solver tolerance (1e-6 m)
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
-    out = transform_tdoa_for_angle(tdoa, REFERENCE_POSE, 0.0, FS, pivot=PIVOT_TOP)
+    out = transform_tdoa(tdoa, REFERENCE_POSE, alpha=alpha, sample_rate=FS)
     assert out == pytest.approx(tdoa, abs=0.01)
 
 
-def test_angle_bottom_pivot_not_identity():
-    # the bottom-referenced form does not reduce to identity at alpha=0
-    tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
-    out = transform_tdoa_for_angle(tdoa, REFERENCE_POSE, 0.0, FS, pivot=PIVOT_BOTTOM)
-    assert abs(out - tdoa) > 1.0
-
-
-def _hand_transform(tdoa1, l1, l2, l, alpha, pivot_height_from):
+def _hand_transform(tdoa1, l1, l2, l, alpha):
     """Independent evaluation of the tilt transform used as an oracle."""
     delta = tdoa1 * 340.0 / FS
     lo, hi = 1e-6, 10.0
@@ -116,7 +107,7 @@ def _hand_transform(tdoa1, l1, l2, l, alpha, pivot_height_from):
             hi = mid
     x = (lo + hi) / 2
     d1 = math.sqrt(l1**2 + x**2)
-    bz = pivot_height_from - l * math.cos(alpha)
+    bz = l1 - l * math.cos(alpha)  # rotation about the top mic
     d2 = math.sqrt((l * math.sin(alpha) + x) ** 2 + bz**2)
     return (d1 - d2) / 340.0 * FS
 
@@ -125,24 +116,21 @@ def _hand_transform(tdoa1, l1, l2, l, alpha, pivot_height_from):
 def test_angle_transform_matches_hand_evaluation(alpha_deg):
     alpha = math.radians(alpha_deg)
     tdoa1 = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
-    got_top = transform_tdoa_for_angle(tdoa1, REFERENCE_POSE, alpha, FS, pivot=PIVOT_TOP)
-    want_top = _hand_transform(tdoa1, 0.14, 0.01, 0.15, alpha, pivot_height_from=0.14)
-    assert got_top == pytest.approx(want_top, abs=1e-3)
-    got_bottom = transform_tdoa_for_angle(tdoa1, REFERENCE_POSE, alpha, FS, pivot=PIVOT_BOTTOM)
-    want_bottom = _hand_transform(tdoa1, 0.14, 0.01, 0.15, alpha, pivot_height_from=0.01)
-    assert got_bottom == pytest.approx(want_bottom, abs=1e-3)
+    got = transform_tdoa(tdoa1, REFERENCE_POSE, alpha=alpha, sample_rate=FS)
+    want = _hand_transform(tdoa1, 0.14, 0.01, 0.15, alpha)
+    assert got == pytest.approx(want, abs=1e-3)
 
 
 def test_distance_identity_at_zero():
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
-    out = transform_tdoa_for_distance(tdoa, REFERENCE_POSE, 0.0, FS)
+    out = transform_tdoa(tdoa, REFERENCE_POSE, delta_x=0.0, sample_rate=FS)
     assert out == tdoa  # exact: no pose change
 
 
 def test_distance_transform_hand_value():
     # x = 0.03, delta = 0.27: (sqrt(0.0196+0.09) - sqrt(0.0001+0.09)) scaled
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
-    out = transform_tdoa_for_distance(tdoa, REFERENCE_POSE, 0.27, FS)
+    out = transform_tdoa(tdoa, REFERENCE_POSE, delta_x=0.27, sample_rate=FS)
     want = (math.sqrt(0.0196 + 0.09) - math.sqrt(0.0001 + 0.09)) / 340.0 * FS
     assert out == pytest.approx(want, abs=2e-3)
     assert out == pytest.approx(17.4, abs=0.1)
@@ -152,7 +140,7 @@ def test_distance_transform_monotone_shrink():
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
     prev = abs(tdoa)
     for dx in np.linspace(0.05, 4.0, 25):
-        cur = abs(transform_tdoa_for_distance(tdoa, REFERENCE_POSE, float(dx), FS))
+        cur = abs(transform_tdoa(tdoa, REFERENCE_POSE, delta_x=float(dx), sample_rate=FS))
         assert cur < prev
         prev = cur
 
@@ -160,7 +148,7 @@ def test_distance_transform_monotone_shrink():
 def test_distance_transform_invalid_pose():
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
     with pytest.raises(InvalidPoseError):
-        transform_tdoa_for_distance(tdoa, REFERENCE_POSE, -5.0, FS)
+        transform_tdoa(tdoa, REFERENCE_POSE, delta_x=-5.0, sample_rate=FS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,14 +188,14 @@ def test_transform_respects_triangle_inequality():
         for dx in (0.0, 0.1, 0.5):
             out = transform_tdoa(
                 tdoa, REFERENCE_POSE, alpha=math.radians(alpha_deg),
-                delta_x=dx, sample_rate=FS, pivot=PIVOT_TOP,
+                delta_x=dx, sample_rate=FS,
             )
             assert abs(out) * 340.0 / FS <= REFERENCE_POSE.l + 1e-9
 
 
 def test_transform_outside_mic_geometry_is_typed_error():
-    # a NaN tilt fails the triangle-inequality guard; the guard is a
-    # raise, not an assert, so it also holds under python -O
+    # a NaN tilt fails the DevicePose check on the moved pose; the
+    # check is a raise, not an assert, so it also holds under python -O
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
     with pytest.raises(InvalidPoseError):
         transform_tdoa(tdoa, REFERENCE_POSE, alpha=math.nan, sample_rate=FS)

@@ -17,7 +17,6 @@ from phonotdoa.phonemes import INVENTORY
 from phonotdoa.profiles import (
     PhonemeTemplate,
     ProfileMode,
-    ProfileStore,
     assemble_template,
     enroll_text_dependent,
     enroll_text_independent,
@@ -238,13 +237,6 @@ def test_profile_version_zero_rejected(enrolled, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_profile(path)
-
-
-def test_profile_store_save_load(enrolled, tmp_path):
-    store = ProfileStore(tmp_path / "store")
-    store.save(enrolled)
-    back = store.load("u1")
-    assert back.user_id == "u1"
 
 
 def test_template_validation():

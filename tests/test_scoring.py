@@ -10,7 +10,6 @@ from phonotdoa.profiles import PhonemeTemplate
 from phonotdoa.scoring import (
     ScoringMethod,
     Verdict,
-    WEIGHT_MODE_DIRECT,
     combined_score,
     correlation_score,
     decide,
@@ -185,19 +184,6 @@ def test_weighted_discounts_unstable_phoneme():
     plain = correlation_score(dyn, templates)
     weighted = weighted_correlation_score(dyn, templates, stats)
     assert weighted > plain
-
-
-def test_weighted_direct_mode_differs():
-    means = [50.0, 55.0, 48.0, 52.0, -30.0]
-    delays = [52.0, 54.0, 60.0, 52.5, -28.0]
-    stats = {"AA": 1.0, "S": 1.0, "K": 12.0, "OW": 1.0, "M": 2.0}
-    dyn = _dynamic(delays, LAB5)
-    templates = _templates(means, LAB5)
-    inverse = weighted_correlation_score(dyn, templates, stats)
-    direct = weighted_correlation_score(
-        dyn, templates, stats, weight_mode=WEIGHT_MODE_DIRECT
-    )
-    assert inverse != pytest.approx(direct)
 
 
 def test_combined_perfect_match():
