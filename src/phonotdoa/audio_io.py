@@ -1,4 +1,4 @@
-"""Two-channel PCM WAV reading and writing.
+"""Two-channel PCM WAV and JSON file reading and writing.
 
 Channel convention is fixed across the whole toolkit: channel 0 is the
 top microphone, channel 1 is the bottom microphone. Nothing downstream
@@ -7,19 +7,15 @@ ever swaps them implicitly; delay signs depend on it.
 
 from __future__ import annotations
 
+import json
+import math
 import wave
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ChannelCountError,
-    CorruptFileError,
-    FormatError,
-    InvalidRecordingError,
-    IoError,
-)
+from .errors import FormatError
 
 # Rates with a documented per-sample ranging resolution (7.08 / 3.54 /
 # 1.77 mm at 340 m/s). Other rates >= 44.1 kHz work but warn.
@@ -45,19 +41,19 @@ class StereoRecording:
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
         if top.ndim != 1 or bottom.ndim != 1:
-            raise InvalidRecordingError("channels must be 1-D sample arrays")
+            raise FormatError("channels must be 1-D sample arrays")
         if len(top) != len(bottom):
-            raise InvalidRecordingError(
+            raise FormatError(
                 f"channel lengths differ: top={len(top)} bottom={len(bottom)}"
             )
         if self.sample_rate < 44100:
-            raise InvalidRecordingError(
+            raise FormatError(
                 f"sample rate {self.sample_rate} below 44100 Hz minimum"
             )
         if len(top) and (
             max(np.max(np.abs(top)), np.max(np.abs(bottom))) > 1.0 + 1e-9
         ):
-            raise InvalidRecordingError("samples exceed [-1, 1]")
+            raise FormatError("samples exceed [-1, 1]")
         if self.sample_rate not in PREFERRED_RATES:
             warnings.warn(
                 f"sample rate {self.sample_rate} Hz is accepted but ranging "
@@ -111,18 +107,11 @@ def load_wav(path) -> StereoRecording:
             rate = w.getframerate()
             n_frames = w.getnframes()
             raw = w.readframes(n_frames)
-    except FileNotFoundError:
-        raise
-    except wave.Error as exc:
-        msg = str(exc).lower()
-        if "format" in msg or "compress" in msg or "unknown" in msg:
-            raise FormatError(f"{path}: {exc}") from exc
-        raise CorruptFileError(f"{path}: {exc}") from exc
-    except EOFError as exc:
-        raise CorruptFileError(f"{path}: truncated header") from exc
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        raise FormatError(f"{path}: not a readable WAV file: {exc!r}") from exc
 
     if n_channels != 2:
-        raise ChannelCountError(
+        raise FormatError(
             f"{path}: expected 2 channels, found {n_channels}"
         )
     if sampwidth not in _SUPPORTED_WIDTHS:
@@ -130,7 +119,7 @@ def load_wav(path) -> StereoRecording:
             f"{path}: unsupported sample width {8 * sampwidth} bits"
         )
     if len(raw) < n_frames * n_channels * sampwidth:
-        raise CorruptFileError(
+        raise FormatError(
             f"{path}: data chunk shorter than header declares"
         )
 
@@ -157,11 +146,45 @@ def write_wav(recording: StereoRecording, path, bit_depth: int = 16) -> None:
     interleaved[0::2] = recording.top
     interleaved[1::2] = recording.bottom
     q = np.clip(np.round(interleaved * scale), lo, hi).astype(np.int64)
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(2)
+        w.setsampwidth(bit_depth // 8)
+        w.setframerate(recording.sample_rate)
+        w.writeframes(_encode_pcm(q, bit_depth // 8))
+
+
+# What a loader's field parsing raises on JSON of the wrong shape: a
+# missing key or index, a wrong type, or a value that does not convert.
+FIELD_ERRORS = (AttributeError, LookupError, OverflowError, TypeError, ValueError)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def read_json(path, error) -> dict:
+    """Read a file holding one JSON object.
+
+    Bytes that are not UTF-8 JSON, NaN or infinite numbers, a directory
+    and any top level other than an object raise `error`; a missing
+    file raises FileNotFoundError.
+    """
     try:
-        with wave.open(str(path), "wb") as w:
-            w.setnchannels(2)
-            w.setsampwidth(bit_depth // 8)
-            w.setframerate(recording.sample_rate)
-            w.writeframes(_encode_pcm(q, bit_depth // 8))
-    except OSError as exc:
-        raise IoError(f"{path}: {exc}") from exc
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f, parse_float=_finite, parse_constant=_finite)
+    except (ValueError, IsADirectoryError) as exc:
+        raise error(f"{path}: unreadable JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def write_json(path, doc) -> None:
+    """Write doc as sorted, 2-space-indented JSON and a final newline,
+    the one format byte-identical outputs depend on."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .audio_io import load_wav, write_wav
+from .audio_io import FIELD_ERRORS, load_wav, read_json, write_json, write_wav
 from .config import load_config
 from .errors import ConfigError, PhonotdoaError, SchemaError
 from .evaluation import ExperimentConfig, run_experiment, transform_templates, write_report
@@ -83,19 +83,38 @@ def _add_device_flags(p):
 # --- simulate ---
 
 def cmd_simulate(args) -> int:
-    with open(args.scene) as f:
-        scene = json.load(f)
-    if not isinstance(scene, dict) or "kind" not in scene:
-        raise ConfigError(f"{args.scene}: scene file needs a 'kind' field")
+    scene = read_json(args.scene, ConfigError)
+    try:
+        kind = scene["kind"]
+        fs = int(scene.get("sample_rate", 192000))
+        seed = int(scene.get("seed", args.seed))
+        if kind == "beep":
+            face = float(scene["face_distance_m"])
+        else:
+            labels = scene.get("labels")
+            if not labels:
+                raise ConfigError("scene needs a 'labels' phoneme list")
+            pose_doc = scene.get("pose")
+            pose = DevicePose(**pose_doc) if pose_doc else REFERENCE_POSE
+            snr = float(scene.get("noise_snr_db", 30.0))
+            if kind == "live":
+                echo = scene.get("echo")
+                echo = (int(echo[0]), float(echo[1])) if echo else None
+                jitter_scale = float(scene.get("jitter_scale", 1.0))
+            else:
+                scenario = AttackScenario(
+                    kind=AttackKind(kind),
+                    source_offset=tuple(scene.get("source_offset", (0.0, 0.0))),
+                    trajectory=tuple(tuple(p) for p in scene.get("trajectory", ())),
+                    recorder_distance_m=float(scene.get("recorder_distance_m", 0.0)),
+                )
+    except FIELD_ERRORS as exc:
+        raise ConfigError(f"{args.scene}: malformed scene: {exc!r}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kind = scene["kind"]
-    fs = int(scene.get("sample_rate", 192000))
-    seed = int(scene.get("seed", args.seed))
     model = load_source_model()
 
     if kind == "beep":
-        face = float(scene["face_distance_m"])
         recording = synthesize_beep_scene(face, fs, seed)
         write_wav(recording, out / "recording.wav", bit_depth=24)
         truth = {
@@ -105,36 +124,16 @@ def cmd_simulate(args) -> int:
             "face_distance_m": face,
             "echo_delay_samples": 2.0 * face / 340.0 * fs,
         }
-        with open(out / "ground_truth.json", "w") as f:
-            json.dump(truth, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(out / "ground_truth.json", truth)
         _emit({"out": str(out), "kind": kind, "files": ["recording.wav", "ground_truth.json"]})
         return 0
 
-    labels = scene.get("labels")
-    if not labels:
-        raise ConfigError("scene needs a 'labels' phoneme list")
-    pose_doc = scene.get("pose")
-    pose = DevicePose(**pose_doc) if pose_doc else REFERENCE_POSE
-    snr = float(scene.get("noise_snr_db", 30.0))
-
     if kind == "live":
-        echo = scene.get("echo")
         utt = synthesize_live(
-            labels, model, pose, fs, seed, snr,
-            echo=tuple(echo) if echo else None,
-            jitter_scale=float(scene.get("jitter_scale", 1.0)),
+            labels, model, pose, fs, seed, snr, echo=echo, jitter_scale=jitter_scale,
         )
-    elif kind in ("static_playback", "mobile_playback", "replace"):
-        scenario = AttackScenario(
-            kind=AttackKind(kind),
-            source_offset=tuple(scene.get("source_offset", (0.0, 0.0))),
-            trajectory=tuple(tuple(p) for p in scene.get("trajectory", ())),
-            recorder_distance_m=float(scene.get("recorder_distance_m", 0.0)),
-        )
-        utt = synthesize_attack(labels, model, pose, scenario, fs, seed, snr)
     else:
-        raise ConfigError(f"unknown scene kind {kind!r}")
+        utt = synthesize_attack(labels, model, pose, scenario, fs, seed, snr)
 
     write_wav(utt.recording, out / "recording.wav", bit_depth=24)
     save_alignment(utt.segments, fs, out / "alignment.json")
@@ -154,9 +153,7 @@ def cmd_simulate(args) -> int:
             for g in utt.ground_truth
         ],
     }
-    with open(out / "ground_truth.json", "w") as f:
-        json.dump(truth, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out / "ground_truth.json", truth)
     _emit(
         {
             "out": str(out),
@@ -283,8 +280,7 @@ def cmd_verify(args) -> int:
 # --- evaluate ---
 
 def cmd_evaluate(args) -> int:
-    with open(args.experiment) as f:
-        doc = json.load(f)
+    doc = read_json(args.experiment, ConfigError)
     if args.seed is not None and "seed" not in doc:
         doc["seed"] = args.seed
     config = ExperimentConfig.from_dict(doc)
@@ -387,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beep-echo", default=None,
                    help="beep-echo WAV to estimate the distance from")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
     _add_device_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -424,7 +419,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PhonotdoaError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (PhonotdoaError, OSError) as exc:
         print(
             json.dumps(
                 {"error": type(exc).__name__, "message": str(exc)},

@@ -4,10 +4,10 @@ log at the start of every run."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
+from .audio_io import read_json
 from .errors import ConfigError
 from .geometry import SPEED_OF_SOUND
 from .scoring import ScoringMethod
@@ -52,11 +52,7 @@ def load_config(path=None, overrides=None) -> CliConfig:
     """Defaults <- config file <- explicit flag overrides."""
     config = CliConfig()
     if path is not None:
-        with open(path) as f:
-            doc = json.load(f)
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        for name, section in doc.items():
+        for name, section in read_json(path, ConfigError).items():
             if name not in _KEYS:
                 raise ConfigError(f"{path}: unknown config section {name!r}")
             if not isinstance(section, dict):

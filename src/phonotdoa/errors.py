@@ -1,111 +1,42 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit.
+
+One class per kind of failure that a caller or the CLI tells apart; the
+message names the check that failed. The CLI reports any of them as
+{"error": <class name>, "message": ...} on stderr with exit code 2.
+"""
 
 
 class PhonotdoaError(Exception):
     """Base class for all toolkit errors."""
 
 
-# --- audio I/O ---
-
-class ChannelCountError(PhonotdoaError):
-    """WAV file does not have exactly two channels."""
-
-
 class FormatError(PhonotdoaError):
-    """Unsupported WAV encoding or bit depth."""
-
-
-class CorruptFileError(PhonotdoaError):
-    """File is truncated or not a parseable RIFF/WAV container."""
-
-
-class IoError(PhonotdoaError):
-    """Filesystem write failure."""
-
-
-class InvalidRecordingError(PhonotdoaError):
-    """Recording violates a structural invariant (length, rate, amplitude)."""
-
-
-# --- segmentation ---
-
-class RateMismatchError(PhonotdoaError):
-    """Alignment sample rate differs from the recording's."""
-
-
-class InvalidAlignmentError(PhonotdoaError):
-    """Segment out of range, inverted, or overlapping another segment."""
-
-
-class UnknownPhonemeError(PhonotdoaError):
-    """Label not present in the phoneme inventory."""
-
-
-# --- delay estimation ---
-
-class DegenerateSignalError(PhonotdoaError):
-    """Zero-variance window; correlation undefined."""
-
-
-class SegmentTooShortError(PhonotdoaError):
-    """Segment shorter than the minimum usable correlation window."""
-
-
-# --- geometry ---
-
-class NoSolutionError(PhonotdoaError):
-    """No source distance is consistent with the given path difference."""
-
-
-class UnderdeterminedError(PhonotdoaError):
-    """Symmetric geometry with zero delay: any source distance fits."""
-
-
-class InvalidPoseError(PhonotdoaError):
-    """Pose fields violate their constraints."""
-
-
-class NoEchoError(PhonotdoaError):
-    """Fewer than two qualifying correlation peaks in the echo recording."""
-
-
-# --- profiles ---
-
-class AlignmentMismatchError(PhonotdoaError):
-    """Enrollment trials do not share one phoneme label sequence."""
-
-
-class InsufficientTrialsError(PhonotdoaError):
-    """Fewer enrollment trials than required."""
-
-
-class IncompleteInventoryError(PhonotdoaError):
-    """Text-independent enrollment is missing inventory phonemes."""
+    """WAV file or recording unusable: unsupported encoding, not two
+    channels, truncated or corrupt, or samples or rate out of range."""
 
 
 class SchemaError(PhonotdoaError):
-    """Profile or config file has a wrong version or malformed fields."""
+    """Alignment, profile or enrollment input malformed or inconsistent:
+    wrong version or fields, unknown phoneme, bad or overlapping segment,
+    mismatched sample rates, labels or sequences, too few trials."""
 
 
-# --- scoring ---
+class ConfigError(PhonotdoaError):
+    """Experiment, CLI, scene or source-model configuration invalid."""
 
-class SequenceMismatchError(PhonotdoaError):
-    """Measured dynamic and template sequence differ in length or labels."""
+
+class DegenerateSignalError(PhonotdoaError):
+    """No usable delay in the signal: zero-variance window, segment too
+    short, or no echo peaks."""
+
+
+class NoSolutionError(PhonotdoaError):
+    """No unique source distance fits the given path difference."""
+
+
+class InvalidPoseError(PhonotdoaError):
+    """Pose or device fields violate their constraints."""
 
 
 class DegenerateSequenceError(PhonotdoaError):
     """Constant sequence; correlation coefficient undefined."""
-
-
-# --- simulator / evaluation / cli ---
-
-class ScenarioError(PhonotdoaError):
-    """Attack or beep scenario parameters out of range."""
-
-
-class EmptySetError(PhonotdoaError):
-    """Score set empty; metric undefined."""
-
-
-class ConfigError(PhonotdoaError):
-    """Experiment or CLI configuration invalid."""

@@ -9,14 +9,14 @@ accuracy at the EER threshold lines up with 1 - EER on balanced sets.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptySetError, NoSolutionError
+from .audio_io import FIELD_ERRORS, write_json
+from .errors import ConfigError, NoSolutionError
 from .geometry import REFERENCE_POSE, DevicePose, transform_tdoa
 from .phonemes import INVENTORY
 from .profiles import (
@@ -47,7 +47,7 @@ class LabeledScoreSet:
         object.__setattr__(self, "live_scores", tuple(float(s) for s in self.live_scores))
         object.__setattr__(self, "attack_scores", tuple(float(s) for s in self.attack_scores))
         if not self.live_scores or not self.attack_scores:
-            raise EmptySetError("both live and attack scores are required")
+            raise ConfigError("both live and attack scores are required")
 
 
 def roc(scores: LabeledScoreSet) -> list:
@@ -160,11 +160,9 @@ class ExperimentConfig:
             ):
                 if key in known:
                     known[key] = tuple(known[key])
-            config = cls(**known)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from exc
-        config.validate()
-        return config
+            return cls(**known).validate()
+        except FIELD_ERRORS as exc:
+            raise ConfigError(f"bad experiment config: {exc!r}") from exc
 
     def validate(self):
         if self.users < 1 or self.passphrases_per_user < 1:
@@ -184,6 +182,7 @@ class ExperimentConfig:
         )
         if self.live_trials < 1 or total_attacks < 1:
             raise ConfigError("need at least one live trial and one attack")
+        return self
 
 
 def _band_label(band) -> str:
@@ -230,23 +229,6 @@ def transform_templates(
             )
         )
     return out
-
-
-def _score_row(dynamic, templates, config, inventory_stats):
-    row = {}
-    for name in config.methods:
-        method = ScoringMethod(name)
-        if method == ScoringMethod.WEIGHTED and inventory_stats is None:
-            raise ConfigError("weighted method needs text-independent stats")
-        # combined uses the weighted correlation when stats exist
-        stats = (
-            inventory_stats
-            if method in (ScoringMethod.WEIGHTED, ScoringMethod.COMBINED)
-            else None
-        )
-        sim = score_dynamic(dynamic, templates, method=method, inventory_stats=stats)
-        row[name] = sim.selected()
-    return row
 
 
 def run_experiment(config: ExperimentConfig, model=None) -> dict:
@@ -335,7 +317,9 @@ def run_experiment(config: ExperimentConfig, model=None) -> dict:
                     dynamic = measure_dynamic(
                         utt.recording, utt.segments, device=config.device
                     )
-                    scores = _score_row(dynamic, templates, config, inventory_stats)
+                    sim = score_dynamic(
+                        dynamic, templates, inventory_stats=inventory_stats
+                    )
                     rows.append(
                         {
                             "kind": kind,
@@ -343,7 +327,7 @@ def run_experiment(config: ExperimentConfig, model=None) -> dict:
                             "passphrase": passphrase_id,
                             "band": band,
                             "pose": f"a{alpha_deg:g}_dx{delta_x:g}",
-                            **scores,
+                            **{m: sim.selected(ScoringMethod(m)) for m in config.methods},
                         }
                     )
 
@@ -482,9 +466,7 @@ def write_report(report: dict, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     slim = {k: v for k, v in report.items() if k != "rows"}
-    with open(out / "report.json", "w") as f:
-        json.dump(slim, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out / "report.json", slim)
 
     rows = report.get("rows", [])
     if rows:

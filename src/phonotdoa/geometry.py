@@ -22,7 +22,7 @@ from scipy.signal import chirp, fftconvolve, find_peaks, hilbert
 from scipy.signal.windows import tukey
 
 from .audio_io import StereoRecording
-from .errors import InvalidPoseError, NoEchoError, NoSolutionError, UnderdeterminedError
+from .errors import DegenerateSignalError, InvalidPoseError, NoSolutionError
 
 SPEED_OF_SOUND = 340.0  # m/s
 
@@ -126,7 +126,7 @@ def solve_source_distance(
     delta_d = tdoa_samples * c / sample_rate
     if l1 == l2:
         if delta_d == 0.0:
-            raise UnderdeterminedError(
+            raise NoSolutionError(
                 "l1 == l2 with zero delay: every source distance fits"
             )
         raise NoSolutionError(
@@ -231,7 +231,7 @@ def estimate_face_distance(
     fs = echo_recording.sample_rate
     x = echo_recording.bottom
     if len(x) <= len(beep):
-        raise NoEchoError("recording shorter than the beep template")
+        raise DegenerateSignalError("recording shorter than the beep template")
     # Hann-weighted template: a plain chirp matched filter has -13 dB
     # range sidelobes that masquerade as echoes; the taper buys clean
     # peaks at the cost of a slightly wider main lobe.
@@ -253,7 +253,7 @@ def estimate_face_distance(
         prominence=0.05 * float(env.max()),
     )
     if len(peaks) < 2:
-        raise NoEchoError(
+        raise DegenerateSignalError(
             f"found {len(peaks)} qualifying correlation peaks, need 2"
         )
     t1, t2 = peaks[0], peaks[1]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnknownPhonemeError
+from .errors import SchemaError
 
 # articulation classes
 VOWEL = "vowel"
@@ -70,20 +70,20 @@ class PhonemeInventory:
         try:
             return self.classes[label]
         except KeyError:
-            raise UnknownPhonemeError(f"unknown phoneme label {label!r}") from None
+            raise SchemaError(f"unknown phoneme label {label!r}") from None
 
     def is_vowel(self, label: str) -> bool:
         return self.articulation_class(label) == VOWEL
 
     def is_voiced(self, label: str) -> bool:
         if label not in self.voiced:
-            raise UnknownPhonemeError(f"unknown phoneme label {label!r}")
+            raise SchemaError(f"unknown phoneme label {label!r}")
         return self.voiced[label]
 
     def validate(self, label: str) -> str:
         """Return the label if known (UNLABELED passes), else raise."""
         if label != UNLABELED and label not in self:
-            raise UnknownPhonemeError(f"unknown phoneme label {label!r}")
+            raise SchemaError(f"unknown phoneme label {label!r}")
         return label
 
 

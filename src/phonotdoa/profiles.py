@@ -11,19 +11,12 @@ re-enrollment.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AlignmentMismatchError,
-    IncompleteInventoryError,
-    InsufficientTrialsError,
-    RateMismatchError,
-    SchemaError,
-    UnknownPhonemeError,
-)
+from .audio_io import FIELD_ERRORS, read_json, write_json
+from .errors import SchemaError
 from .geometry import DevicePose
 from .phonemes import INVENTORY, PhonemeInventory
 from .tdoa import DeviceSpec, Method, TdoaDynamic, estimate_tdoa, measure_dynamic
@@ -103,7 +96,7 @@ def enroll_text_dependent(
     """
     trials = list(trials)
     if len(trials) < MIN_TRIALS:
-        raise InsufficientTrialsError(
+        raise SchemaError(
             f"need at least {MIN_TRIALS} trials, got {len(trials)}"
         )
     rate = trials[0][0].sample_rate
@@ -111,10 +104,10 @@ def enroll_text_dependent(
     per_trial = []
     for recording, segments in trials:
         if recording.sample_rate != rate:
-            raise RateMismatchError("trials differ in sample rate")
+            raise SchemaError("trials differ in sample rate")
         trial_labels = tuple(seg.label for seg in segments)
         if trial_labels != labels:
-            raise AlignmentMismatchError(
+            raise SchemaError(
                 f"trial labels {trial_labels} != {labels}"
             )
         dyn = measure_dynamic(recording, segments, method=method, device=device)
@@ -149,29 +142,29 @@ def enroll_text_independent(
     """
     missing = sorted(set(inventory.symbols) - set(samples))
     if missing:
-        raise IncompleteInventoryError(
+        raise SchemaError(
             f"missing phonemes: {', '.join(missing)}"
         )
     short = sorted(
         label for label, pairs in samples.items() if len(pairs) < MIN_TRIALS
     )
     if short:
-        raise InsufficientTrialsError(
+        raise SchemaError(
             f"phonemes with fewer than {MIN_TRIALS} samples: {', '.join(short)}"
         )
     rate = None
     templates = {}
     for label in sorted(samples):
         if label not in inventory:
-            raise UnknownPhonemeError(f"unknown phoneme label {label!r}")
+            raise SchemaError(f"unknown phoneme label {label!r}")
         delays = []
         for recording, segment in samples[label]:
             if rate is None:
                 rate = recording.sample_rate
             elif recording.sample_rate != rate:
-                raise RateMismatchError("samples differ in sample rate")
+                raise SchemaError("samples differ in sample rate")
             if segment.label != label:
-                raise AlignmentMismatchError(
+                raise SchemaError(
                     f"segment labeled {segment.label!r} filed under {label!r}"
                 )
             m = estimate_tdoa(recording, segment, method=method, device=device)
@@ -194,7 +187,7 @@ def assemble_template(profile: UserProfile, labels) -> list:
     out = []
     for label in labels:
         if label not in profile.phoneme_templates:
-            raise UnknownPhonemeError(
+            raise SchemaError(
                 f"profile has no template for {label!r}"
             )
         out.append(profile.phoneme_templates[label])
@@ -238,16 +231,13 @@ def _template_to_json(t: PhonemeTemplate) -> dict:
 
 
 def _template_from_json(doc: dict) -> PhonemeTemplate:
-    try:
-        return PhonemeTemplate(
-            label=str(doc["label"]),
-            mean_delay=float(doc["mean_delay"]),
-            std_delay=float(doc["std_delay"]),
-            trial_count=int(doc["trial_count"]),
-            delays=tuple(doc.get("delays", ())),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed template entry: {exc}") from exc
+    return PhonemeTemplate(
+        label=str(doc["label"]),
+        mean_delay=float(doc["mean_delay"]),
+        std_delay=float(doc["std_delay"]),
+        trial_count=int(doc["trial_count"]),
+        delays=tuple(doc.get("delays", ())),
+    )
 
 
 def save_profile(profile: UserProfile, path) -> None:
@@ -270,15 +260,12 @@ def save_profile(profile: UserProfile, path) -> None:
             for label, t in profile.phoneme_templates.items()
         },
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, doc)
 
 
 def load_profile(path) -> UserProfile:
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict) or doc.get("version") != PROFILE_SCHEMA_VERSION:
+    doc = read_json(path, SchemaError)
+    if doc.get("version") != PROFILE_SCHEMA_VERSION:
         raise SchemaError(
             f"{path}: expected profile schema version "
             f"{PROFILE_SCHEMA_VERSION}, got {doc.get('version')!r}"
@@ -304,6 +291,8 @@ def load_profile(path) -> UserProfile:
                 for label, t in doc.get("phonemes", {}).items()
             },
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed profile: {exc}") from exc
+    except FIELD_ERRORS as exc:
+        raise SchemaError(f"{path}: malformed profile: {exc!r}") from exc
+    if profile.sample_rate <= 0:
+        raise SchemaError(f"{path}: sample rate {profile.sample_rate} not positive")
     return profile

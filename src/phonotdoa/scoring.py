@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSequenceError, SequenceMismatchError
+from .errors import ConfigError, DegenerateSequenceError, SchemaError
 from .profiles import STD_FLOOR_SAMPLES
 from .tdoa import TdoaDynamic
 
@@ -51,13 +51,17 @@ class SimilarityScore:
     probability: float
     combined: float
     method_used: ScoringMethod
+    weighted: float = None  # None without inventory stats
 
-    def selected(self) -> float:
-        if self.method_used == ScoringMethod.PROBABILITY:
-            return self.probability
-        if self.method_used == ScoringMethod.COMBINED:
-            return self.combined
-        return self.correlation
+    def selected(self, method: ScoringMethod = None) -> float:
+        """The score of method (default: the method used); each method's
+        value names its field."""
+        method = method or self.method_used
+        if method == ScoringMethod.WEIGHTED and self.weighted is None:
+            raise ConfigError(
+                "weighted method needs a text-independent profile's inventory stats"
+            )
+        return getattr(self, method.value)
 
 
 @dataclass(frozen=True)
@@ -67,13 +71,19 @@ class Decision:
     threshold: float
 
     def to_json_dict(self) -> dict:
+        # the weighted method reports its value as the correlation
+        corr = (
+            self.score.weighted
+            if self.score.method_used == ScoringMethod.WEIGHTED
+            else self.score.correlation
+        )
         return {
             "version": 1,
             "verdict": self.verdict.value,
             "threshold": self.threshold,
             "method": self.score.method_used.value,
             "scores": {
-                "correlation": self.score.correlation,
+                "correlation": corr,
                 "probability": self.score.probability,
                 "combined": self.score.combined,
             },
@@ -81,18 +91,17 @@ class Decision:
 
 
 def _paired(dynamic: TdoaDynamic, templates) -> tuple:
-    templates = list(templates)
     if len(dynamic) != len(templates):
-        raise SequenceMismatchError(
+        raise SchemaError(
             f"dynamic has {len(dynamic)} phonemes, templates {len(templates)}"
         )
     if len(templates) < MIN_SEQUENCE_LENGTH:
-        raise SequenceMismatchError(
+        raise SchemaError(
             f"need at least {MIN_SEQUENCE_LENGTH} phonemes, got {len(templates)}"
         )
     for m, t in zip(dynamic.measurements, templates):
         if m.label != t.label:
-            raise SequenceMismatchError(
+            raise SchemaError(
                 f"label mismatch: measured {m.label!r} vs template {t.label!r}"
             )
     x = dynamic.delays
@@ -101,6 +110,11 @@ def _paired(dynamic: TdoaDynamic, templates) -> tuple:
         np.array([t.std_delay for t in templates]), STD_FLOOR_SAMPLES
     )
     return x, means, stds
+
+
+def _weights(templates, inventory_stats) -> np.ndarray:
+    sigmas = np.array([float(inventory_stats[t.label]) for t in templates])
+    return 1.0 / (sigmas + WEIGHT_EPSILON)
 
 
 def _pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray = None) -> float:
@@ -116,17 +130,26 @@ def _pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray = None) -> float:
     return cov / math.sqrt(vx * vy)
 
 
+def _pearson_or_none(x, y, w=None):
+    try:
+        return _pearson(x, y, w)
+    except DegenerateSequenceError:
+        return None
+
+
+def _kernel_mean(x, means, stds) -> float:
+    return float(np.mean(np.exp(-((x - means) ** 2) / (2.0 * stds**2))))
+
+
 def correlation_score(dynamic: TdoaDynamic, templates) -> float:
     """Pearson correlation between measured delays and template means."""
-    x, means, _ = _paired(dynamic, templates)
+    x, means, _ = _paired(dynamic, list(templates))
     return _pearson(x, means)
 
 
 def probability_score(dynamic: TdoaDynamic, templates) -> float:
     """Mean Gaussian-kernel agreement, one term per phoneme, in (0, 1]."""
-    x, means, stds = _paired(dynamic, templates)
-    scores = np.exp(-((x - means) ** 2) / (2.0 * stds**2))
-    return float(np.mean(scores))
+    return _kernel_mean(*_paired(dynamic, list(templates)))
 
 
 def weighted_correlation_score(
@@ -139,9 +162,7 @@ def weighted_correlation_score(
     wild phoneme cannot drag the whole score down."""
     templates = list(templates)
     x, means, _ = _paired(dynamic, templates)
-    sigmas = np.array([float(inventory_stats[t.label]) for t in templates])
-    w = 1.0 / (sigmas + WEIGHT_EPSILON)
-    return _pearson(x, means, w)
+    return _pearson(x, means, _weights(templates, inventory_stats))
 
 
 def combined_score(
@@ -153,17 +174,7 @@ def combined_score(
     score. A degenerate (constant) measured sequence contributes the
     neutral 0.5 instead of erroring; uses the weighted correlation when
     inventory stats are supplied (text-independent mode)."""
-    templates = list(templates)
-    prob = probability_score(dynamic, templates)
-    try:
-        if inventory_stats is not None:
-            rho = weighted_correlation_score(dynamic, templates, inventory_stats)
-        else:
-            rho = correlation_score(dynamic, templates)
-        corr_part = (rho + 1.0) / 2.0
-    except DegenerateSequenceError:
-        corr_part = 0.5
-    return (corr_part + prob) / 2.0
+    return score_dynamic(dynamic, templates, inventory_stats=inventory_stats).combined
 
 
 def score_dynamic(
@@ -172,20 +183,25 @@ def score_dynamic(
     method: ScoringMethod = ScoringMethod.COMBINED,
     inventory_stats=None,
 ) -> SimilarityScore:
-    """All three scores for one comparison; degenerate correlation maps
-    to 0.0 at this level (a flat replay dynamic earns no similarity)."""
+    """Every score for one comparison, from one pairing; the method only
+    selects among them. A degenerate correlation maps to 0.0 at this
+    level (a flat replay dynamic earns no similarity)."""
     templates = list(templates)
-    try:
-        if method == ScoringMethod.WEIGHTED and inventory_stats is not None:
-            corr = weighted_correlation_score(dynamic, templates, inventory_stats)
-        else:
-            corr = correlation_score(dynamic, templates)
-    except DegenerateSequenceError:
-        corr = 0.0
-    prob = probability_score(dynamic, templates)
-    comb = combined_score(dynamic, templates, inventory_stats)
+    x, means, stds = _paired(dynamic, templates)
+    prob = _kernel_mean(x, means, stds)
+    rho = _pearson_or_none(x, means)
+    # the combined score uses the weighted correlation when stats exist
+    weighted, combined_rho = None, rho
+    if inventory_stats is not None:
+        combined_rho = _pearson_or_none(x, means, _weights(templates, inventory_stats))
+        weighted = 0.0 if combined_rho is None else combined_rho
+    corr_part = 0.5 if combined_rho is None else (combined_rho + 1.0) / 2.0
     return SimilarityScore(
-        correlation=corr, probability=prob, combined=comb, method_used=method
+        correlation=0.0 if rho is None else rho,
+        probability=prob,
+        combined=(corr_part + prob) / 2.0,
+        method_used=method,
+        weighted=weighted,
     )
 
 

@@ -11,17 +11,12 @@ better SNR. That is a convention, not a requirement of the math.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import StereoRecording
-from .errors import (
-    InvalidAlignmentError,
-    RateMismatchError,
-    SchemaError,
-)
+from .audio_io import FIELD_ERRORS, StereoRecording, read_json, write_json
+from .errors import SchemaError
 from .phonemes import INVENTORY, UNLABELED, PhonemeInventory
 
 ALIGNMENT_SCHEMA_VERSION = 1
@@ -37,7 +32,7 @@ class PhonemeSegment:
 
     def __post_init__(self):
         if not 0 <= self.start < self.end:
-            raise InvalidAlignmentError(
+            raise SchemaError(
                 f"bad segment bounds [{self.start}, {self.end})"
             )
 
@@ -52,12 +47,12 @@ def validate_segments(segments, n_samples: int) -> list:
     prev_end = 0
     for seg in out:
         if seg.end > n_samples:
-            raise InvalidAlignmentError(
+            raise SchemaError(
                 f"segment [{seg.start}, {seg.end}) exceeds recording "
                 f"length {n_samples}"
             )
         if seg.start < prev_end:
-            raise InvalidAlignmentError(
+            raise SchemaError(
                 f"segment [{seg.start}, {seg.end}) overlaps previous one"
             )
         prev_end = seg.end
@@ -74,26 +69,28 @@ def load_alignment(
     Schema: {"version": 1, "sample_rate": int,
              "segments": [{"phoneme": str, "start": int, "end": int}, ...]}
     """
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict) or doc.get("version") != ALIGNMENT_SCHEMA_VERSION:
+    doc = read_json(path, SchemaError)
+    if doc.get("version") != ALIGNMENT_SCHEMA_VERSION:
         raise SchemaError(
             f"{path}: expected alignment schema version "
             f"{ALIGNMENT_SCHEMA_VERSION}, got {doc.get('version')!r}"
         )
-    if "sample_rate" not in doc or "segments" not in doc:
-        raise SchemaError(f"{path}: missing sample_rate or segments")
-    if int(doc["sample_rate"]) != recording.sample_rate:
-        raise RateMismatchError(
-            f"alignment rate {doc['sample_rate']} != recording rate "
-            f"{recording.sample_rate}"
-        )
-    segments = []
-    for entry in doc["segments"]:
-        label = inventory.validate(str(entry["phoneme"]))
-        segments.append(
-            PhonemeSegment(start=int(entry["start"]), end=int(entry["end"]), label=label)
-        )
+    try:
+        if int(doc["sample_rate"]) != recording.sample_rate:
+            raise SchemaError(
+                f"alignment rate {doc['sample_rate']} != recording rate "
+                f"{recording.sample_rate}"
+            )
+        segments = [
+            PhonemeSegment(
+                label=inventory.validate(str(entry["phoneme"])),
+                start=int(entry["start"]),
+                end=int(entry["end"]),
+            )
+            for entry in doc["segments"]
+        ]
+    except FIELD_ERRORS as exc:
+        raise SchemaError(f"{path}: malformed alignment: {exc!r}") from exc
     return validate_segments(segments, recording.n_samples)
 
 
@@ -106,9 +103,7 @@ def save_alignment(segments, sample_rate: int, path) -> None:
             for s in segments
         ],
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, doc)
 
 
 def segment_by_energy(

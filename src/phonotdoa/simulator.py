@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import StereoRecording
-from .errors import ScenarioError, UnknownPhonemeError
+from .errors import ConfigError, SchemaError
 from .geometry import (
     SPEED_OF_SOUND,
     DevicePose,
@@ -66,15 +66,17 @@ class AttackScenario:
     recorder_distance_m: float = 0.0  # replace
 
     def __post_init__(self):
+        dy, dz = self.source_offset
+        object.__setattr__(self, "source_offset", (float(dy), float(dz)))
         if self.kind == AttackKind.MOBILE_PLAYBACK:
             if len(self.trajectory) < 2:
-                raise ScenarioError("mobile playback needs >= 2 waypoints")
+                raise ConfigError("mobile playback needs >= 2 waypoints")
             object.__setattr__(
                 self, "trajectory", tuple((float(y), float(z)) for y, z in self.trajectory)
             )
         if self.kind == AttackKind.REPLACE:
             if self.recorder_distance_m < MIN_REPLACE_DISTANCE_M:
-                raise ScenarioError(
+                raise ConfigError(
                     f"replace recorder distance {self.recorder_distance_m} m "
                     f"below {MIN_REPLACE_DISTANCE_M} m"
                 )
@@ -300,7 +302,7 @@ def synthesize_live(
     labels = list(labels)
     for label in labels:
         if label not in model:
-            raise UnknownPhonemeError(f"no source model for {label!r}")
+            raise SchemaError(f"no source model for {label!r}")
     rng = np.random.default_rng(seed)
     positions = []
     for label in labels:
@@ -347,7 +349,7 @@ def synthesize_attack(
     labels = list(labels)
     for label in labels:
         if label not in model:
-            raise UnknownPhonemeError(f"no source model for {label!r}")
+            raise SchemaError(f"no source model for {label!r}")
     if scenario.kind == AttackKind.REPLACE:
         far_pose = pose.with_(x=scenario.recorder_distance_m)
         return synthesize_live(
@@ -364,7 +366,7 @@ def synthesize_attack(
             for i in range(len(labels))
         ]
     else:
-        raise ScenarioError(f"unknown attack kind {scenario.kind!r}")
+        raise ConfigError(f"unknown attack kind {scenario.kind!r}")
     return _render(
         labels, positions, model, pose, sample_rate, rng,
         noise_snr_db, None, duration_range, c,
@@ -384,7 +386,7 @@ def synthesize_beep_scene(
     at time zero, the face echo at 2*distance/c, and one weaker clutter
     echo beyond the face."""
     if not 0.03 <= face_distance_m <= 1.0:
-        raise ScenarioError(
+        raise ConfigError(
             f"face distance {face_distance_m} m outside [0.03, 1.0]"
         )
     fs = sample_rate

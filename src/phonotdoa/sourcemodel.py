@@ -27,7 +27,8 @@ from importlib import resources
 
 import math
 
-from .errors import ScenarioError, UnknownPhonemeError
+from .audio_io import FIELD_ERRORS, read_json, write_json
+from .errors import ConfigError, SchemaError
 from .geometry import REFERENCE_POSE, DevicePose, pose_to_tdoa
 from .phonemes import INVENTORY, NASAL
 
@@ -110,7 +111,7 @@ def _solve_dy(target: float, dz: float, pose: DevicePose, c: float) -> float:
     if f_hi == 0.0:
         return hi
     if f_lo * f_hi > 0:
-        raise ScenarioError(
+        raise ConfigError(
             f"delay {target:.2f} not reachable on the z = {dz:.3f} m line"
         )
     for _ in range(80):
@@ -131,7 +132,7 @@ def _solve_dz(target: float, dy: float, pose: DevicePose, c: float) -> float:
     f_lo = _delay_at(dy, lo, pose, c) - target
     f_hi = _delay_at(dy, hi, pose, c) - target
     if f_lo * f_hi > 0:
-        raise ScenarioError(
+        raise ConfigError(
             f"delay {target:.2f} not reachable on the y = {dy:.3f} m line"
         )
     for _ in range(80):
@@ -158,12 +159,12 @@ class VocalSourceModel:
         for src in sources.values():
             radius = math.hypot(src.dy, src.dz)
             if radius > MAX_SOURCE_RADIUS + 1e-12:
-                raise ScenarioError(
+                raise ConfigError(
                     f"{src.label}: source offset {radius:.3f} m outside the "
                     f"{MAX_SOURCE_RADIUS} m mouth/nasal region"
                 )
             if src.jitter_std <= 0:
-                raise ScenarioError(f"{src.label}: jitter std must be positive")
+                raise ConfigError(f"{src.label}: jitter std must be positive")
         self.sources = dict(sources)
         self.reference_pose = reference_pose
         self.c = c
@@ -179,7 +180,7 @@ class VocalSourceModel:
         try:
             return self.sources[label]
         except KeyError:
-            raise UnknownPhonemeError(f"no source model for {label!r}") from None
+            raise SchemaError(f"no source model for {label!r}") from None
 
     def reference_delay(self, label: str) -> float:
         src = self.source(label)
@@ -260,23 +261,27 @@ class VocalSourceModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "VocalSourceModel":
         if doc.get("version") != MODEL_SCHEMA_VERSION:
-            raise ScenarioError(
+            raise ConfigError(
                 f"source model version {doc.get('version')!r} unsupported"
             )
-        pose = DevicePose(**doc["reference_pose"])
-        sources = {
-            label: PhonemeSource(
-                label=label,
-                dy=float(entry["dy"]),
-                dz=float(entry["dz"]),
-                jitter_std=float(entry["jitter_std"]),
-                articulation=str(entry["class"]),
-                voiced=bool(entry["voiced"]),
-                target_delay=float(entry["target_delay"]),
-            )
-            for label, entry in doc["phonemes"].items()
-        }
-        return cls(sources, pose, float(doc.get("speed_of_sound", 340.0)))
+        try:
+            pose = DevicePose(**doc["reference_pose"])
+            sources = {
+                label: PhonemeSource(
+                    label=label,
+                    dy=float(entry["dy"]),
+                    dz=float(entry["dz"]),
+                    jitter_std=float(entry["jitter_std"]),
+                    articulation=str(entry["class"]),
+                    voiced=bool(entry["voiced"]),
+                    target_delay=float(entry["target_delay"]),
+                )
+                for label, entry in doc["phonemes"].items()
+            }
+            c = float(doc.get("speed_of_sound", 340.0))
+        except FIELD_ERRORS as exc:
+            raise ConfigError(f"malformed source model: {exc!r}") from exc
+        return cls(sources, pose, c)
 
 
 def build_default_source_model(c: float = 340.0) -> VocalSourceModel:
@@ -309,12 +314,9 @@ def load_source_model(path=None) -> VocalSourceModel:
         ref = resources.files("phonotdoa").joinpath("data/vocal_source_model.json")
         doc = json.loads(ref.read_text())
     else:
-        with open(path) as f:
-            doc = json.load(f)
+        doc = read_json(path, ConfigError)
     return VocalSourceModel.from_dict(doc)
 
 
 def save_source_model(model: VocalSourceModel, path) -> None:
-    with open(path, "w") as f:
-        json.dump(model.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, model.to_dict())

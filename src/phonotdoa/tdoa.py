@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import StereoRecording
-from .errors import DegenerateSignalError, InvalidPoseError, SegmentTooShortError
+from .errors import DegenerateSignalError, InvalidPoseError
 from .segmentation import PhonemeSegment
 
 SPEED_OF_SOUND = 340.0  # m/s
@@ -227,12 +227,12 @@ def estimate_tdoa(
     """
     max_lag = max_lag_for_device(device, recording.sample_rate, c)
     if segment.length < 2 * max_lag:
-        raise SegmentTooShortError(
+        raise DegenerateSignalError(
             f"segment length {segment.length} < {2 * max_lag} samples "
             f"needed for max_lag {max_lag}"
         )
     if segment.end > recording.n_samples:
-        raise SegmentTooShortError("segment exceeds recording length")
+        raise DegenerateSignalError("segment exceeds recording length")
     a = recording.bottom[segment.start : segment.end]
     b = recording.top[segment.start : segment.end]
     if method == Method.CC:

@@ -550,7 +550,7 @@ def test_c10_cli_determinism(tmp_path):
 
         _, stdout["verify"] = _run_cli(
             "verify", sim_dir / "recording.wav", sim_dir / "alignment.json",
-            "--profile", profile, "--seed", 10,
+            "--profile", profile,
         )
         _, stdout["tdoa"] = _run_cli(
             "tdoa", sim_dir / "recording.wav", sim_dir / "alignment.json"

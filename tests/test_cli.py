@@ -116,7 +116,7 @@ def test_cli_determinism_verify(pipeline):
     _, profile, live_dir, _ = pipeline
     args = (
         "verify", live_dir / "recording.wav", live_dir / "alignment.json",
-        "--profile", profile, "--seed", "9",
+        "--profile", profile,
     )
     _, out1 = run_cli(*args)
     _, out2 = run_cli(*args)
@@ -225,6 +225,76 @@ def test_bad_config_file_is_typed_error(pipeline, tmp_path, doc, capsys):
     )
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def _with(doc, **fields):
+    return json.dumps({**doc, **fields}).encode()
+
+
+def _segments(*entries):
+    return lambda profile, alignment: _with(alignment, segments=list(entries))
+
+
+# file kind -> bytes built from the valid profile and alignment docs
+MALFORMED_INPUTS = {
+    "config_not_utf8": ("config", lambda p, a: b'{"scoring": {}}\xff', "ConfigError"),
+    "profile_not_utf8": ("profile", lambda p, a: b"\xff" + _with(p), "SchemaError"),
+    "profile_top_level_list": ("profile", lambda p, a: b"[1, 2]", "SchemaError"),
+    "profile_pose_list": ("profile", lambda p, a: _with(p, pose=[1]), "SchemaError"),
+    "segment_list": ("alignment", _segments([1]), "SchemaError"),
+    "segment_string": ("alignment", _segments("abc"), "SchemaError"),
+    "segment_null": ("alignment", _segments(None), "SchemaError"),
+    "segment_no_phoneme": ("alignment", _segments({"start": 0, "end": 100}), "SchemaError"),
+    "segment_start_text": (
+        "alignment", _segments({"phoneme": "AA", "start": "x", "end": 100}), "SchemaError",
+    ),
+    "sample_rate_text": ("alignment", lambda p, a: _with(a, sample_rate="fast"), "SchemaError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_verify_malformed_input_file_is_typed_error(pipeline, tmp_path, case, capsys):
+    _, profile, live_dir, _ = pipeline
+    files = {"profile": profile, "alignment": live_dir / "alignment.json"}
+    kind, make, error = MALFORMED_INPUTS[case]
+    bad = tmp_path / f"bad_{kind}.json"
+    bad.write_bytes(
+        make(json.loads(profile.read_text()), json.loads(files["alignment"].read_text()))
+    )
+    files[kind] = bad
+    args = ["verify", live_dir / "recording.wav", files["alignment"], "--profile", files["profile"]]
+    if kind == "config":
+        args += ["--config", bad]
+    code, out = run_cli(*args)
+    assert (code, out) == (2, "")
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+@pytest.mark.parametrize("scene", [
+    {"kind": "live", "labels": ["AA", "S", "K"], "pose": {"x": 0.03}},
+    {"kind": "beep"},
+    {"kind": "static_playback", "labels": ["AA", "S", "K"], "source_offset": [1]},
+    {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": "abc"},
+], ids=["pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text"])
+def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code, out = run_cli("simulate", path, tmp_path / "out")
+    assert (code, out) == (2, "")
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_verify_weighted_needs_text_independent_profile(pipeline, capsys):
+    # same refusal as `evaluate` with the weighted method in text-dependent mode
+    _, profile, live_dir, _ = pipeline
+    code, out = run_cli(
+        "verify", live_dir / "recording.wav", live_dir / "alignment.json",
+        "--profile", profile, "--method", "weighted",
+    )
+    assert (code, out) == (2, "")
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "weighted method needs" in err["message"]
 
 
 def test_verify_tilted_live_accepts(pipeline, tmp_path):

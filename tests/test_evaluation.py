@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonotdoa.errors import ConfigError, EmptySetError
+from phonotdoa.errors import ConfigError
 from phonotdoa.evaluation import (
     ExperimentConfig,
     LabeledScoreSet,
@@ -20,7 +20,7 @@ from phonotdoa.profiles import ProfileMode
 
 
 def test_empty_set_rejected():
-    with pytest.raises(EmptySetError):
+    with pytest.raises(ConfigError, match="both live and attack scores are required"):
         LabeledScoreSet(live_scores=[], attack_scores=[0.1])
 
 
@@ -123,21 +123,29 @@ def test_accuracy_at_eer_threshold_balanced():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="users and passphrases_per_user must be >= 1"):
         ExperimentConfig.from_dict({"users": 0})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="enroll_trials must be >= 3"):
         ExperimentConfig.from_dict({"enroll_trials": 2})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown scoring method 'nonsense'"):
         ExperimentConfig.from_dict({"methods": ["nonsense"]})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="bad experiment config: .*bogus_key"):
         ExperimentConfig.from_dict({"bogus_key": 1})
     config = ExperimentConfig.from_dict({"mode": "text_independent", "users": 2})
     assert config.mode == ProfileMode.TEXT_INDEPENDENT
 
 
+def test_weighted_method_needs_text_independent_mode():
+    config = ExperimentConfig.from_dict(
+        {**_SMALL, "methods": ["correlation", "weighted"]}
+    )
+    with pytest.raises(ConfigError, match="weighted method needs"):
+        run_experiment(config)
+
+
 def test_config_rejects_removed_pivot_key():
     # the tilt always rotates about the top mic; the old knob is refused
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="bad experiment config: .*pivot"):
         ExperimentConfig.from_dict({"pivot": "top"})
 
 

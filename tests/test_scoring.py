@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonotdoa.errors import DegenerateSequenceError, SequenceMismatchError
+from phonotdoa.errors import DegenerateSequenceError, SchemaError
 from phonotdoa.profiles import PhonemeTemplate
 from phonotdoa.scoring import (
     ScoringMethod,
@@ -76,19 +76,19 @@ def test_correlation_constant_dynamic_degenerate():
 
 def test_correlation_length_mismatch():
     dyn = _dynamic([1.0, 2.0, 3.0], ["AA", "S", "K"])
-    with pytest.raises(SequenceMismatchError):
+    with pytest.raises(SchemaError, match="dynamic has 3 phonemes, templates 2"):
         correlation_score(dyn, _templates([1.0, 2.0], ["AA", "S"]))
 
 
 def test_correlation_needs_three():
     dyn = _dynamic([1.0, 2.0], ["AA", "S"])
-    with pytest.raises(SequenceMismatchError):
+    with pytest.raises(SchemaError, match="need at least 3 phonemes, got 2"):
         correlation_score(dyn, _templates([1.0, 2.0], ["AA", "S"]))
 
 
 def test_label_mismatch_rejected():
     dyn = _dynamic([1.0, 2.0, 3.0], ["AA", "S", "K"])
-    with pytest.raises(SequenceMismatchError):
+    with pytest.raises(SchemaError, match="label mismatch: measured 'K' vs template 'M'"):
         correlation_score(dyn, _templates([1.0, 2.0, 3.0], ["AA", "S", "M"]))
 
 

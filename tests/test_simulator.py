@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phonotdoa.errors import ScenarioError, UnknownPhonemeError
+from phonotdoa.errors import ConfigError, SchemaError
 from phonotdoa.geometry import DevicePose, REFERENCE_POSE, pose_to_tdoa
 from phonotdoa.phonemes import INVENTORY, NASAL, AFFRICATE, STOP
 from phonotdoa.simulator import (
@@ -60,7 +60,7 @@ def test_vowel_only_utterance_in_reference_band(source_model):
 
 
 def test_unknown_label_rejected(source_model):
-    with pytest.raises(UnknownPhonemeError):
+    with pytest.raises(SchemaError, match="no source model for 'XX'"):
         synthesize_live(["AA", "XX"], source_model, REFERENCE_POSE, seed=0)
 
 
@@ -144,12 +144,12 @@ def test_replace_compresses_oral_range(source_model):
 
 
 def test_replace_below_minimum_distance_rejected():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError, match="replace recorder distance 0.1 m below"):
         AttackScenario(kind=AttackKind.REPLACE, recorder_distance_m=0.10)
 
 
 def test_mobile_needs_trajectory():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError, match="mobile playback needs >= 2 waypoints"):
         AttackScenario(kind=AttackKind.MOBILE_PLAYBACK, trajectory=())
 
 
@@ -165,9 +165,9 @@ def test_beep_scene_echo_arithmetic():
 
 
 def test_beep_scene_bounds():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError, match=r"face distance 0.01 m outside \[0.03, 1.0\]"):
         synthesize_beep_scene(0.01)
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError, match=r"face distance 1.5 m outside \[0.03, 1.0\]"):
         synthesize_beep_scene(1.5)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phonotdoa.errors import ScenarioError, UnknownPhonemeError
+from phonotdoa.errors import ConfigError, SchemaError
 from phonotdoa.geometry import REFERENCE_POSE, pose_to_tdoa
 from phonotdoa.phonemes import INVENTORY, NASAL
 from phonotdoa.sourcemodel import (
@@ -75,7 +75,7 @@ def test_effective_source_clamps_wild_jitter(source_model):
 
 
 def test_unknown_label(source_model):
-    with pytest.raises(UnknownPhonemeError):
+    with pytest.raises(SchemaError, match="no source model for 'QQ'"):
         source_model.source("QQ")
 
 
@@ -106,7 +106,7 @@ def test_model_rejects_out_of_region_source():
         label="AA", dy=0.2, dz=0.0, jitter_std=1.0,
         articulation="vowel", voiced=True, target_delay=50.0,
     )
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError, match="outside the 0.1 m mouth/nasal region"):
         VocalSourceModel({"AA": src})
 
 
