@@ -28,6 +28,7 @@ from .profiles import (
     ProfileMode,
     UserProfile,
     assemble_template,
+    enroll_from_dynamics,
     enroll_text_dependent,
     enroll_text_independent,
     load_profile,

@@ -20,6 +20,7 @@ from .errors import FormatError
 # Rates with a documented per-sample ranging resolution (7.08 / 3.54 /
 # 1.77 mm at 340 m/s). Other rates >= 44.1 kHz work but warn.
 PREFERRED_RATES = (48000, 96000, 192000)
+MIN_SAMPLE_RATE = 44100
 
 _SUPPORTED_WIDTHS = {2: 16, 3: 24, 4: 32}
 
@@ -46,9 +47,9 @@ class StereoRecording:
             raise FormatError(
                 f"channel lengths differ: top={len(top)} bottom={len(bottom)}"
             )
-        if self.sample_rate < 44100:
+        if self.sample_rate < MIN_SAMPLE_RATE:
             raise FormatError(
-                f"sample rate {self.sample_rate} below 44100 Hz minimum"
+                f"sample rate {self.sample_rate} below {MIN_SAMPLE_RATE} Hz minimum"
             )
         if len(top) and (
             max(np.max(np.abs(top)), np.max(np.abs(bottom))) > 1.0 + 1e-9

@@ -31,8 +31,7 @@ from .geometry import (
 from .profiles import (
     ProfileMode,
     assemble_template,
-    enroll_text_dependent,
-    enroll_text_independent,
+    enroll_from_dynamics,
     load_profile,
     save_profile,
 )
@@ -88,6 +87,8 @@ def cmd_simulate(args) -> int:
         kind = scene["kind"]
         fs = int(scene.get("sample_rate", 192000))
         seed = int(scene.get("seed", args.seed))
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         if kind == "beep":
             face = float(scene["face_distance_m"])
         else:
@@ -187,16 +188,13 @@ def cmd_enroll(args) -> int:
         recording = load_wav(wav_path)
         segments = load_alignment(align_path, recording)
         trials.append((recording, segments))
-    if args.mode == "text_dependent":
-        profile = enroll_text_dependent(
-            args.user, args.passphrase_id, trials, pose, device, method
-        )
-    else:
-        samples = {}
-        for recording, segments in trials:
-            for seg in segments:
-                samples.setdefault(seg.label, []).append((recording, seg))
-        profile = enroll_text_independent(args.user, samples, pose, device, method)
+    dynamics = [
+        measure_dynamic(recording, segments, method=method, device=device)
+        for recording, segments in trials
+    ]
+    profile = enroll_from_dynamics(
+        args.user, ProfileMode(args.mode), dynamics, pose, device, args.passphrase_id
+    )
     save_profile(profile, args.out)
     _emit(
         {

@@ -9,25 +9,31 @@ accuracy at the EER threshold lines up with 1 - EER on balanced sets.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import multiprocessing
+import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import FIELD_ERRORS, write_json
+from .audio_io import FIELD_ERRORS, MIN_SAMPLE_RATE, write_json
 from .errors import ConfigError, NoSolutionError
 from .geometry import REFERENCE_POSE, DevicePose, transform_tdoa
 from .phonemes import INVENTORY
 from .profiles import (
+    MIN_TRIALS,
     PhonemeTemplate,
     ProfileMode,
     assemble_template,
-    enroll_text_dependent,
-    enroll_text_independent,
+    enroll_from_dynamics,
 )
 from .scoring import ScoringMethod, score_dynamic
 from .simulator import (
+    MIN_REPLACE_DISTANCE_M,
     AttackKind,
     AttackScenario,
     circle_trajectory,
@@ -35,7 +41,7 @@ from .simulator import (
     synthesize_live,
 )
 from .sourcemodel import load_source_model
-from .tdoa import DeviceSpec, Method, measure_dynamic
+from .tdoa import DeviceSpec, TdoaDynamic, measure_dynamic
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,8 @@ def accuracy(scores: LabeledScoreSet, threshold: float) -> float:
 
 DEFAULT_LENGTH_BANDS = ((2, 4), (5, 7), (8, 10))
 DEFAULT_BAND_WEIGHTS = (0.5, 0.25, 0.25)
+# longest phoneme duration a config may ask for; speech stays well below
+MAX_PHONEME_S = 1.0
 
 
 @dataclass
@@ -165,12 +173,77 @@ class ExperimentConfig:
             raise ConfigError(f"bad experiment config: {exc!r}") from exc
 
     def validate(self):
-        if self.users < 1 or self.passphrases_per_user < 1:
-            raise ConfigError("users and passphrases_per_user must be >= 1")
-        if self.enroll_trials < 3:
-            raise ConfigError("enroll_trials must be >= 3")
+        """Check the type, shape and range of every field, so that a bad
+        config fails here with ConfigError before any render starts."""
+        counts = (
+            "seed", "sample_rate", "users", "passphrases_per_user",
+            "enroll_trials", "live_trials", "static_attacks",
+            "mobile_attacks", "replace_attacks",
+        )
+        for name in counts:
+            _require(_is_int(getattr(self, name)), f"{name} must be an integer")
+        _require(self.seed >= 0, "seed must be >= 0")
+        _require(
+            self.sample_rate >= MIN_SAMPLE_RATE,
+            f"sample_rate must be >= {MIN_SAMPLE_RATE}",
+        )
+        _require(
+            self.users >= 1 and self.passphrases_per_user >= 1,
+            "users and passphrases_per_user must be >= 1",
+        )
+        _require(self.enroll_trials >= MIN_TRIALS, f"enroll_trials must be >= {MIN_TRIALS}")
+        _require(
+            min(self.static_attacks, self.mobile_attacks, self.replace_attacks) >= 0,
+            "attack counts must be >= 0",
+        )
+        _require(isinstance(self.mode, ProfileMode), "mode must be a profile mode")
+        _require(isinstance(self.device, DeviceSpec), "device must be a device spec")
+        for name in ("transform", "per_user_variation", "oral_only"):
+            _require(isinstance(getattr(self, name), bool), f"{name} must be true or false")
+        _require(_is_real(self.noise_snr_db), "noise_snr_db must be a finite number")
+        _require(
+            self.threshold is None or _is_real(self.threshold),
+            "threshold must be a finite number or null",
+        )
+        _require(
+            _is_seq(self.length_bands) and len(self.length_bands) >= 1
+            and all(_is_range(band, _is_int, 1) for band in self.length_bands),
+            "length_bands must be a non-empty list of [min, max] word counts, 1 <= min <= max",
+        )
+        _require(
+            _is_seq(self.band_weights)
+            and all(_is_real(w) and w >= 0 for w in self.band_weights)
+            and sum(self.band_weights) > 0,
+            "band_weights must be non-negative numbers with a positive sum",
+        )
         if len(self.length_bands) != len(self.band_weights):
             raise ConfigError("length_bands and band_weights lengths differ")
+        _require(
+            _is_range(self.phonemes_per_word, _is_int, 1),
+            "phonemes_per_word must be [min, max] counts, 1 <= min <= max",
+        )
+        _require(
+            _is_range(self.duration_range, _is_real, 0)
+            and 0 < self.duration_range[0] and self.duration_range[1] <= MAX_PHONEME_S,
+            f"duration_range must be [min, max] seconds, 0 < min <= max <= {MAX_PHONEME_S}",
+        )
+        _require(
+            _is_seq(self.pose_changes)
+            and all(
+                _is_seq(p) and len(p) == 2 and all(_is_real(v) for v in p)
+                for p in self.pose_changes
+            ),
+            "pose_changes must be a list of [alpha_deg, delta_x_m] pairs",
+        )
+        _require(
+            _is_seq(self.replace_distances)
+            and all(
+                _is_real(d) and d >= MIN_REPLACE_DISTANCE_M
+                for d in self.replace_distances
+            ),
+            f"replace_distances must be numbers >= {MIN_REPLACE_DISTANCE_M} m",
+        )
+        _require(_is_seq(self.methods), "methods must be a list")
         for m in self.methods:
             try:
                 ScoringMethod(m)
@@ -183,6 +256,35 @@ class ExperimentConfig:
         if self.live_trials < 1 or total_attacks < 1:
             raise ConfigError("need at least one live trial and one attack")
         return self
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite number that converts to a float (NaN fails the comparison)."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _is_seq(value) -> bool:
+    return isinstance(value, (tuple, list))
+
+
+def _is_range(pair, is_value, least) -> bool:
+    """pair is [low, high] with least <= low <= high."""
+    return (
+        _is_seq(pair) and len(pair) == 2 and all(is_value(v) for v in pair)
+        and least <= pair[0] <= pair[1]
+    )
 
 
 def _band_label(band) -> str:
@@ -231,115 +333,78 @@ def transform_templates(
     return out
 
 
-def run_experiment(config: ExperimentConfig, model=None) -> dict:
-    """Generate a simulated corpus, enroll, score, and aggregate.
+def _measure(config: ExperimentConfig, job) -> TdoaDynamic:
+    """Render one utterance and measure its per-phoneme delay dynamic.
 
-    Returns the metrics report as a plain dict (see write_report for
-    the file outputs). Reproducible: a config with the same seed gives
-    the identical report.
+    job is (labels, user_model, pose, scenario, seed); scenario None
+    renders live speech. This is the unit of work run_experiment maps
+    over its worker processes, so it ships no recording back.
     """
-    if model is None:
-        model = load_source_model()
+    labels, user_model, pose, scenario, seed = job
+    if scenario is None:
+        utt = synthesize_live(
+            labels, user_model, pose, config.sample_rate, seed,
+            config.noise_snr_db, duration_range=config.duration_range,
+        )
+    else:
+        utt = synthesize_attack(
+            labels, user_model, pose, scenario, config.sample_rate, seed,
+            config.noise_snr_db, duration_range=config.duration_range,
+        )
+    return measure_dynamic(utt.recording, utt.segments, device=config.device)
+
+
+def _plan(config: ExperimentConfig, model, poses) -> tuple:
+    """Draw every random choice of the experiment from the one seeded
+    stream, in a fixed order, and lay the renders out as a flat job list.
+
+    Returns (jobs, passphrases), with (user_id, passphrase_id, band,
+    labels, enroll, rows) per passphrase. enroll lists the job indexes of
+    the enrollment trials: the passphrase's own for text-dependent
+    profiles, the user's for text-independent ones. rows lists (kind,
+    pose index, job index) in report order.
+    """
     rng = np.random.default_rng(config.seed)
-    fs = config.sample_rate
     pose0 = REFERENCE_POSE
     labels_pool = sorted(
         label for label in model.labels
         if not config.oral_only or INVENTORY.articulation_class(label) != "nasal"
     )
+    ver_poses = [
+        pose0.with_(x=pose0.x + delta_x, alpha=math.radians(alpha_deg))
+        if (alpha_deg or delta_x) else pose0
+        for alpha_deg, delta_x in poses
+    ]
+    jobs = []
+    passphrases = []
 
-    poses = [(0.0, 0.0)] + [tuple(p) for p in config.pose_changes]
-    rows = []
-
-    def next_seed() -> int:
-        return int(rng.integers(0, 2**31 - 1))
+    def job(labels, user_model, pose, scenario=None) -> int:
+        jobs.append(
+            (tuple(labels), user_model, pose, scenario, int(rng.integers(0, 2**31 - 1)))
+        )
+        return len(jobs) - 1
 
     for user_idx in range(config.users):
         user_model = model.perturbed(rng) if config.per_user_variation else model
-        user_id = f"user{user_idx:02d}"
-
-        ti_profile = None
-        ti_stats = None
+        user_enroll = []
         if config.mode == ProfileMode.TEXT_INDEPENDENT:
-            samples = {label: [] for label in model.labels}
             order = list(model.labels)
             for _ in range(config.enroll_trials):
                 rng.shuffle(order)
-                utt = synthesize_live(
-                    order, user_model, pose0, fs, next_seed(),
-                    config.noise_snr_db, duration_range=config.duration_range,
-                )
-                for seg in utt.segments:
-                    samples[seg.label].append((utt.recording, seg))
-            ti_profile = enroll_text_independent(
-                user_id, samples, pose0, config.device
-            )
-            ti_stats = {
-                label: t.std_delay
-                for label, t in ti_profile.phoneme_templates.items()
-            }
+                user_enroll.append(job(order, user_model, pose0))
 
         for pp_idx in range(config.passphrases_per_user):
             labels, band = _sample_passphrase(rng, config, labels_pool)
-            passphrase_id = f"pp{pp_idx:02d}"
-
+            enroll = user_enroll
             if config.mode == ProfileMode.TEXT_DEPENDENT:
-                trials = []
-                for _ in range(config.enroll_trials):
-                    utt = synthesize_live(
-                        labels, user_model, pose0, fs, next_seed(),
-                        config.noise_snr_db,
-                        duration_range=config.duration_range,
-                    )
-                    trials.append((utt.recording, utt.segments))
-                profile = enroll_text_dependent(
-                    user_id, passphrase_id, trials, pose0, config.device
-                )
-                base_templates = profile.templates_for(passphrase_id)
-                inventory_stats = None
-            else:
-                base_templates = assemble_template(ti_profile, labels)
-                inventory_stats = ti_stats
-
-            for pose_idx, (alpha_deg, delta_x) in enumerate(poses):
-                alpha = math.radians(alpha_deg)
-                ver_pose = pose0.with_(
-                    x=pose0.x + delta_x, alpha=alpha
-                ) if (alpha_deg or delta_x) else pose0
-                if (alpha_deg or delta_x) and config.transform:
-                    templates = transform_templates(
-                        base_templates, pose0, alpha, delta_x, fs
-                    )
-                else:
-                    templates = base_templates
-
-                def add_row(kind, utt):
-                    dynamic = measure_dynamic(
-                        utt.recording, utt.segments, device=config.device
-                    )
-                    sim = score_dynamic(
-                        dynamic, templates, inventory_stats=inventory_stats
-                    )
-                    rows.append(
-                        {
-                            "kind": kind,
-                            "user": user_id,
-                            "passphrase": passphrase_id,
-                            "band": band,
-                            "pose": f"a{alpha_deg:g}_dx{delta_x:g}",
-                            **{m: sim.selected(ScoringMethod(m)) for m in config.methods},
-                        }
-                    )
-
+                enroll = [
+                    job(labels, user_model, pose0)
+                    for _ in range(config.enroll_trials)
+                ]
+            rows = []
+            for pose_idx, ver_pose in enumerate(ver_poses):
                 for _ in range(config.live_trials):
-                    add_row(
-                        "live",
-                        synthesize_live(
-                            labels, user_model, ver_pose, fs, next_seed(),
-                            config.noise_snr_db,
-                            duration_range=config.duration_range,
-                        ),
-                    )
+                    rows.append(("live", pose_idx, job(labels, user_model, ver_pose)))
                 for _ in range(config.static_attacks):
                     scenario = AttackScenario(
                         kind=AttackKind.STATIC_PLAYBACK,
@@ -348,13 +413,8 @@ def run_experiment(config: ExperimentConfig, model=None) -> dict:
                             float(rng.uniform(-0.04, 0.03)),
                         ),
                     )
-                    add_row(
-                        "static_playback",
-                        synthesize_attack(
-                            labels, user_model, ver_pose, scenario, fs,
-                            next_seed(), config.noise_snr_db,
-                            duration_range=config.duration_range,
-                        ),
+                    rows.append(
+                        ("static_playback", pose_idx, job(labels, user_model, ver_pose, scenario))
                     )
                 for _ in range(config.mobile_attacks):
                     scenario = AttackScenario(
@@ -365,13 +425,8 @@ def run_experiment(config: ExperimentConfig, model=None) -> dict:
                             phase=float(rng.uniform(0.0, 2.0 * math.pi)),
                         ),
                     )
-                    add_row(
-                        "mobile_playback",
-                        synthesize_attack(
-                            labels, user_model, ver_pose, scenario, fs,
-                            next_seed(), config.noise_snr_db,
-                            duration_range=config.duration_range,
-                        ),
+                    rows.append(
+                        ("mobile_playback", pose_idx, job(labels, user_model, ver_pose, scenario))
                     )
                 for distance in config.replace_distances:
                     for _ in range(config.replace_attacks):
@@ -379,15 +434,89 @@ def run_experiment(config: ExperimentConfig, model=None) -> dict:
                             kind=AttackKind.REPLACE,
                             recorder_distance_m=float(distance),
                         )
-                        add_row(
-                            f"replace_{distance:g}",
-                            synthesize_attack(
-                                labels, user_model, ver_pose, scenario, fs,
-                                next_seed(), config.noise_snr_db,
-                                duration_range=config.duration_range,
-                            ),
+                        rows.append(
+                            (f"replace_{distance:g}", pose_idx,
+                             job(labels, user_model, ver_pose, scenario))
                         )
+            passphrases.append(
+                (f"user{user_idx:02d}", f"pp{pp_idx:02d}", band, labels, enroll, rows)
+            )
+    return jobs, passphrases
 
+
+def run_experiment(config: ExperimentConfig, model=None, workers=None) -> dict:
+    """Generate a simulated corpus, enroll, score, and aggregate.
+
+    Returns the metrics report as a plain dict (see write_report for
+    the file outputs). Reproducible: a config with the same seed gives
+    the identical report, whatever the number of workers.
+
+    The renders run in `workers` processes (default: every CPU this
+    process may run on, at most one per render); with 1 they run in
+    this process.
+    """
+    config.validate()
+    _require(
+        ScoringMethod.WEIGHTED.value not in config.methods
+        or config.mode == ProfileMode.TEXT_INDEPENDENT,
+        "the weighted method needs text_independent mode",
+    )
+    if model is None:
+        model = load_source_model()
+    poses = [(0.0, 0.0)] + [tuple(p) for p in config.pose_changes]
+    jobs, passphrases = _plan(config, model, poses)
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    workers = min(workers, len(jobs))
+    measure = functools.partial(_measure, config)
+    if workers == 1:
+        dynamics = list(map(measure, jobs))
+    else:
+        # fork: workers start from this process's imported modules, which
+        # costs milliseconds where a fresh interpreter costs a second
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            dynamics = list(pool.map(measure, jobs))
+
+    pose0 = REFERENCE_POSE
+    fs = config.sample_rate
+    rows = []
+    for user_id, passphrase_id, band, labels, enroll, pp_rows in passphrases:
+        profile = enroll_from_dynamics(
+            user_id, config.mode, [dynamics[j] for j in enroll],
+            pose0, config.device, passphrase_id,
+        )
+        if config.mode == ProfileMode.TEXT_DEPENDENT:
+            base_templates = profile.templates_for(passphrase_id)
+            inventory_stats = None
+        else:
+            base_templates = assemble_template(profile, labels)
+            inventory_stats = {
+                label: t.std_delay for label, t in profile.phoneme_templates.items()
+            }
+        templates = [
+            transform_templates(
+                base_templates, pose0, math.radians(alpha_deg), delta_x, fs
+            )
+            if (alpha_deg or delta_x) and config.transform
+            else base_templates
+            for alpha_deg, delta_x in poses
+        ]
+        for kind, pose_idx, j in pp_rows:
+            sim = score_dynamic(
+                dynamics[j], templates[pose_idx], inventory_stats=inventory_stats
+            )
+            alpha_deg, delta_x = poses[pose_idx]
+            rows.append(
+                {
+                    "kind": kind,
+                    "user": user_id,
+                    "passphrase": passphrase_id,
+                    "band": band,
+                    "pose": f"a{alpha_deg:g}_dx{delta_x:g}",
+                    **{m: sim.selected(ScoringMethod(m)) for m in config.methods},
+                }
+            )
     return _aggregate(config, rows)
 
 

@@ -89,41 +89,13 @@ def enroll_text_dependent(
     device: DeviceSpec,
     method: Method = Method.GCC_PHAT,
 ) -> UserProfile:
-    """Build a passphrase profile from >= 3 (recording, segments) trials.
-
-    All trials must share the sample rate and the exact phoneme label
-    sequence; per position the template stores mean and std over trials.
-    """
-    trials = list(trials)
-    if len(trials) < MIN_TRIALS:
-        raise SchemaError(
-            f"need at least {MIN_TRIALS} trials, got {len(trials)}"
-        )
-    rate = trials[0][0].sample_rate
-    labels = tuple(seg.label for seg in trials[0][1])
-    per_trial = []
-    for recording, segments in trials:
-        if recording.sample_rate != rate:
-            raise SchemaError("trials differ in sample rate")
-        trial_labels = tuple(seg.label for seg in segments)
-        if trial_labels != labels:
-            raise SchemaError(
-                f"trial labels {trial_labels} != {labels}"
-            )
-        dyn = measure_dynamic(recording, segments, method=method, device=device)
-        per_trial.append(dyn.delays)
-    stacked = np.stack(per_trial)  # trials x positions
-    templates = [
-        _template_from_delays(label, stacked[:, i])
-        for i, label in enumerate(labels)
+    """Build a passphrase profile from >= 3 (recording, segments) trials."""
+    dynamics = [
+        measure_dynamic(recording, segments, method=method, device=device)
+        for recording, segments in trials
     ]
-    return UserProfile(
-        user_id=user_id,
-        mode=ProfileMode.TEXT_DEPENDENT,
-        device=device,
-        enrollment_pose=pose,
-        sample_rate=rate,
-        passphrase_templates={passphrase_id: templates},
+    return enroll_from_dynamics(
+        user_id, ProfileMode.TEXT_DEPENDENT, dynamics, pose, device, passphrase_id
     )
 
 
@@ -135,48 +107,94 @@ def enroll_text_independent(
     method: Method = Method.GCC_PHAT,
     inventory: PhonemeInventory = INVENTORY,
 ) -> UserProfile:
-    """Build per-phoneme templates covering the whole inventory.
-
-    samples maps phoneme label -> list of (recording, segment) pairs,
-    at least 3 per phoneme, all 44 phonemes present.
-    """
-    missing = sorted(set(inventory.symbols) - set(samples))
-    if missing:
-        raise SchemaError(
-            f"missing phonemes: {', '.join(missing)}"
-        )
-    short = sorted(
-        label for label, pairs in samples.items() if len(pairs) < MIN_TRIALS
-    )
-    if short:
-        raise SchemaError(
-            f"phonemes with fewer than {MIN_TRIALS} samples: {', '.join(short)}"
-        )
-    rate = None
-    templates = {}
+    """Build per-phoneme templates from samples, which maps phoneme label
+    -> list of (recording, segment) pairs, at least 3 per phoneme, all 44
+    phonemes present."""
+    dynamics = []
     for label in sorted(samples):
-        if label not in inventory:
-            raise SchemaError(f"unknown phoneme label {label!r}")
-        delays = []
         for recording, segment in samples[label]:
-            if rate is None:
-                rate = recording.sample_rate
-            elif recording.sample_rate != rate:
-                raise SchemaError("samples differ in sample rate")
             if segment.label != label:
                 raise SchemaError(
                     f"segment labeled {segment.label!r} filed under {label!r}"
                 )
             m = estimate_tdoa(recording, segment, method=method, device=device)
-            delays.append(m.delay_samples)
-        templates[label] = _template_from_delays(label, delays)
+            dynamics.append(TdoaDynamic((m,), recording.sample_rate, device))
+    return enroll_from_dynamics(
+        user_id, ProfileMode.TEXT_INDEPENDENT, dynamics, pose, device,
+        inventory=inventory,
+    )
+
+
+def enroll_from_dynamics(
+    user_id: str,
+    mode: ProfileMode,
+    dynamics,
+    pose: DevicePose,
+    device: DeviceSpec,
+    passphrase_id: str = None,
+    inventory: PhonemeInventory = INVENTORY,
+) -> UserProfile:
+    """Build a profile from the measured delay dynamics of enrollment trials.
+
+    Text-dependent: >= 3 trials sharing the exact phoneme label sequence;
+    per position the template stores mean and std over trials.
+    Text-independent: per phoneme, mean and std over every measurement
+    of it in any trial; each inventory phoneme needs >= 3 measurements.
+    All trials must share the sample rate.
+    """
+    dynamics = list(dynamics)
+    rates = {d.sample_rate for d in dynamics}
+    if len(rates) > 1:
+        raise SchemaError("trials differ in sample rate")
+    rate = rates.pop() if rates else None
+    if mode == ProfileMode.TEXT_DEPENDENT:
+        if len(dynamics) < MIN_TRIALS:
+            raise SchemaError(
+                f"need at least {MIN_TRIALS} trials, got {len(dynamics)}"
+            )
+        labels = dynamics[0].labels
+        for d in dynamics:
+            if d.labels != labels:
+                raise SchemaError(f"trial labels {d.labels} != {labels}")
+        stacked = np.stack([d.delays for d in dynamics])  # trials x positions
+        templates = [
+            _template_from_delays(label, stacked[:, i])
+            for i, label in enumerate(labels)
+        ]
+        return UserProfile(
+            user_id=user_id,
+            mode=mode,
+            device=device,
+            enrollment_pose=pose,
+            sample_rate=rate,
+            passphrase_templates={passphrase_id: templates},
+        )
+
+    delays = {}
+    for d in dynamics:
+        for m in d.measurements:
+            delays.setdefault(m.label, []).append(m.delay_samples)
+    missing = sorted(set(inventory.symbols) - set(delays))
+    if missing:
+        raise SchemaError(f"missing phonemes: {', '.join(missing)}")
+    short = sorted(label for label, ds in delays.items() if len(ds) < MIN_TRIALS)
+    if short:
+        raise SchemaError(
+            f"phonemes with fewer than {MIN_TRIALS} samples: {', '.join(short)}"
+        )
+    unknown = sorted(label for label in delays if label not in inventory)
+    if unknown:
+        raise SchemaError(f"unknown phoneme label {unknown[0]!r}")
     return UserProfile(
         user_id=user_id,
-        mode=ProfileMode.TEXT_INDEPENDENT,
+        mode=mode,
         device=device,
         enrollment_pose=pose,
         sample_rate=rate,
-        phoneme_templates=templates,
+        phoneme_templates={
+            label: _template_from_delays(label, delays[label])
+            for label in sorted(delays)
+        },
     )
 
 

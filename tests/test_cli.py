@@ -275,13 +275,23 @@ def test_verify_malformed_input_file_is_typed_error(pipeline, tmp_path, case, ca
     {"kind": "beep"},
     {"kind": "static_playback", "labels": ["AA", "S", "K"], "source_offset": [1]},
     {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": "abc"},
-], ids=["pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text"])
+    {"kind": "live", "labels": ["AA", "S", "K"], "seed": -1},
+], ids=["pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text", "seed_negative"])
 def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(scene))
     code, out = run_cli("simulate", path, tmp_path / "out")
     assert (code, out) == (2, "")
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_simulate_negative_seed_flag_is_typed_error(tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"kind": "live", "labels": ["AA", "S", "K"]}))
+    code, out = run_cli("simulate", path, tmp_path / "out", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_weighted_needs_text_independent_profile(pipeline, capsys):
@@ -368,6 +378,26 @@ def test_evaluate_command(tmp_path):
     assert out == out2
     r2 = (tmp_path / "rep" / "report.json").read_bytes()
     assert r1 == r2
+
+
+@pytest.mark.parametrize("fields, flags", [
+    ({"sample_rate": "abc"}, []),
+    ({"length_bands": [[2]]}, []),
+    ({"users": 1.5}, []),
+    ({"seed": -1}, []),
+    ({}, ["--seed", "-3"]),
+], ids=["rate_text", "band_one_value", "users_fraction", "seed_negative", "seed_flag_negative"])
+def test_evaluate_malformed_experiment_is_typed_error(tmp_path, fields, flags, capsys):
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({
+        "users": 1, "passphrases_per_user": 1, "live_trials": 1,
+        "static_attacks": 1, "mobile_attacks": 0, "length_bands": [[2, 2]],
+        "band_weights": [1.0], **fields,
+    }))
+    code, out = run_cli("evaluate", exp, tmp_path / "rep", *flags)
+    assert (code, out) == (2, "")
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "rep").exists()
 
 
 def test_enroll_text_independent_via_cli(tmp_path, source_model):

@@ -1,11 +1,14 @@
+import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonotdoa.errors import ConfigError
+from phonotdoa import evaluation
+from phonotdoa.errors import ConfigError, DegenerateSignalError
 from phonotdoa.evaluation import (
     ExperimentConfig,
     LabeledScoreSet,
@@ -197,3 +200,42 @@ def test_write_report(tmp_path, small_report):
     assert (tmp_path / "rep" / "metrics.csv").exists()
     header = (tmp_path / "rep" / "scores.csv").read_text().splitlines()[0]
     assert header == "kind,user,passphrase,band,pose,correlation,probability,combined"
+
+
+_TD_POSES = {
+    **_SMALL,
+    "users": 1,
+    "live_trials": 2,
+    "pose_changes": [[30, 0.0], [0, 0.05]],
+    "replace_distances": [0.3],
+    "replace_attacks": 1,
+}
+_TI_WEIGHTED = {
+    **_SMALL,
+    "mode": "text_independent",
+    "users": 1,
+    "live_trials": 2,
+    "static_attacks": 1,
+    "methods": ["correlation", "weighted"],
+}
+
+
+@pytest.mark.parametrize("doc", [_TD_POSES, _TI_WEIGHTED], ids=["td_poses_replace", "ti_weighted"])
+def test_report_independent_of_worker_count(doc):
+    config = ExperimentConfig.from_dict(doc)
+    reports = []
+    for workers in (1, 2):
+        reports.append(json.dumps(run_experiment(config, workers=workers), sort_keys=True))
+        assert multiprocessing.active_children() == []
+    assert reports[0] == reports[1]
+
+
+def test_worker_error_surfaces_with_its_class(monkeypatch):
+    # the pool forks, so the workers see the patched renderer
+    def fail(*args, **kwargs):
+        raise DegenerateSignalError("no usable delay")
+
+    monkeypatch.setattr(evaluation, "synthesize_live", fail)
+    with pytest.raises(DegenerateSignalError, match="no usable delay"):
+        run_experiment(ExperimentConfig.from_dict(dict(_SMALL)), workers=2)
+    assert multiprocessing.active_children() == []

@@ -1,8 +1,8 @@
 """Property tests: every file loader fails closed.
 
-Whatever bytes a WAV, alignment, profile or config file holds, loading
-it either succeeds or raises a PhonotdoaError; a missing file raises
-FileNotFoundError. No other exception may escape, because the CLI maps
+Whatever bytes a WAV, alignment, profile, config or experiment file
+holds, loading it either succeeds or raises a PhonotdoaError; a missing
+file raises FileNotFoundError. No other exception may escape, because the CLI maps
 exactly those to exit code 2.
 """
 
@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from phonotdoa.audio_io import StereoRecording, load_wav, read_json
 from phonotdoa.config import load_config
 from phonotdoa.errors import ConfigError, FormatError, PhonotdoaError, SchemaError
+from phonotdoa import evaluation
+from phonotdoa.evaluation import ExperimentConfig
 from phonotdoa.geometry import REFERENCE_POSE
 from phonotdoa.phonemes import INVENTORY
 from phonotdoa.profiles import (
@@ -29,6 +31,7 @@ from phonotdoa.profiles import (
     save_profile,
 )
 from phonotdoa.segmentation import load_alignment
+from phonotdoa.sourcemodel import load_source_model
 from phonotdoa.tdoa import DeviceSpec
 
 FUZZ = settings(
@@ -358,3 +361,69 @@ def test_load_config_arbitrary_section_fails_closed(tmp_path, section, value):
 def test_load_config_random_bytes_fail_closed(tmp_path, data):
     path = _write(tmp_path / "c.json", data)
     _loads_or_typed_error(load_config, path)
+
+
+# --- experiment config ---
+
+EXPERIMENT_BASE = {
+    "seed": 1,
+    "users": 1,
+    "passphrases_per_user": 1,
+    "live_trials": 2,
+    "static_attacks": 1,
+    "mobile_attacks": 1,
+    "length_bands": [[2, 3]],
+    "band_weights": [1.0],
+    "pose_changes": [[30, 0.0]],
+    "replace_distances": [0.3],
+    "replace_attacks": 1,
+}
+SOURCE_MODEL = load_source_model()
+EXPERIMENT_FIELDS = st.sampled_from(
+    sorted(ExperimentConfig.__dataclass_fields__) + ["bogus"]
+)
+
+
+@FUZZ
+@given(doc=st.dictionaries(EXPERIMENT_FIELDS | st.text(max_size=6), JSON_VALUES, max_size=5))
+def test_experiment_config_arbitrary_object_fails_closed(doc):
+    _loads_or_typed_error(ExperimentConfig.from_dict, doc)
+
+
+@FUZZ
+@given(field=EXPERIMENT_FIELDS, value=JSON_VALUES)
+def test_experiment_config_arbitrary_field_fails_closed(field, value):
+    _loads_or_typed_error(ExperimentConfig.from_dict, {**EXPERIMENT_BASE, field: value})
+
+
+# small enough that a loaded config plans quickly and renders in a blink
+SMALL_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=12)
+    | st.floats(min_value=-1.0, max_value=60.0)
+    | st.sampled_from(["abc", "correlation", "weighted", "text_independent"]),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@FUZZ
+@given(field=EXPERIMENT_FIELDS, value=SMALL_JSON_VALUES)
+def test_experiment_config_loaded_means_runnable(field, value):
+    # a config that loads must also plan its draws and render its first
+    # utterance without an untyped error, so no worker meets a bad field
+    config = _loads_or_typed_error(ExperimentConfig.from_dict, {**EXPERIMENT_BASE, field: value})
+    if config is None:
+        return
+    try:
+        poses = [(0.0, 0.0)] + [tuple(p) for p in config.pose_changes]
+        jobs, _ = evaluation._plan(config, SOURCE_MODEL, poses)
+        evaluation._measure(config, jobs[0])
+    except PhonotdoaError:
+        pass
+
+
+def test_experiment_fuzz_base_loads():
+    config = ExperimentConfig.from_dict(EXPERIMENT_BASE)
+    assert config.replace_distances == (0.3,)
