@@ -29,7 +29,9 @@ _SUPPORTED_WIDTHS = {2: 16, 3: 24, 4: 32}
 class StereoRecording:
     """Synchronized top/bottom microphone sample streams.
 
-    Samples are float64 in [-1, 1]; both channels have equal length.
+    Samples are finite float64 in [-1, 1]; both channels have equal
+    length. load_wav hands out the two C-contiguous rows of one
+    (2, frames) array.
     """
 
     sample_rate: int
@@ -51,10 +53,11 @@ class StereoRecording:
             raise FormatError(
                 f"sample rate {self.sample_rate} below {MIN_SAMPLE_RATE} Hz minimum"
             )
-        if len(top) and (
-            max(np.max(np.abs(top)), np.max(np.abs(bottom))) > 1.0 + 1e-9
+        # NaN fails both comparisons, so it is refused like an out-of-range sample
+        if len(top) and not all(
+            x.min() >= -1.0 - 1e-9 and x.max() <= 1.0 + 1e-9 for x in (top, bottom)
         ):
-            raise FormatError("samples exceed [-1, 1]")
+            raise FormatError("samples exceed [-1, 1] or are NaN")
         if self.sample_rate not in PREFERRED_RATES:
             warnings.warn(
                 f"sample rate {self.sample_rate} Hz is accepted but ranging "
@@ -124,13 +127,11 @@ def load_wav(path) -> StereoRecording:
             f"{path}: data chunk shorter than header declares"
         )
 
-    samples = _decode_pcm(raw, sampwidth)
-    bits = _SUPPORTED_WIDTHS[sampwidth]
-    scale = float(2 ** (bits - 1))
-    interleaved = samples.reshape(-1, 2) / scale
-    return StereoRecording(
-        sample_rate=rate, top=interleaved[:, 0], bottom=interleaved[:, 1]
-    )
+    # deinterleave and scale in one pass; a power-of-two scale is exact
+    samples = _decode_pcm(raw, sampwidth).reshape(-1, 2).T
+    channels = np.empty(samples.shape)
+    np.multiply(samples, 2.0 ** (1 - _SUPPORTED_WIDTHS[sampwidth]), out=channels)
+    return StereoRecording(sample_rate=rate, top=channels[0], bottom=channels[1])
 
 
 def write_wav(recording: StereoRecording, path, bit_depth: int = 16) -> None:

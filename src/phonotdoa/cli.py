@@ -263,7 +263,7 @@ def cmd_verify(args) -> int:
     if alpha != 0.0 or delta_x != 0.0:
         templates = transform_templates(
             templates, profile.enrollment_pose, alpha, delta_x,
-            profile.sample_rate,
+            profile.sample_rate, c=config.c,
         )
 
     method = ScoringMethod(config.method)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .audio_io import FIELD_ERRORS, MIN_SAMPLE_RATE, write_json
 from .errors import ConfigError, NoSolutionError
-from .geometry import REFERENCE_POSE, DevicePose, transform_tdoa
+from .geometry import REFERENCE_POSE, SPEED_OF_SOUND, DevicePose, transform_tdoa
 from .phonemes import INVENTORY
 from .profiles import (
     MIN_TRIALS,
@@ -54,21 +54,20 @@ class LabeledScoreSet:
         object.__setattr__(self, "attack_scores", tuple(float(s) for s in self.attack_scores))
         if not self.live_scores or not self.attack_scores:
             raise ConfigError("both live and attack scores are required")
+        if any(math.isnan(s) for s in self.live_scores + self.attack_scores):
+            raise ConfigError("scores must not be NaN")
 
 
 def roc(scores: LabeledScoreSet) -> list:
     """(threshold, TAR, FAR) per distinct score value plus the +/-inf
     endpoints, under the accept-iff-strictly-above rule."""
-    live = np.asarray(scores.live_scores)
-    attack = np.asarray(scores.attack_scores)
-    thresholds = [-math.inf] + sorted(set(np.concatenate([live, attack]).tolist()))
-    points = []
-    for t in thresholds:
-        tar = float(np.mean(live > t))
-        far = float(np.mean(attack > t))
-        points.append((t, tar, far))
-    points.append((math.inf, 0.0, 0.0))
-    return points
+    live = np.sort(scores.live_scores)
+    attack = np.sort(scores.attack_scores)
+    thresholds = [-math.inf] + sorted(set(scores.live_scores + scores.attack_scores))
+    # the scores strictly above t are those sorted after its last copy
+    tar = (live.size - np.searchsorted(live, thresholds, side="right")) / live.size
+    far = (attack.size - np.searchsorted(attack, thresholds, side="right")) / attack.size
+    return list(zip(thresholds, tar.tolist(), far.tolist())) + [(math.inf, 0.0, 0.0)]
 
 
 def eer(scores: LabeledScoreSet) -> float:
@@ -308,6 +307,7 @@ def transform_templates(
     alpha: float,
     delta_x: float,
     sample_rate: int,
+    c: float = SPEED_OF_SOUND,
 ):
     """Map template means to a new handset pose. Templates whose delay
     admits no on-axis source (e.g. nasals, whose source sits high above
@@ -317,7 +317,7 @@ def transform_templates(
         try:
             new_mean = transform_tdoa(
                 t.mean_delay, pose, alpha=alpha, delta_x=delta_x,
-                sample_rate=sample_rate,
+                sample_rate=sample_rate, c=c,
             )
         except NoSolutionError:
             new_mean = t.mean_delay

@@ -4,10 +4,12 @@ Sign convention: delay_samples > 0 means the sound arrives at the TOP
 microphone later (the bottom mic leads). With the mouth near the bottom
 mic, live speech therefore produces positive delays.
 
-Correlations are computed in the frequency domain with FFT length the
-next power of two >= window length + max_lag, which keeps the circular
-wraparound outside the searched lag range. Windows are mean-removed
-before transforming.
+Correlations are computed in the frequency domain on mean-removed
+windows. CC transforms the whole window at the next power of two
+>= window length + max_lag, which keeps the circular wraparound outside
+the searched lag range. GCC-PHAT averages sub-windows and picks its FFT
+length per sub-window: the next power of two >= sub-window length +
+max_lag.
 """
 
 from __future__ import annotations
@@ -108,7 +110,10 @@ class TdoaDynamic:
         return np.array([m.delay_samples for m in self.measurements], dtype=float)
 
 
-def _validated(a, b, max_lag: int):
+def _centered(a, b, max_lag: int):
+    """Write each window minus its mean into a zero-padded (2, longer
+    window) buffer; return the buffer and the two centered norms.
+    Empty and zero-variance windows raise DegenerateSignalError."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
@@ -117,25 +122,20 @@ def _validated(a, b, max_lag: int):
         raise ValueError("max_lag must be >= 1")
     if max_lag >= max(a.size, b.size):
         raise ValueError("max_lag must be smaller than the window length")
-    return a, b
+    buf = np.zeros((2, max(a.size, b.size)))
+    norms = []
+    for x, row in zip((a, b), buf):
+        centered = np.subtract(x, x.mean(), out=row[: x.size])
+        norm = math.sqrt(np.sum(centered * centered))
+        if norm <= _RELATIVE_VARIANCE_FLOOR * max(x.max(), -x.min()) * math.sqrt(x.size):
+            raise DegenerateSignalError("zero-variance correlation window")
+        norms.append(norm)
+    return buf, norms
 
 
-def _prepare(a, b):
-    floors = []
-    for x in (a, b):
-        peak = float(np.max(np.abs(x)))
-        floors.append(_RELATIVE_VARIANCE_FLOOR * peak * math.sqrt(x.size))
-    a = a - a.mean()
-    b = b - b.mean()
-    na = float(np.sqrt(np.sum(a * a)))
-    nb = float(np.sqrt(np.sum(b * b)))
-    if na <= floors[0] or nb <= floors[1]:
-        raise DegenerateSignalError("zero-variance correlation window")
-    return a, b, na, nb
-
-
-def _fft_length(a, b, max_lag: int) -> int:
-    return 1 << int(math.ceil(math.log2(max(len(a), len(b)) + max_lag)))
+def _fft_length(span: int, max_lag: int) -> int:
+    # next power of two that keeps circular wraparound out of +/-max_lag
+    return 1 << int(math.ceil(math.log2(span + max_lag)))
 
 
 def _extract_lags(full: np.ndarray, max_lag: int) -> np.ndarray:
@@ -150,11 +150,10 @@ def normalized_cross_correlation(a, b, max_lag: int) -> np.ndarray:
     d + max_lag is the normalized sum of a[i] * b[i + d]. Values lie in
     [-1, 1] up to numerical tolerance; a positive argmax means b lags a.
     """
-    a, b = _validated(a, b, max_lag)
-    a, b, na, nb = _prepare(a, b)
-    n = _fft_length(a, b, max_lag)
-    spec = np.conj(np.fft.rfft(a, n)) * np.fft.rfft(b, n)
-    full = np.fft.irfft(spec, n)
+    buf, (na, nb) = _centered(a, b, max_lag)
+    n = _fft_length(buf.shape[1], max_lag)
+    spec_a, spec_b = np.fft.rfft(buf, n)
+    full = np.fft.irfft(np.conj(spec_a) * spec_b, n)
     return _extract_lags(full, max_lag) / (na * nb)
 
 
@@ -176,26 +175,26 @@ def gcc_phat(a, b, max_lag: int, spectral_floor: float = PHAT_SPECTRAL_FLOOR) ->
     smearing. Bins whose magnitude falls below spectral_floor times the
     peak magnitude are zero-weighted.
     """
-    a, b = _validated(a, b, max_lag)
-    a, b, _, _ = _prepare(a, b)
+    buf, _ = _centered(a, b, max_lag)
     length = min(len(a), len(b))
     n_seg = max(1, length // max(PHAT_SEGMENT_FACTOR * max_lag, 256))
     seg = length // n_seg
-    n = 1 << int(math.ceil(math.log2(seg + max_lag)))
-    frames = np.stack((a[: n_seg * seg], b[: n_seg * seg])).reshape(2, n_seg, seg)
+    frames = buf[:, : n_seg * seg].reshape(2, n_seg, seg)  # a view: windowed in place
     if n_seg > 1:
         frames *= np.hanning(seg)
+    n = _fft_length(seg, max_lag)
     spec_a, spec_b = np.fft.rfft(frames, n, axis=-1)
-    spec = np.sum(np.conj(spec_a) * spec_b, axis=0)
+    np.conjugate(spec_a, out=spec_a)
+    spec_a *= spec_b
+    spec = spec_a.sum(axis=0)
     mag = np.abs(spec)
     peak = mag.max()
     if peak <= 0.0:
         raise DegenerateSignalError("all-zero cross-spectrum")
-    keep = mag > spectral_floor * peak
-    weighted = np.zeros_like(spec)
-    weighted[keep] = spec[keep] / mag[keep]
-    full = np.fft.irfft(weighted, n)
-    return _extract_lags(full, max_lag)
+    weighted = np.divide(
+        spec, mag, out=np.zeros_like(spec), where=mag > spectral_floor * peak
+    )
+    return _extract_lags(np.fft.irfft(weighted, n), max_lag)
 
 
 def max_lag_for_device(

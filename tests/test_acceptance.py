@@ -405,8 +405,9 @@ def _grid_eer(live, attack, n=100_000):
     lo = min(live.min(), attack.min()) - 1e-9
     hi = max(live.max(), attack.max()) + 1e-9
     grid = np.linspace(lo, hi, n)
-    far = (attack[None, :] > grid[:, None]).mean(axis=1)
-    frr = (live[None, :] <= grid[:, None]).mean(axis=1)
+    # counts of scores above / at-or-below each grid point
+    far = (attack.size - np.searchsorted(np.sort(attack), grid, side="right")) / attack.size
+    frr = np.searchsorted(np.sort(live), grid, side="right") / live.size
     i = int(np.argmin(np.abs(far - frr)))
     return float((far[i] + frr[i]) / 2.0)
 

@@ -1,3 +1,4 @@
+import math
 import wave
 
 import numpy as np
@@ -177,6 +178,18 @@ def test_recording_invariants():
         StereoRecording(8000, np.zeros(5), np.zeros(5))
     with pytest.raises(FormatError, match=r"samples exceed \[-1, 1\]"):
         StereoRecording(48000, np.full(5, 1.5), np.zeros(5))
+
+
+@pytest.mark.parametrize("channel", ["top", "bottom"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_samples_fail_closed(channel, value):
+    # a NaN once passed, and measure_dynamic then returned -max_lag
+    # with peak 0.0 instead of failing
+    x = np.zeros(1000)
+    x[:100] = value
+    channels = {"top": np.zeros(1000), "bottom": np.zeros(1000), channel: x}
+    with pytest.raises(FormatError, match=r"samples exceed \[-1, 1\]"):
+        StereoRecording(48000, **channels)
 
 
 def test_unusual_rate_warns():

@@ -1,6 +1,7 @@
 import io
 import json
 import contextlib
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,7 +11,15 @@ from pathlib import Path
 import pytest
 
 import phonotdoa
+from phonotdoa.audio_io import load_wav
 from phonotdoa.cli import main
+from phonotdoa.config import DEFAULT_THRESHOLD
+from phonotdoa.errors import NoSolutionError
+from phonotdoa.geometry import transform_tdoa
+from phonotdoa.profiles import load_profile
+from phonotdoa.scoring import ScoringMethod, decide, score_dynamic
+from phonotdoa.segmentation import load_alignment
+from phonotdoa.tdoa import measure_dynamic
 
 LABELS = ["IY", "S", "K", "AA", "T", "OW", "N", "EH"]
 
@@ -321,6 +330,43 @@ def test_verify_tilted_live_accepts(pipeline, tmp_path):
     )
     assert code == 0
     assert json.loads(doc)["verdict"] == "live"
+
+
+def test_verify_pose_release_uses_configured_speed_of_sound(pipeline, tmp_path):
+    # the tilted templates must be solved at the config's c, as the
+    # measurement and the `pose` subcommand are
+    _, profile_path, live_dir, _ = pipeline
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"geometry": {"c": 300.0}}))
+    wav, alignment = live_dir / "recording.wav", live_dir / "alignment.json"
+    code, out = run_cli(
+        "verify", wav, alignment, "--profile", profile_path,
+        "--config", config, "--angle-deg", "30",
+    )
+    recording = load_wav(wav)
+    profile = load_profile(profile_path)
+    dynamic = measure_dynamic(
+        recording, load_alignment(alignment, recording), device=profile.device, c=300.0
+    )
+    (pid,) = profile.passphrase_templates
+
+    def decision(c):
+        templates = []
+        for t in profile.templates_for(pid):
+            try:
+                mean = transform_tdoa(
+                    t.mean_delay, profile.enrollment_pose, alpha=math.radians(30),
+                    sample_rate=profile.sample_rate, c=c,
+                )
+            except NoSolutionError:
+                mean = t.mean_delay
+            templates.append(dataclasses.replace(t, mean_delay=mean))
+        score = score_dynamic(dynamic, templates, method=ScoringMethod.COMBINED)
+        return decide(score, DEFAULT_THRESHOLD).to_json_dict()
+
+    assert decision(300.0) != decision(340.0)
+    assert code in (0, 1)
+    assert json.loads(out) == decision(300.0)
 
 
 def test_simulate_beep_scene(tmp_path):

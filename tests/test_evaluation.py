@@ -27,6 +27,15 @@ def test_empty_set_rejected():
         LabeledScoreSet(live_scores=[], attack_scores=[0.1])
 
 
+
+@pytest.mark.parametrize("live, attack", [([0.5, math.nan], [0.1]), ([0.5], [math.nan])])
+def test_nan_score_rejected(live, attack):
+    # roc counts scores above a threshold by position in the sorted
+    # scores, where a NaN has no place
+    with pytest.raises(ConfigError, match="scores must not be NaN"):
+        LabeledScoreSet(live, attack)
+
+
 def test_roc_perfect_separation():
     s = LabeledScoreSet([0.9, 0.8, 0.7], [0.2, 0.1, 0.3])
     points = roc(s)
@@ -46,6 +55,31 @@ def test_roc_hand_enumerated():
     assert got[0.1] == (1.0, pytest.approx(2 / 3))
     assert got[-math.inf] == (1.0, 1.0)
     assert got[0.9] == (0.0, 0.0)
+
+
+def _roc_reference(scores):
+    # the plain form: one pass over each score list per threshold
+    live = np.asarray(scores.live_scores)
+    attack = np.asarray(scores.attack_scores)
+    thresholds = [-math.inf] + sorted(set(np.concatenate([live, attack]).tolist()))
+    points = []
+    for t in thresholds:
+        points.append((t, float(np.mean(live > t)), float(np.mean(attack > t))))
+    points.append((math.inf, 0.0, 0.0))
+    return points
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_roc_matches_per_threshold_reference(seed):
+    rng = np.random.default_rng(seed)
+    n_live, n_attack = rng.integers(1, 300, size=2)
+    live = rng.normal(0.7, 0.2, n_live)
+    attack = rng.normal(0.4, 0.2, n_attack)
+    if seed % 2:  # ties within and across the two lists
+        live = np.round(live, 1)
+        attack = np.round(attack, 1)
+    s = LabeledScoreSet(live, attack)
+    assert roc(s) == _roc_reference(s)
 
 
 def test_roc_chance_performance():
@@ -72,10 +106,9 @@ def _grid_eer(live, attack, n=100_000):
     lo = min(min(live), min(attack)) - 1e-6
     hi = max(max(live), max(attack)) + 1e-6
     grid = np.linspace(lo, hi, n)
-    live = np.asarray(live)
-    attack = np.asarray(attack)
-    far = (attack[None, :] > grid[:, None]).mean(axis=1)
-    frr = (live[None, :] <= grid[:, None]).mean(axis=1)
+    # counts of scores above / at-or-below each grid point
+    far = (attack.size - np.searchsorted(np.sort(attack), grid, side="right")) / attack.size
+    frr = np.searchsorted(np.sort(live), grid, side="right") / live.size
     i = np.argmin(np.abs(far - frr))
     return (far[i] + frr[i]) / 2.0
 

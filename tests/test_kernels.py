@@ -2,17 +2,19 @@
 
 Each reference below is the plain per-bin / per-frame / per-byte form
 of a kernel: two full complex exps for the per-mic phase shifts, one
-rfft pair per GCC-PHAT sub-window, triplet assembly for 24-bit PCM and
-one draw per harmonic. The batched kernels must agree with them to
+rfft pair per GCC-PHAT sub-window, a direct-sum correlation for CC,
+triplet assembly for 24-bit PCM, an interleaved divide for WAV scaling
+and one draw per harmonic. The batched kernels must agree with them to
 floating-point rounding (bit-exact where no arithmetic is reordered).
 """
 
 import math
+import wave
 
 import numpy as np
 import pytest
 
-from phonotdoa.audio_io import _decode_pcm
+from phonotdoa.audio_io import StereoRecording, _decode_pcm, load_wav, write_wav
 from phonotdoa.errors import DegenerateSignalError
 from phonotdoa.simulator import (
     VOICED_MAX_HARMONIC_HZ,
@@ -24,9 +26,8 @@ from phonotdoa.tdoa import (
     PHAT_SEGMENT_FACTOR,
     PHAT_SPECTRAL_FLOOR,
     _extract_lags,
-    _prepare,
-    _validated,
     gcc_phat,
+    normalized_cross_correlation,
 )
 
 
@@ -41,8 +42,8 @@ def _delayed_pair_reference(exc, tau_top, tau_bottom):
 
 
 def _gcc_phat_reference(a, b, max_lag):
-    a, b = _validated(a, b, max_lag)
-    a, b, _, _ = _prepare(a, b)
+    a = a - a.mean()
+    b = b - b.mean()
     length = min(len(a), len(b))
     n_seg = max(1, length // max(PHAT_SEGMENT_FACTOR * max_lag, 256))
     seg = length // n_seg
@@ -62,6 +63,15 @@ def _gcc_phat_reference(a, b, max_lag):
     weighted = np.zeros_like(spec)
     weighted[keep] = spec[keep] / mag[keep]
     return _extract_lags(np.fft.irfft(weighted, n), max_lag)
+
+
+def _ncc_reference(a, b, max_lag):
+    a = a - a.mean()
+    b = b - b.mean()
+    # np.correlate(b, a, "full")[k] sums b[i + k - (len(a) - 1)] * a[i]
+    full = np.correlate(b, a, "full")
+    lags = np.arange(-max_lag, max_lag + 1) + len(a) - 1
+    return full[lags] / np.sqrt(np.sum(a * a) * np.sum(b * b))
 
 
 def _decode_24_reference(raw):
@@ -103,6 +113,36 @@ def test_gcc_phat_matches_looped_reference(length, max_lag):
     want = _gcc_phat_reference(a, b, max_lag)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("len_a, len_b", [(300, 300), (2048, 2000), (9000, 9100)])
+@pytest.mark.parametrize("max_lag", [10, 93])
+def test_ncc_matches_direct_sum_reference(len_a, len_b, max_lag):
+    rng = np.random.default_rng(len_a + max_lag)
+    a = rng.standard_normal(len_a) + 0.5
+    b = rng.standard_normal(len_b) - 0.2
+    n = min(len_a, len_b)
+    b[7:n] += 0.6 * a[: n - 7]
+    got = normalized_cross_correlation(a, b, max_lag)
+    want = _ncc_reference(a, b, max_lag)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32])
+def test_load_wav_equals_interleaved_divide(tmp_path, bits):
+    rng = np.random.default_rng(bits)
+    top = rng.uniform(-1.0, 1.0, 5001)
+    bottom = rng.uniform(-1.0, 1.0, 5001)
+    top[:3] = bottom[3:6] = (-1.0, 1.0, 0.0)
+    write_wav(StereoRecording(48000, top, bottom), tmp_path / "r.wav", bit_depth=bits)
+    got = load_wav(tmp_path / "r.wav")
+    with wave.open(str(tmp_path / "r.wav"), "rb") as w:
+        raw = w.readframes(w.getnframes())
+    interleaved = _decode_pcm(raw, bits // 8).reshape(-1, 2) / 2 ** (bits - 1)
+    for row, want in ((got.top, interleaved[:, 0]), (got.bottom, interleaved[:, 1])):
+        assert row.flags.c_contiguous
+        assert row.tobytes() == want.tobytes()
 
 
 def test_decode_24bit_is_bit_identical_to_triplets():
