@@ -9,6 +9,7 @@ invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -316,9 +317,7 @@ def cmd_tdoa(args) -> int:
 
 def cmd_pose(args) -> int:
     config = load_config(args.config)
-    pose = DevicePose(
-        x=args.pose_x, l1=args.pose_l1, l2=args.pose_l2, l=args.pose_l
-    )
+    pose = _pose_from_args(args)
     result = {
         "tdoa1": args.tdoa,
         "sample_rate": args.sample_rate,
@@ -339,7 +338,9 @@ def cmd_pose(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (parse_args keeps no state)."""
     parser = argparse.ArgumentParser(
         prog="phonotdoa",
         description="Per-phoneme TDoA liveness detection toolkit",

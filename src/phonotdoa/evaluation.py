@@ -34,6 +34,7 @@ from .profiles import (
 from .scoring import ScoringMethod, score_dynamic
 from .simulator import (
     MIN_REPLACE_DISTANCE_M,
+    SNR_RANGE_DB,
     AttackKind,
     AttackScenario,
     circle_trajectory,
@@ -199,7 +200,9 @@ class ExperimentConfig:
         _require(isinstance(self.device, DeviceSpec), "device must be a device spec")
         for name in ("transform", "per_user_variation", "oral_only"):
             _require(isinstance(getattr(self, name), bool), f"{name} must be true or false")
-        _require(_is_real(self.noise_snr_db), "noise_snr_db must be a finite number")
+        lo, hi = SNR_RANGE_DB
+        _require(_is_real(self.noise_snr_db) and lo <= self.noise_snr_db <= hi,
+                 f"noise_snr_db must be a number in [{lo}, {hi}] dB")
         _require(
             self.threshold is None or _is_real(self.threshold),
             "threshold must be a finite number or null",

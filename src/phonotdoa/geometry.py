@@ -26,9 +26,6 @@ from .errors import DegenerateSignalError, InvalidPoseError, NoSolutionError
 
 SPEED_OF_SOUND = 340.0  # m/s
 
-SOLVE_BRACKET = (1e-4, 10.0)  # meters
-SOLVE_TOL = 1e-6
-
 BEEP_F0 = 18000.0
 BEEP_F1 = 23000.0
 BEEP_DURATION = 0.050  # 9600 samples at 192 kHz
@@ -109,19 +106,49 @@ def pose_to_tdoa(
     return path_difference(pose, source_offset) / c * sample_rate
 
 
+def solve_on_line(delta_d: float, top_z: float, bottom_z: float, *, z=None, h=None) -> float:
+    """Closed-form point P on |P - top mic| - |P - bottom mic| = delta_d
+    for a vertical handset with its mics at heights top_z > bottom_z
+    (Chan & Ho 1994 solve the general hyperbolic case). Pass one line.
+
+    z: the horizontal line at that height. With a, b the mic heights
+    above it, the top-mic distance is p = ((a^2 - b^2) / delta_d + delta_d) / 2,
+    and the result is the distance u = sqrt(p^2 - a^2) >= 0 from the handset.
+    h: the vertical line at that distance from the handset. With f half
+    the mic spacing, the result is the height
+    (top_z + bottom_z) / 2 - (delta_d / 2) sqrt(1 + h^2 / (f^2 - delta_d^2 / 4)).
+    Raises NoSolutionError when delta_d is not reachable on the line.
+    """
+    if z is not None:
+        a, b = abs(top_z - z), abs(bottom_z - z)
+        # delta_d runs monotonically from a - b at u = 0 to 0 as u grows
+        if not (0 < delta_d <= a - b or a - b <= delta_d < 0):
+            raise NoSolutionError(
+                f"path difference {delta_d:.5f} m not reachable on the z = {z:.4f} m line"
+            )
+        p = 0.5 * ((a * a - b * b) / delta_d + delta_d)
+        return math.sqrt(max((p - a) * (p + a), 0.0))
+    half = 0.5 * (top_z - bottom_z)
+    if not abs(delta_d) < 2.0 * half:
+        raise NoSolutionError(
+            f"|path difference| {abs(delta_d):.5f} m not below the mic spacing {2 * half:.5f} m"
+        )
+    return 0.5 * (top_z + bottom_z) - 0.5 * delta_d * math.sqrt(
+        1.0 + h * h / (half * half - 0.25 * delta_d * delta_d)
+    )
+
+
 def solve_source_distance(
     tdoa_samples: float,
     l1: float,
     l2: float,
     sample_rate: int,
     c: float = SPEED_OF_SOUND,
-    tol: float = SOLVE_TOL,
 ) -> float:
     """Invert sqrt(l1^2 + x^2) - sqrt(l2^2 + x^2) = delta_d for x.
 
-    The residual is strictly monotone in x, so bisection on the bracket
-    [0.1 mm, 10 m] is unconditionally robust. delta_d comes from the
-    delay via delta_d = tdoa * c / sample_rate.
+    delta_d comes from the delay via delta_d = tdoa * c / sample_rate;
+    x is the closed-form solve_on_line distance on the mouth axis.
     """
     delta_d = tdoa_samples * c / sample_rate
     if l1 == l2:
@@ -144,30 +171,7 @@ def solve_source_distance(
             "path-difference sign inconsistent with mic geometry "
             "(source off the solvable axis)"
         )
-
-    def residual(x: float) -> float:
-        return math.hypot(l1, x) - math.hypot(l2, x) - delta_d
-
-    lo, hi = SOLVE_BRACKET
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        raise NoSolutionError(
-            f"no solution inside [{lo}, {hi}] m for delta_d = {delta_d:.5f}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return solve_on_line(delta_d, l1, -l2, z=0.0)
 
 
 def transform_tdoa(

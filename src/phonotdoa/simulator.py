@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .audio_io import StereoRecording
 from .errors import ConfigError, SchemaError
@@ -35,6 +36,9 @@ from .segmentation import PhonemeSegment
 from .sourcemodel import VocalSourceModel
 
 DEFAULT_SNR_DB = 30.0
+# noise_snr_db bounds (dB): past them the noise scale 10^(-snr/20) heads
+# for overflow (near -6,000 dB) or sinks below float64 resolution
+SNR_RANGE_DB = (-100.0, 300.0)
 LEAD_SILENCE_S = 0.05
 PHONEME_GAP_S = 0.03
 DURATION_RANGE_S = (0.10, 0.16)
@@ -122,10 +126,6 @@ def circle_trajectory(
     )
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << int(math.ceil(math.log2(max(n, 2))))
-
-
 def _harmonic_excitation(rng, n: int, sample_rate: int, f0: float) -> np.ndarray:
     """Voiced source: harmonic stack with seeded phases, built in the
     frequency domain (one inverse transform)."""
@@ -189,8 +189,9 @@ def _shifted(spectrum: np.ndarray, taus, pad: int) -> np.ndarray:
     w = (-2.0 * np.pi / pad) * np.asarray(taus, dtype=float)[:, None]
     fine = np.exp(1j * w * np.arange(_RAMP_FINE))
     coarse = np.exp(1j * w * (_RAMP_FINE * np.arange(-(-n_bins // _RAMP_FINE))))
-    ramps = (coarse[:, :, None] * fine[:, None, :]).reshape(len(w), -1)
-    return np.fft.irfft(spectrum * ramps[:, :n_bins], pad, axis=-1)
+    ramps = (coarse[:, :, None] * fine[:, None, :]).reshape(len(w), -1)[:, :n_bins]
+    np.multiply(spectrum, ramps, out=ramps)
+    return np.fft.irfft(ramps, pad, axis=-1)
 
 
 def _delayed_pair(exc: np.ndarray, tau_top: float, tau_bottom: float) -> np.ndarray:
@@ -198,10 +199,11 @@ def _delayed_pair(exc: np.ndarray, tau_top: float, tau_bottom: float) -> np.ndar
 
     Returns the (2, length) array of the top and bottom rows, long
     enough to hold the shifted excitation entirely (no circular
-    wraparound).
+    wraparound). The FFT length is the next 5-smooth length past the
+    output, as for every FFT pad in this module.
     """
     out_len = len(exc) + int(math.ceil(max(tau_top, tau_bottom))) + 64
-    pad = _next_pow2(out_len + 16)
+    pad = next_fast_len(out_len + 16, real=True)
     return _shifted(np.fft.rfft(exc, pad), (tau_top, tau_bottom), pad)[:, :out_len]
 
 
@@ -218,6 +220,9 @@ def _render(
     c: float,
 ) -> SimulatedUtterance:
     """Shared renderer: one effective source position per phoneme."""
+    lo, hi = SNR_RANGE_DB
+    if not lo <= noise_snr_db <= hi:
+        raise ConfigError(f"noise_snr_db {noise_snr_db} dB outside [{lo}, {hi}]")
     fs = sample_rate
     gap = int(round(PHONEME_GAP_S * fs))
     lead = int(round(LEAD_SILENCE_S * fs))
@@ -265,6 +270,7 @@ def _render(
     # einsum, not np.dot: BLAS threads its dot above ~10^4 samples and
     # doubles the CPU time of a render for no wall-time gain
     n_active = sum(seg.end - seg.start for seg in segments)
+    noise = np.empty(total)
     for ch in out:
         energy = sum(
             float(np.einsum("i,i->", ch[s.start : s.end], ch[s.start : s.end]))
@@ -273,7 +279,7 @@ def _render(
         rms = math.sqrt(energy / n_active) if n_active else 0.0
         sigma = rms * 10.0 ** (-noise_snr_db / 20.0)
         if sigma > 0:
-            noise = rng.standard_normal(total)
+            rng.standard_normal(out=noise)
             noise *= sigma
             ch += noise
 
@@ -397,7 +403,7 @@ def synthesize_beep_scene(
     tau_clutter = 2.0 * (face_distance_m + 0.30) / c * fs
     total = lead + len(beep) + int(math.ceil(tau_clutter)) + int(round(0.03 * fs))
 
-    pad = _next_pow2(len(beep) + int(math.ceil(tau_clutter)) + 64)
+    pad = next_fast_len(len(beep) + int(math.ceil(tau_clutter)) + 64, real=True)
     end = min(total, lead + pad)
     direct, face, clutter = _shifted(
         np.fft.rfft(beep, pad), (0.0, tau_face, tau_clutter), pad
@@ -439,7 +445,7 @@ def synthesize_pure_shift(
     if rms > 0:
         clean = clean / rms
 
-    pad = _next_pow2(len(clean) + margin)
+    pad = next_fast_len(len(clean) + margin, real=True)
     taus = (delay_samples,) if echo is None else (delay_samples, delay_samples + float(echo[0]))
     paths = _shifted(np.fft.rfft(clean, pad), taus, pad)[:, : len(clean)]
     bottom_full = clean

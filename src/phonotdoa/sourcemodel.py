@@ -9,8 +9,9 @@ negative at the reference pose. All offsets stay inside a 0.10 m radius
 around the mouth reference point.
 
 The shipped coordinates in data/vocal_source_model.json were solved
-once from the per-phoneme target delays below (bisection against the
-shared forward model at the reference pose) and then frozen.
+once from the per-phoneme target delays below (the closed-form
+geometry.solve_on_line at the reference pose, which must be vertical)
+and then frozen.
 
 Trial-to-trial articulation variability is modeled as position jitter:
 a seeded Gaussian draw in delay units at the reference pose is
@@ -27,9 +28,9 @@ from importlib import resources
 
 import math
 
-from .audio_io import FIELD_ERRORS, read_json, write_json
-from .errors import ConfigError, SchemaError
-from .geometry import REFERENCE_POSE, DevicePose, pose_to_tdoa
+from .audio_io import FIELD_ERRORS, read_json
+from .errors import ConfigError, NoSolutionError, SchemaError
+from .geometry import REFERENCE_POSE, DevicePose, pose_to_tdoa, solve_on_line
 from .phonemes import INVENTORY, NASAL
 
 MODEL_SCHEMA_VERSION = 1
@@ -101,50 +102,32 @@ def _dy_bracket(dz: float) -> tuple:
     return -reach, min(_FORWARD_DY_CAP, reach)
 
 
-def _solve_dy(target: float, dz: float, pose: DevicePose, c: float) -> float:
-    """Bisect the horizontal line z = dz for the requested delay."""
-    lo, hi = _dy_bracket(dz)
-    f_lo = _delay_at(lo, dz, pose, c) - target
-    f_hi = _delay_at(hi, dz, pose, c) - target
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        raise ConfigError(
-            f"delay {target:.2f} not reachable on the z = {dz:.3f} m line"
+def _on_line(target: float, pose: DevicePose, c: float, **line) -> float:
+    """solve_on_line for a delay in samples at the model rate, or NaN
+    where the delay is unreachable."""
+    try:
+        return solve_on_line(
+            target * c / MODEL_SAMPLE_RATE, pose.l1, pose.l1 - pose.l, **line
         )
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        f_mid = _delay_at(mid, dz, pose, c) - target
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    except NoSolutionError:
+        return math.nan
+
+
+def _solve_dy(target: float, dz: float, pose: DevicePose, c: float) -> float:
+    """Point on the horizontal line z = dz with the requested delay."""
+    lo, hi = _dy_bracket(dz)
+    dy = pose.x - _on_line(target, pose, c, z=dz)
+    if not lo <= dy <= hi:
+        raise ConfigError(f"delay {target:.2f} not reachable on the z = {dz:.3f} m line")
+    return dy
 
 
 def _solve_dz(target: float, dy: float, pose: DevicePose, c: float) -> float:
-    """Bisect the vertical line y = dy (used to place the nasal sources)."""
-    lo, hi = 0.05, math.sqrt(max(_SOLVE_RADIUS**2 - dy * dy, 0.0))
-    f_lo = _delay_at(dy, lo, pose, c) - target
-    f_hi = _delay_at(dy, hi, pose, c) - target
-    if f_lo * f_hi > 0:
-        raise ConfigError(
-            f"delay {target:.2f} not reachable on the y = {dy:.3f} m line"
-        )
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        f_mid = _delay_at(dy, mid, pose, c) - target
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    """Point on the vertical line y = dy (used to place the nasal sources)."""
+    dz = _on_line(target, pose, c, h=pose.x - dy)
+    if not 0.05 <= dz <= math.sqrt(max(_SOLVE_RADIUS**2 - dy * dy, 0.0)):
+        raise ConfigError(f"delay {target:.2f} not reachable on the y = {dy:.3f} m line")
+    return dz
 
 
 class VocalSourceModel:
@@ -156,6 +139,11 @@ class VocalSourceModel:
         reference_pose: DevicePose = REFERENCE_POSE,
         c: float = 340.0,
     ):
+        if reference_pose.alpha != 0.0:
+            raise ConfigError(
+                f"reference pose must be vertical (alpha = 0), got "
+                f"alpha = {reference_pose.alpha}"
+            )
         for src in sources.values():
             radius = math.hypot(src.dy, src.dz)
             if radius > MAX_SOURCE_RADIUS + 1e-12:
@@ -192,20 +180,14 @@ class VocalSourceModel:
         src = self.source(label)
         if jitter_samples == 0.0:
             return (src.dy, src.dz)
-        lo, hi = _dy_bracket(src.dz)
-        window = sorted(
-            (
-                _delay_at(lo, src.dz, self.reference_pose, self.c),
-                _delay_at(hi, src.dz, self.reference_pose, self.c),
-            )
-        )
-        margin = min(_WINDOW_MARGIN, 0.25 * (window[1] - window[0]))
-        if window[1] - window[0] <= 1e-9:
+        pose, c = self.reference_pose, self.c
+        lo, hi = sorted(_delay_at(y, src.dz, pose, c) for y in _dy_bracket(src.dz))
+        margin = min(_WINDOW_MARGIN, 0.25 * (hi - lo))
+        if hi - lo <= 1e-9:
             return (src.dy, src.dz)  # degenerate line, jitter unrepresentable
         target = self.reference_delay(label) + jitter_samples
-        target = min(max(target, window[0] + margin), window[1] - margin)
-        dy = _solve_dy(target, src.dz, self.reference_pose, self.c)
-        return (dy, src.dz)
+        target = min(max(target, lo + margin), hi - margin)
+        return (_solve_dy(target, src.dz, pose, c), src.dz)
 
     def perturbed(self, rng) -> "VocalSourceModel":
         """Seeded per-user variant: axis scaling within +/-10 percent and
@@ -317,6 +299,3 @@ def load_source_model(path=None) -> VocalSourceModel:
         doc = read_json(path, ConfigError)
     return VocalSourceModel.from_dict(doc)
 
-
-def save_source_model(model: VocalSourceModel, path) -> None:
-    write_json(path, model.to_dict())

@@ -12,7 +12,7 @@ import pytest
 
 import phonotdoa
 from phonotdoa.audio_io import load_wav
-from phonotdoa.cli import main
+from phonotdoa.cli import build_parser, main
 from phonotdoa.config import DEFAULT_THRESHOLD
 from phonotdoa.errors import NoSolutionError
 from phonotdoa.geometry import transform_tdoa
@@ -285,7 +285,11 @@ def test_verify_malformed_input_file_is_typed_error(pipeline, tmp_path, case, ca
     {"kind": "static_playback", "labels": ["AA", "S", "K"], "source_offset": [1]},
     {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": "abc"},
     {"kind": "live", "labels": ["AA", "S", "K"], "seed": -1},
-], ids=["pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text", "seed_negative"])
+    {"kind": "live", "labels": ["AA", "S", "K"], "noise_snr_db": -10000},
+], ids=[
+    "pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text",
+    "seed_negative", "snr_very_negative",
+])
 def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(scene))
@@ -301,6 +305,38 @@ def test_simulate_negative_seed_flag_is_typed_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not (tmp_path / "out").exists()
+
+
+def test_reused_parser_matches_fresh_parser(pipeline, tmp_path):
+    # main() parses with one parser per process; a fresh parser per call
+    # must give the same outputs, so no flag or --trial list carries over
+    tmp, profile, live_dir, _ = pipeline
+    live = [live_dir / "recording.wav", live_dir / "alignment.json"]
+    trials = [f"{tmp}/t{s}/recording.wav:{tmp}/t{s}/alignment.json" for s in (1, 2, 3)]
+    trials.append(f"{live[0]}:{live[1]}")
+    calls = [
+        ["enroll", "--out", tmp_path / "a.json", "--user", "a",
+         "--trial", trials[0], "--trial", trials[1], "--trial", trials[2]],
+        ["enroll", "--out", tmp_path / "b.json", "--user", "b",
+         "--trial", trials[1], "--trial", trials[2], "--trial", trials[3]],
+        ["verify", *live, "--profile", profile, "--angle-deg", "20"],
+        ["verify", *live, "--profile", profile],
+    ]
+
+    def run_all(fresh):
+        outputs = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            outputs.append(run_cli(*argv))
+        profiles = [(tmp_path / name).read_bytes() for name in ("a.json", "b.json")]
+        return outputs, profiles
+
+    reused = run_all(fresh=False)
+    assert reused == run_all(fresh=True)
+    (_, tilted), (_, level) = reused[0][2:]
+    assert tilted != level
+    assert reused[1][0] != reused[1][1]
 
 
 def test_verify_weighted_needs_text_independent_profile(pipeline, capsys):
@@ -432,7 +468,11 @@ def test_evaluate_command(tmp_path):
     ({"users": 1.5}, []),
     ({"seed": -1}, []),
     ({}, ["--seed", "-3"]),
-], ids=["rate_text", "band_one_value", "users_fraction", "seed_negative", "seed_flag_negative"])
+    ({"noise_snr_db": -10000}, []),
+], ids=[
+    "rate_text", "band_one_value", "users_fraction", "seed_negative",
+    "seed_flag_negative", "snr_very_negative",
+])
 def test_evaluate_malformed_experiment_is_typed_error(tmp_path, fields, flags, capsys):
     exp = tmp_path / "exp.json"
     exp.write_text(json.dumps({

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phonotdoa.errors import DegenerateSignalError, InvalidPoseError, NoSolutionError
@@ -12,7 +12,9 @@ from phonotdoa.geometry import (
     estimate_face_distance,
     make_beep,
     mic_positions,
+    path_difference,
     pose_to_tdoa,
+    solve_on_line,
     solve_source_distance,
     transform_tdoa,
 )
@@ -161,6 +163,50 @@ def test_forward_inverse_consistency(x, l1, l2):
         return
     got = solve_source_distance(tdoa, l1, l2, FS)
     assert got == pytest.approx(x, abs=1e-5)
+
+
+_VERTICAL_POSES = dict(
+    x=st.floats(min_value=0.01, max_value=0.2),
+    l1=st.floats(min_value=0.0, max_value=0.2),
+    l=st.floats(min_value=0.1, max_value=0.2),
+    dy=st.floats(min_value=-0.1, max_value=0.0),
+    dz=st.floats(min_value=-0.1, max_value=0.1),
+)
+
+
+def _vertical_pose(x, l1, l):
+    return DevicePose(x=x, l1=l1, l2=max(l - l1, 0.0), l=l)
+
+
+@given(**_VERTICAL_POSES)
+def test_solve_on_line_round_trip_horizontal(x, l1, l, dy, dz):
+    # forward model -> closed form, on the horizontal line z = dz
+    pose = _vertical_pose(x, l1, l)
+    r1, r2 = math.hypot(x - dy, l1 - dz), math.hypot(x - dy, l1 - l - dz)
+    assume(abs((x - dy) * (1.0 / r1 - 1.0 / r2)) > 1e-3)  # well conditioned
+    d = path_difference(pose, (dy, dz))
+    assert solve_on_line(d, l1, l1 - l, z=dz) == pytest.approx(x - dy, abs=1e-12)
+
+
+@given(**_VERTICAL_POSES)
+def test_solve_on_line_round_trip_vertical(x, l1, l, dy, dz):
+    # forward model -> closed form, on the vertical line y = dy
+    pose = _vertical_pose(x, l1, l)
+    r1, r2 = math.hypot(x - dy, l1 - dz), math.hypot(x - dy, l1 - l - dz)
+    assume(abs((dz - l1) / r1 - (dz - l1 + l) / r2) > 1e-2)  # well conditioned
+    d = path_difference(pose, (dy, dz))
+    assert solve_on_line(d, l1, l1 - l, h=x - dy) == pytest.approx(dz, abs=1e-12)
+
+
+def test_solve_on_line_unreachable():
+    # horizontal line z = 0 of the reference pose: 0 < d <= 0.13 m
+    for d in (0.0, -0.01, 0.131, math.nan):
+        with pytest.raises(NoSolutionError, match="not reachable on the z = 0.0000 m line"):
+            solve_on_line(d, 0.14, -0.01, z=0.0)
+    assert solve_on_line(0.13, 0.14, -0.01, z=0.0) == 0.0
+    for d in (0.16, -0.2, math.inf):
+        with pytest.raises(NoSolutionError, match="not below the mic spacing 0.15000 m"):
+            solve_on_line(d, 0.14, -0.01, h=0.03)
 
 
 def test_pose_to_tdoa_continuity():

@@ -13,6 +13,7 @@ import wave
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from phonotdoa.audio_io import StereoRecording, _decode_pcm, load_wav, write_wav
 from phonotdoa.errors import DegenerateSignalError
@@ -20,7 +21,8 @@ from phonotdoa.simulator import (
     VOICED_MAX_HARMONIC_HZ,
     _delayed_pair,
     _harmonic_excitation,
-    _next_pow2,
+    _noise_excitation,
+    _tukey,
 )
 from phonotdoa.tdoa import (
     PHAT_SEGMENT_FACTOR,
@@ -31,9 +33,10 @@ from phonotdoa.tdoa import (
 )
 
 
-def _delayed_pair_reference(exc, tau_top, tau_bottom):
+def _delayed_pair_reference(exc, tau_top, tau_bottom, pad=None):
+    """Two full-length exps at the kernel's 5-smooth pad, or at `pad`."""
     out_len = len(exc) + int(math.ceil(max(tau_top, tau_bottom))) + 64
-    pad = _next_pow2(out_len + 16)
+    pad = pad or next_fast_len(out_len + 16, real=True)
     spectrum = np.fft.rfft(exc, pad)
     k = np.arange(len(spectrum))
     top = np.fft.irfft(spectrum * np.exp(-2j * np.pi * k * tau_top / pad), pad)
@@ -101,6 +104,24 @@ def test_delayed_pair_matches_two_exp_reference(n):
         assert top.shape == ref_top.shape and bottom.shape == ref_bottom.shape
         assert np.max(np.abs(top - ref_top)) <= 1e-12
         assert np.max(np.abs(bottom - ref_bottom)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [15360, 19200, 23040, 30720])
+def test_delayed_pair_pad_matches_power_of_two_reference(n):
+    # the renderer's excitations are Tukey-tapered, so their shifted
+    # copies do not depend on how far past the signal the FFT pads
+    rng = np.random.default_rng(n)
+    for exc in (
+        _harmonic_excitation(rng, n, 192000, 150.0),
+        _noise_excitation(rng, n, 192000, (1500.0, 9000.0)),
+    ):
+        exc = exc * _tukey(n)
+        for tau_top, tau_bottom in rng.uniform(0.0, 200.0, size=(4, 2)):
+            out_len = n + int(math.ceil(max(tau_top, tau_bottom))) + 64
+            pow2 = 1 << int(math.ceil(math.log2(out_len + 16)))
+            got = _delayed_pair(exc, tau_top, tau_bottom)
+            ref = _delayed_pair_reference(exc, tau_top, tau_bottom, pad=pow2)
+            assert np.max(np.abs(got - np.stack(ref))) <= 1e-10 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("length", [300, 2048, 9000, 19200, 30721])

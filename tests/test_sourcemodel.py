@@ -11,6 +11,8 @@ from phonotdoa.sourcemodel import (
     PHONEME_TARGETS,
     PhonemeSource,
     VocalSourceModel,
+    _solve_dy,
+    _solve_dz,
     build_default_source_model,
 )
 
@@ -72,6 +74,32 @@ def test_effective_source_clamps_wild_jitter(source_model):
     assert math.hypot(dy, dz) <= MAX_SOURCE_RADIUS
     got = pose_to_tdoa(REFERENCE_POSE, (dy, dz), 192000)
     assert got < 80.0  # clamped to the representable window
+
+
+def test_solvers_refuse_unreachable_delays():
+    with pytest.raises(ConfigError, match="delay 90.00 not reachable on the z = 0.000 m line"):
+        _solve_dy(90.0, 0.0, REFERENCE_POSE, 340.0)
+    # reachable on the line, but past the 2 cm cap toward the handset
+    with pytest.raises(ConfigError, match="delay 72.00 not reachable on the z = 0.000 m line"):
+        _solve_dy(72.0, 0.0, REFERENCE_POSE, 340.0)
+    # reachable on the line, but beyond the solve radius behind the mouth
+    with pytest.raises(ConfigError, match="delay 30.00 not reachable on the z = 0.000 m line"):
+        _solve_dy(30.0, 0.0, REFERENCE_POSE, 340.0)
+    with pytest.raises(ConfigError, match="delay 200.00 not reachable on the y = 0.000 m line"):
+        _solve_dz(200.0, 0.0, REFERENCE_POSE, 340.0)
+    # a positive delay lies below the mouth, outside the nasal window
+    with pytest.raises(ConfigError, match="delay 50.00 not reachable on the y = 0.000 m line"):
+        _solve_dz(50.0, 0.0, REFERENCE_POSE, 340.0)
+
+
+def test_tilted_reference_pose_rejected(source_model):
+    tilted = REFERENCE_POSE.with_(alpha=0.1)
+    with pytest.raises(ConfigError, match="reference pose must be vertical"):
+        VocalSourceModel(source_model.sources, tilted)
+    doc = source_model.to_dict()
+    doc["reference_pose"]["alpha"] = 0.1
+    with pytest.raises(ConfigError, match="reference pose must be vertical"):
+        VocalSourceModel.from_dict(doc)
 
 
 def test_unknown_label(source_model):
