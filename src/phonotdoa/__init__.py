@@ -47,7 +47,7 @@ from .scoring import (
     score_dynamic,
     weighted_correlation_score,
 )
-from .segmentation import PhonemeSegment, load_alignment, segment_by_energy
+from .segmentation import PhonemeSegment, load_alignment
 from .simulator import (
     AttackKind,
     AttackScenario,

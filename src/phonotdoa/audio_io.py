@@ -24,6 +24,10 @@ MIN_SAMPLE_RATE = 44100
 
 _SUPPORTED_WIDTHS = {2: 16, 3: 24, 4: 32}
 
+# frames that load_wav decodes and scales at a time: small enough that a
+# block's temporaries stay in cache and reuse freed heap, not fresh pages
+_DECODE_BLOCK_FRAMES = 1 << 15
+
 
 @dataclass(frozen=True, eq=False)
 class StereoRecording:
@@ -74,12 +78,13 @@ class StereoRecording:
         return self.n_samples / self.sample_rate
 
 
-def _decode_pcm(raw: bytes, sampwidth: int) -> np.ndarray:
+def _decode_pcm(raw, sampwidth: int) -> np.ndarray:
     if sampwidth == 3:
         # little-endian triplets: read each one as the top three bytes of
         # an int32 (its low byte is the previous triplet's last byte, or
         # the leading pad), then shift right to sign-extend
-        padded = b"\0" + raw
+        padded = np.zeros(len(raw) + 1, dtype=np.uint8)
+        padded[1:] = np.frombuffer(raw, dtype=np.uint8)
         words = np.ndarray((len(raw) // 3,), dtype="<i4", buffer=padded, strides=(3,))
         return words >> 8
     return np.frombuffer(raw, dtype="<i2" if sampwidth == 2 else "<i4")
@@ -103,6 +108,11 @@ def load_wav(path) -> StereoRecording:
 
     Channel 0 maps to the top mic, channel 1 to the bottom mic; samples
     are normalized by 2^(bits-1), so int16 32767 becomes 32767/32768.
+
+    The data payload is read once; it and the (2, frames) float64
+    output are the only whole-file buffers. Blocks of
+    _DECODE_BLOCK_FRAMES frames are decoded, deinterleaved and scaled
+    straight into their slice of the output.
     """
     try:
         with wave.open(str(path), "rb") as w:
@@ -127,10 +137,17 @@ def load_wav(path) -> StereoRecording:
             f"{path}: data chunk shorter than header declares"
         )
 
-    # deinterleave and scale in one pass; a power-of-two scale is exact
-    samples = _decode_pcm(raw, sampwidth).reshape(-1, 2).T
-    channels = np.empty(samples.shape)
-    np.multiply(samples, 2.0 ** (1 - _SUPPORTED_WIDTHS[sampwidth]), out=channels)
+    # a power-of-two scale is exact, so every block matches a whole-file decode
+    scale = 2.0 ** (1 - _SUPPORTED_WIDTHS[sampwidth])
+    frame_bytes = n_channels * sampwidth
+    payload = memoryview(raw)
+    channels = np.empty((2, n_frames))
+    for lo in range(0, n_frames, _DECODE_BLOCK_FRAMES):
+        hi = min(lo + _DECODE_BLOCK_FRAMES, n_frames)
+        block = payload[lo * frame_bytes : hi * frame_bytes]
+        np.multiply(
+            _decode_pcm(block, sampwidth).reshape(-1, 2).T, scale, out=channels[:, lo:hi]
+        )
     return StereoRecording(sample_rate=rate, top=channels[0], bottom=channels[1])
 
 

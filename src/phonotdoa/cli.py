@@ -113,11 +113,11 @@ def cmd_simulate(args) -> int:
     except FIELD_ERRORS as exc:
         raise ConfigError(f"{args.scene}: malformed scene: {exc!r}") from exc
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = load_source_model()
 
     if kind == "beep":
         recording = synthesize_beep_scene(face, fs, seed)
+        out.mkdir(parents=True, exist_ok=True)
         write_wav(recording, out / "recording.wav", bit_depth=24)
         truth = {
             "version": 1,
@@ -137,6 +137,8 @@ def cmd_simulate(args) -> int:
     else:
         utt = synthesize_attack(labels, model, pose, scenario, fs, seed, snr)
 
+    # only a successful render leaves an output directory behind
+    out.mkdir(parents=True, exist_ok=True)
     write_wav(utt.recording, out / "recording.wav", bit_depth=24)
     save_alignment(utt.segments, fs, out / "alignment.json")
     truth = {
@@ -179,20 +181,20 @@ def _parse_trial(spec: str) -> tuple:
     return wav_path, align_path
 
 
+def _measure_trial(spec: str, method: Method, device: DeviceSpec):
+    """Load and measure one trial. Its recording is freed on return, so
+    enrollment holds one decoded recording at a time."""
+    wav_path, align_path = _parse_trial(spec)
+    recording = load_wav(wav_path)
+    segments = load_alignment(align_path, recording)
+    return measure_dynamic(recording, segments, method=method, device=device)
+
+
 def cmd_enroll(args) -> int:
     device = _device_from_args(args)
     pose = _pose_from_args(args)
     method = Method.GCC_PHAT if args.method != "cc" else Method.CC
-    trials = []
-    for spec in args.trial:
-        wav_path, align_path = _parse_trial(spec)
-        recording = load_wav(wav_path)
-        segments = load_alignment(align_path, recording)
-        trials.append((recording, segments))
-    dynamics = [
-        measure_dynamic(recording, segments, method=method, device=device)
-        for recording, segments in trials
-    ]
+    dynamics = [_measure_trial(spec, method, device) for spec in args.trial]
     profile = enroll_from_dynamics(
         args.user, ProfileMode(args.mode), dynamics, pose, device, args.passphrase_id
     )

@@ -445,9 +445,11 @@ def synthesize_pure_shift(
     if rms > 0:
         clean = clean / rms
 
-    pad = next_fast_len(len(clean) + margin, real=True)
+    # the band-limited source is periodic in its own length, so a spectral
+    # shift at that period is its exact delay; a zero-padded FFT would wrap
+    # the periodic-sinc tails of a fractional shift into the window
     taus = (delay_samples,) if echo is None else (delay_samples, delay_samples + float(echo[0]))
-    paths = _shifted(np.fft.rfft(clean, pad), taus, pad)[:, : len(clean)]
+    paths = _shifted(np.fft.rfft(clean), taus, len(clean))
     bottom_full = clean
     top_full = paths[0] if echo is None else paths[0] + float(echo[1]) * paths[1]
 

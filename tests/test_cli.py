@@ -286,9 +286,10 @@ def test_verify_malformed_input_file_is_typed_error(pipeline, tmp_path, case, ca
     {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": "abc"},
     {"kind": "live", "labels": ["AA", "S", "K"], "seed": -1},
     {"kind": "live", "labels": ["AA", "S", "K"], "noise_snr_db": -10000},
+    {"kind": "static_playback", "labels": ["AA", "S", "K"], "noise_snr_db": -10000},
 ], ids=[
     "pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text",
-    "seed_negative", "snr_very_negative",
+    "seed_negative", "snr_very_negative", "attack_snr_very_negative",
 ])
 def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     path = tmp_path / "scene.json"
@@ -296,6 +297,8 @@ def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     code, out = run_cli("simulate", path, tmp_path / "out")
     assert (code, out) == (2, "")
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    # the SNR cases parse and are refused mid-render: still no output left
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_negative_seed_flag_is_typed_error(tmp_path, capsys):

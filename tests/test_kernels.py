@@ -3,19 +3,28 @@
 Each reference below is the plain per-bin / per-frame / per-byte form
 of a kernel: two full complex exps for the per-mic phase shifts, one
 rfft pair per GCC-PHAT sub-window, a direct-sum correlation for CC,
-triplet assembly for 24-bit PCM, an interleaved divide for WAV scaling
-and one draw per harmonic. The batched kernels must agree with them to
-floating-point rounding (bit-exact where no arithmetic is reordered).
+triplet assembly for 24-bit PCM, an interleaved divide for WAV scaling,
+a whole-file decode for the blocked WAV decode, a direct sinusoid sum
+for the pure-shift delay and one draw per harmonic. The batched kernels
+must agree with them to floating-point rounding (bit-exact where no
+arithmetic is reordered).
 """
 
 import math
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from phonotdoa.audio_io import StereoRecording, _decode_pcm, load_wav, write_wav
+from phonotdoa.audio_io import (
+    _DECODE_BLOCK_FRAMES,
+    StereoRecording,
+    _decode_pcm,
+    load_wav,
+    write_wav,
+)
 from phonotdoa.errors import DegenerateSignalError
 from phonotdoa.simulator import (
     VOICED_MAX_HARMONIC_HZ,
@@ -23,6 +32,7 @@ from phonotdoa.simulator import (
     _harmonic_excitation,
     _noise_excitation,
     _tukey,
+    synthesize_pure_shift,
 )
 from phonotdoa.tdoa import (
     PHAT_SEGMENT_FACTOR,
@@ -81,6 +91,35 @@ def _decode_24_reference(raw):
     b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
     val = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
     return np.where(val & 0x800000, val - 0x1000000, val)
+
+
+def _pure_shift_reference(n, delay, seed, sample_rate=192000, band=(100.0, 8000.0)):
+    """synthesize_pure_shift's noise-free (bottom, top) windows, the top
+    one as a direct sum of the source's sinusoids, each delayed by
+    `delay` samples (bins the band limit zeroed are left out)."""
+    rng = np.random.default_rng(seed)
+    margin = int(math.ceil(abs(delay))) + 64
+    clean = _noise_excitation(rng, n + 2 * margin, sample_rate, band)
+    clean = clean / math.sqrt(float(np.mean(clean**2)))
+    size = len(clean)
+    spectrum = np.fft.rfft(clean)
+    k = np.flatnonzero(np.abs(spectrum) > 1e-9 * np.abs(spectrum).max())
+    assert 0 < k[0] and k[-1] < size // 2  # no DC or Nyquist term
+    # phase in turns, with the integer part of k * t reduced exactly
+    t = np.arange(margin, margin + n)
+    turns = (np.outer(k, t) % size - (k * delay)[:, None]) / size
+    terms = np.abs(spectrum[k])[:, None] * np.cos(
+        2.0 * np.pi * turns + np.angle(spectrum[k])[:, None]
+    )
+    return clean[margin : margin + n], (2.0 / size) * terms.sum(axis=0)
+
+
+def _write_pcm(path, raw, sampwidth):
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(2)
+        w.setsampwidth(sampwidth)
+        w.setframerate(48000)
+        w.writeframes(raw)
 
 
 def _harmonic_excitation_reference(rng, n, sample_rate, f0):
@@ -174,6 +213,48 @@ def test_decode_24bit_is_bit_identical_to_triplets():
         want = _decode_24_reference(raw)
         assert np.array_equal(got, want)
     assert _decode_pcm(boundary, 3).tolist() == [0, 0x7FFFFF, -0x800000, -1]
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32])
+@pytest.mark.parametrize(
+    "n_frames",
+    [0, 1, _DECODE_BLOCK_FRAMES - 1, _DECODE_BLOCK_FRAMES, _DECODE_BLOCK_FRAMES + 1],
+)
+def test_load_wav_blocks_equal_whole_file_decode(tmp_path, bits, n_frames):
+    # every byte pattern, so each block boundary splits arbitrary samples
+    raw = np.random.default_rng(n_frames + bits).bytes(n_frames * bits // 4)
+    _write_pcm(tmp_path / "r.wav", raw, bits // 8)
+    got = load_wav(tmp_path / "r.wav")
+    want = _decode_pcm(raw, bits // 8).reshape(-1, 2).T * 2.0 ** (1 - bits)
+    assert got.n_samples == n_frames
+    assert got.top.tobytes() == want[0].tobytes()
+    assert got.bottom.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32])
+def test_load_wav_allocates_only_payload_and_output(tmp_path, bits):
+    # a verify-sized recording: the payload bytes and the float64 output
+    # are the only whole-file buffers, so the peak stays near their sum
+    n_frames = 478_336
+    payload = n_frames * bits // 4
+    _write_pcm(tmp_path / "r.wav", np.random.default_rng(bits).bytes(payload), bits // 8)
+    tracemalloc.start()
+    try:
+        load_wav(tmp_path / "r.wav")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (payload + 16 * n_frames)
+
+
+@pytest.mark.parametrize("delay", [-17.3, 40.5, -17.0, 3.25])
+@pytest.mark.parametrize("n", [2047, 4096])
+def test_pure_shift_matches_sinusoid_sum(n, delay):
+    # at 300 dB the added noise is below 1e-14
+    bottom, top = synthesize_pure_shift(n, delay, snr_db=300.0, seed=3)
+    want_bottom, want_top = _pure_shift_reference(n, delay, seed=3)
+    assert np.max(np.abs(bottom - want_bottom)) <= 1e-13
+    assert np.max(np.abs(top - want_top)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [256, 2560, 19200])

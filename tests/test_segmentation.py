@@ -10,7 +10,6 @@ from phonotdoa.segmentation import (
     PhonemeSegment,
     load_alignment,
     save_alignment,
-    segment_by_energy,
 )
 
 
@@ -113,59 +112,3 @@ def test_segment_invariants():
         PhonemeSegment(start=-1, end=10, label="AA")
 
 
-def _burst_recording(bursts, fs=48000, total_s=1.0, noise=1e-4, seed=0):
-    """bursts: list of (start_s, dur_s) 1 kHz tone bursts."""
-    rng = np.random.default_rng(seed)
-    n = int(total_s * fs)
-    x = rng.normal(0.0, noise, n)
-    t = np.arange(n) / fs
-    for start_s, dur_s in bursts:
-        lo = int(start_s * fs)
-        hi = lo + int(dur_s * fs)
-        x[lo:hi] += 0.4 * np.sin(2 * np.pi * 1000 * t[lo:hi])
-    x = np.clip(x, -1, 1)
-    return StereoRecording(fs, x.copy(), x)
-
-
-def test_energy_pure_silence():
-    rec = StereoRecording(48000, np.zeros(48000), np.zeros(48000))
-    assert segment_by_energy(rec) == []
-
-
-def test_energy_single_burst_bounds():
-    fs = 48000
-    rec = _burst_recording([(0.40, 0.05)], fs=fs)
-    segs = segment_by_energy(rec)
-    assert len(segs) == 1
-    frame = int(0.020 * fs)
-    assert abs(segs[0].start - int(0.40 * fs)) <= frame
-    assert abs(segs[0].end - int(0.45 * fs)) <= frame
-    assert segs[0].label == "?"
-
-
-def test_energy_two_bursts():
-    rec = _burst_recording([(0.20, 0.05), (0.35, 0.05)])
-    segs = segment_by_energy(rec)
-    assert len(segs) == 2
-    assert segs[0].end <= segs[1].start
-
-
-def test_energy_gain_invariance():
-    rec = _burst_recording([(0.30, 0.06)])
-    segs1 = segment_by_energy(rec)
-    scaled = StereoRecording(rec.sample_rate, rec.top * 0.05, rec.bottom * 0.05)
-    segs2 = segment_by_energy(scaled)
-    assert segs1 == segs2
-
-
-def test_energy_output_sorted_non_overlapping():
-    rec = _burst_recording([(0.1, 0.04), (0.3, 0.04), (0.5, 0.04)])
-    segs = segment_by_energy(rec)
-    for a, b in zip(segs, segs[1:]):
-        assert a.end <= b.start
-
-
-def test_energy_bad_frame():
-    rec = _silent()
-    with pytest.raises(ValueError):
-        segment_by_energy(rec, frame_ms=0.0)
