@@ -23,6 +23,7 @@ from .errors import ConfigError, PhonotdoaError, SchemaError
 from .evaluation import ExperimentConfig, run_experiment, transform_templates, write_report
 from .geometry import (
     REFERENCE_POSE,
+    SPEED_OF_SOUND,
     DevicePose,
     estimate_face_distance,
     make_beep,
@@ -34,6 +35,7 @@ from .profiles import (
     assemble_template,
     enroll_from_dynamics,
     load_profile,
+    normalize_dynamic,
     save_profile,
 )
 from .scoring import ScoringMethod, Verdict, decide, score_dynamic
@@ -124,7 +126,7 @@ def cmd_simulate(args) -> int:
             "kind": kind,
             "sample_rate": fs,
             "face_distance_m": face,
-            "echo_delay_samples": 2.0 * face / 340.0 * fs,
+            "echo_delay_samples": 2.0 * face / SPEED_OF_SOUND * fs,
         }
         write_json(out / "ground_truth.json", truth)
         _emit({"out": str(out), "kind": kind, "files": ["recording.wav", "ground_truth.json"]})
@@ -229,8 +231,6 @@ def cmd_verify(args) -> int:
         device.mic_spacing_m != profile.device.mic_spacing_m
         or recording.sample_rate != profile.sample_rate
     ):
-        from .profiles import normalize_dynamic
-
         dynamic = normalize_dynamic(
             dynamic, device, profile.device, to_sample_rate=profile.sample_rate
         )

@@ -10,6 +10,10 @@ the bottom mic moves to (x + l*sin(alpha), l1 - l*cos(alpha)).
 
 A positive delay means the top-mic path is longer (bottom leads), the
 same convention the delay estimator uses.
+
+Only numpy loads with this module. Beep-echo ranging (make_beep,
+estimate_face_distance) imports scipy.signal on first use, so commands
+that never range a face do not pay its import time or memory.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import chirp, fftconvolve, find_peaks, hilbert
-from scipy.signal.windows import tukey
 
 from .audio_io import StereoRecording
 from .errors import DegenerateSignalError, InvalidPoseError, NoSolutionError
@@ -208,6 +210,11 @@ def make_beep(
         raise InvalidPoseError(
             f"sample rate {sample_rate} cannot represent a {f1:.0f} Hz chirp"
         )
+    # imported here: scipy.signal takes over a second to load, and only
+    # beep-echo ranging needs it
+    from scipy.signal import chirp
+    from scipy.signal.windows import tukey
+
     n = int(round(duration * sample_rate))
     t = np.arange(n) / sample_rate
     sweep = chirp(t, f0=f0, f1=f1, t1=duration, method="linear")
@@ -232,6 +239,10 @@ def estimate_face_distance(
     the tapered filter) merge into the emission peak, and the next
     reflector in the scene gets ranged instead.
     """
+    # imported here: scipy.signal takes over a second to load, and only
+    # beep-echo ranging needs it
+    from scipy.signal import fftconvolve, find_peaks, hilbert
+
     fs = echo_recording.sample_rate
     x = echo_recording.bottom
     if len(x) <= len(beep):

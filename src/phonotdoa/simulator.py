@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
-from .audio_io import StereoRecording
+from .audio_io import MIN_SAMPLE_RATE, StereoRecording
 from .errors import ConfigError, SchemaError
 from .geometry import (
     SPEED_OF_SOUND,
@@ -177,6 +176,24 @@ def _excitation(rng, src, n: int, sample_rate: int, f0: float) -> np.ndarray:
 _RAMP_FINE = 128
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth length 2^a * 3^b * 5^c >= n (n >= 1): the FFT
+    pad scipy.fft.next_fast_len(n, real=True) picks, without importing
+    scipy.fft."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of two that reaches n
+            cand = p35 << ((n - 1) // p35).bit_length()
+            if cand < best:
+                best = cand
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _shifted(spectrum: np.ndarray, taus, pad: int) -> np.ndarray:
     """One row per tau: the length-pad signal with rfft `spectrum`,
     delayed by tau (fractional) samples as an exact spectral phase shift.
@@ -203,7 +220,7 @@ def _delayed_pair(exc: np.ndarray, tau_top: float, tau_bottom: float) -> np.ndar
     output, as for every FFT pad in this module.
     """
     out_len = len(exc) + int(math.ceil(max(tau_top, tau_bottom))) + 64
-    pad = next_fast_len(out_len + 16, real=True)
+    pad = _next_fast_len(out_len + 16)
     return _shifted(np.fft.rfft(exc, pad), (tau_top, tau_bottom), pad)[:, :out_len]
 
 
@@ -223,6 +240,8 @@ def _render(
     lo, hi = SNR_RANGE_DB
     if not lo <= noise_snr_db <= hi:
         raise ConfigError(f"noise_snr_db {noise_snr_db} dB outside [{lo}, {hi}]")
+    if sample_rate < MIN_SAMPLE_RATE:
+        raise ConfigError(f"sample_rate must be >= {MIN_SAMPLE_RATE}")
     fs = sample_rate
     gap = int(round(PHONEME_GAP_S * fs))
     lead = int(round(LEAD_SILENCE_S * fs))
@@ -403,7 +422,7 @@ def synthesize_beep_scene(
     tau_clutter = 2.0 * (face_distance_m + 0.30) / c * fs
     total = lead + len(beep) + int(math.ceil(tau_clutter)) + int(round(0.03 * fs))
 
-    pad = next_fast_len(len(beep) + int(math.ceil(tau_clutter)) + 64, real=True)
+    pad = _next_fast_len(len(beep) + int(math.ceil(tau_clutter)) + 64)
     end = min(total, lead + pad)
     direct, face, clutter = _shifted(
         np.fft.rfft(beep, pad), (0.0, tau_face, tau_clutter), pad

@@ -182,19 +182,33 @@ def test_pose_non_finite_is_typed_error(flag, value, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidPoseError"
 
 
-def test_pose_nan_angle_exits_2_under_optimize():
-    # the pose check is a raise, not an assert, so python -O keeps it
+def _run_python(*args):
+    """A fresh interpreter that imports this checkout's phonotdoa."""
     src = str(Path(phonotdoa.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "phonotdoa", "pose", "--tdoa", "63",
-         "--angle-deg", "nan"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_pose_nan_angle_exits_2_under_optimize():
+    # the pose check is a raise, not an assert, so python -O keeps it
+    proc = _run_python("-O", "-m", "phonotdoa", "pose", "--tdoa", "63", "--angle-deg", "nan")
     assert proc.returncode == 2
     assert "InvalidPoseError" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    # every CLI call is a fresh process: scipy.signal, needed only for
+    # beep-echo ranging, must not load with the package
+    proc = _run_python("-c", (
+        "import phonotdoa, phonotdoa.cli; import sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("flag", [
@@ -287,9 +301,13 @@ def test_verify_malformed_input_file_is_typed_error(pipeline, tmp_path, case, ca
     {"kind": "live", "labels": ["AA", "S", "K"], "seed": -1},
     {"kind": "live", "labels": ["AA", "S", "K"], "noise_snr_db": -10000},
     {"kind": "static_playback", "labels": ["AA", "S", "K"], "noise_snr_db": -10000},
+    {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": 0},
+    {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": -192000},
+    {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": 1000},
 ], ids=[
     "pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text",
     "seed_negative", "snr_very_negative", "attack_snr_very_negative",
+    "rate_zero", "rate_negative", "rate_below_minimum",
 ])
 def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     path = tmp_path / "scene.json"
@@ -297,7 +315,8 @@ def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     code, out = run_cli("simulate", path, tmp_path / "out")
     assert (code, out) == (2, "")
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-    # the SNR cases parse and are refused mid-render: still no output left
+    # the SNR and rate cases parse and are refused by the renderer: still
+    # no output left
     assert not (tmp_path / "out").exists()
 
 

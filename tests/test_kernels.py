@@ -5,7 +5,8 @@ of a kernel: two full complex exps for the per-mic phase shifts, one
 rfft pair per GCC-PHAT sub-window, a direct-sum correlation for CC,
 triplet assembly for 24-bit PCM, an interleaved divide for WAV scaling,
 a whole-file decode for the blocked WAV decode, a direct sinusoid sum
-for the pure-shift delay and one draw per harmonic. The batched kernels
+for the pure-shift delay, one draw per harmonic and scipy's
+next_fast_len for the FFT pad length. The batched kernels
 must agree with them to floating-point rounding (bit-exact where no
 arithmetic is reordered).
 """
@@ -30,6 +31,7 @@ from phonotdoa.simulator import (
     VOICED_MAX_HARMONIC_HZ,
     _delayed_pair,
     _harmonic_excitation,
+    _next_fast_len,
     _noise_excitation,
     _tukey,
     synthesize_pure_shift,
@@ -143,6 +145,15 @@ def test_delayed_pair_matches_two_exp_reference(n):
         assert top.shape == ref_top.shape and bottom.shape == ref_bottom.shape
         assert np.max(np.abs(top - ref_top)) <= 1e-12
         assert np.max(np.abs(bottom - ref_bottom)) <= 1e-12
+
+
+def test_next_fast_len_matches_scipy():
+    # every length up to 2^18, and a few far past it
+    for n in range(1, 2**18 + 1):
+        assert _next_fast_len(n) == next_fast_len(n, real=True), n
+    for base in (2**22, 2**24):
+        for n in range(base - 50, base + 51):
+            assert _next_fast_len(n) == next_fast_len(n, real=True), n
 
 
 @pytest.mark.parametrize("n", [15360, 19200, 23040, 30720])
