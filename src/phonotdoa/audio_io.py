@@ -15,18 +15,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 # Rates with a documented per-sample ranging resolution (7.08 / 3.54 /
 # 1.77 mm at 340 m/s). Other rates >= 44.1 kHz work but warn.
 PREFERRED_RATES = (48000, 96000, 192000)
 MIN_SAMPLE_RATE = 44100
+MAX_SAMPLE_RATE = 384_000
 
 _SUPPORTED_WIDTHS = {2: 16, 3: 24, 4: 32}
 
-# frames that load_wav decodes and scales at a time: small enough that a
-# block's temporaries stay in cache and reuse freed heap, not fresh pages
-_DECODE_BLOCK_FRAMES = 1 << 15
+# frames that load_wav and write_wav convert at a time: small enough that
+# a block's buffers stay in cache and reuse freed heap, not fresh pages
+_BLOCK_FRAMES = 1 << 15
+
+
+def check_sample_rate(rate) -> None:
+    """Refuse a scene, config or command-line rate outside the supported
+    range, before any work is done at it."""
+    if not MIN_SAMPLE_RATE <= rate <= MAX_SAMPLE_RATE:
+        raise ConfigError(
+            f"sample_rate must be in [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}] Hz, got {rate}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,17 +100,20 @@ def _decode_pcm(raw, sampwidth: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<i2" if sampwidth == 2 else "<i4")
 
 
-def _encode_pcm(q: np.ndarray, sampwidth: int) -> bytes:
+def _encode_pcm(words: np.ndarray, sampwidth: int) -> np.ndarray:
+    """Little-endian PCM of a (frames, 2) int32 block, as an array whose
+    bytes are the WAV payload."""
     if sampwidth == 2:
-        return q.astype("<i2").tobytes()
+        return words.astype("<i2")
     if sampwidth == 4:
-        return q.astype("<i4").tobytes()
-    u = np.where(q < 0, q + 0x1000000, q).astype(np.int64)
-    out = np.empty((len(u), 3), dtype=np.uint8)
-    out[:, 0] = u & 0xFF
-    out[:, 1] = (u >> 8) & 0xFF
-    out[:, 2] = (u >> 16) & 0xFF
-    return out.tobytes()
+        return words
+    # three byte planes: a cast to uint8 keeps the low byte and >> is
+    # arithmetic, so negatives come out in two's complement
+    out = np.empty(words.shape + (3,), dtype=np.uint8)
+    out[..., 0] = words
+    out[..., 1] = words >> 8
+    out[..., 2] = words >> 16
+    return out
 
 
 def load_wav(path) -> StereoRecording:
@@ -110,9 +123,9 @@ def load_wav(path) -> StereoRecording:
     are normalized by 2^(bits-1), so int16 32767 becomes 32767/32768.
 
     The data payload is read once; it and the (2, frames) float64
-    output are the only whole-file buffers. Blocks of
-    _DECODE_BLOCK_FRAMES frames are decoded, deinterleaved and scaled
-    straight into their slice of the output.
+    output are the only whole-file buffers. Blocks of _BLOCK_FRAMES
+    frames are decoded, deinterleaved and scaled straight into their
+    slice of the output.
     """
     try:
         with wave.open(str(path), "rb") as w:
@@ -142,8 +155,8 @@ def load_wav(path) -> StereoRecording:
     frame_bytes = n_channels * sampwidth
     payload = memoryview(raw)
     channels = np.empty((2, n_frames))
-    for lo in range(0, n_frames, _DECODE_BLOCK_FRAMES):
-        hi = min(lo + _DECODE_BLOCK_FRAMES, n_frames)
+    for lo in range(0, n_frames, _BLOCK_FRAMES):
+        hi = min(lo + _BLOCK_FRAMES, n_frames)
         block = payload[lo * frame_bytes : hi * frame_bytes]
         np.multiply(
             _decode_pcm(block, sampwidth).reshape(-1, 2).T, scale, out=channels[:, lo:hi]
@@ -156,20 +169,35 @@ def write_wav(recording: StereoRecording, path, bit_depth: int = 16) -> None:
 
     Round trip through load_wav reproduces every sample within one
     quantization step (2^(1-bit_depth)).
+
+    The mirror of load_wav: no buffer grows with the file. Blocks of
+    _BLOCK_FRAMES frames are scaled into the two columns of one reused
+    float64 buffer, rounded and clipped in place, cast into one reused
+    int32 buffer, encoded and appended to the data chunk.
     """
     if bit_depth not in (16, 24, 32):
         raise FormatError(f"unsupported bit depth {bit_depth}")
-    scale = 2 ** (bit_depth - 1)
-    lo, hi = -scale, scale - 1
-    interleaved = np.empty(recording.n_samples * 2, dtype=np.float64)
-    interleaved[0::2] = recording.top
-    interleaved[1::2] = recording.bottom
-    q = np.clip(np.round(interleaved * scale), lo, hi).astype(np.int64)
+    sampwidth = bit_depth // 8
+    scale = 2.0 ** (bit_depth - 1)
+    n = recording.n_samples
+    scaled = np.empty((min(n, _BLOCK_FRAMES), 2))
+    words = np.empty(scaled.shape, dtype="<i4")
     with wave.open(str(path), "wb") as w:
         w.setnchannels(2)
-        w.setsampwidth(bit_depth // 8)
+        w.setsampwidth(sampwidth)
         w.setframerate(recording.sample_rate)
-        w.writeframes(_encode_pcm(q, bit_depth // 8))
+        # the header states the final length up front, so it is never patched
+        w.setnframes(n)
+        for lo in range(0, n, _BLOCK_FRAMES):
+            hi = min(lo + _BLOCK_FRAMES, n)
+            s, q = scaled[: hi - lo], words[: hi - lo]
+            np.multiply(recording.top[lo:hi], scale, out=s[:, 0])
+            np.multiply(recording.bottom[lo:hi], scale, out=s[:, 1])
+            np.rint(s, out=s)
+            np.clip(s, -scale, scale - 1, out=s)
+            # every clipped value is an integer that fits in int32: an exact cast
+            q[...] = s
+            w.writeframesraw(_encode_pcm(q, sampwidth))
 
 
 # What a loader's field parsing raises on JSON of the wrong shape: a

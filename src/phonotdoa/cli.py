@@ -17,7 +17,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .audio_io import FIELD_ERRORS, load_wav, read_json, write_json, write_wav
+from .audio_io import (
+    FIELD_ERRORS, check_sample_rate, load_wav, read_json, write_json, write_wav,
+)
 from .config import load_config
 from .errors import ConfigError, PhonotdoaError, SchemaError
 from .evaluation import ExperimentConfig, run_experiment, transform_templates, write_report
@@ -320,6 +322,7 @@ def cmd_tdoa(args) -> int:
 def cmd_pose(args) -> int:
     config = load_config(args.config)
     pose = _pose_from_args(args)
+    check_sample_rate(args.sample_rate)
     result = {
         "tdoa1": args.tdoa,
         "sample_rate": args.sample_rate,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import FIELD_ERRORS, MIN_SAMPLE_RATE, write_json
+from .audio_io import FIELD_ERRORS, check_sample_rate, write_json
 from .errors import ConfigError, NoSolutionError
 from .geometry import REFERENCE_POSE, SPEED_OF_SOUND, DevicePose, transform_tdoa
 from .phonemes import INVENTORY
@@ -183,10 +183,7 @@ class ExperimentConfig:
         for name in counts:
             _require(_is_int(getattr(self, name)), f"{name} must be an integer")
         _require(self.seed >= 0, "seed must be >= 0")
-        _require(
-            self.sample_rate >= MIN_SAMPLE_RATE,
-            f"sample_rate must be >= {MIN_SAMPLE_RATE}",
-        )
+        check_sample_rate(self.sample_rate)
         _require(
             self.users >= 1 and self.passphrases_per_user >= 1,
             "users and passphrases_per_user must be >= 1",

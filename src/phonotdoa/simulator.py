@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import MIN_SAMPLE_RATE, StereoRecording
+from .audio_io import StereoRecording, check_sample_rate
 from .errors import ConfigError, SchemaError
 from .geometry import (
     SPEED_OF_SOUND,
@@ -240,8 +240,7 @@ def _render(
     lo, hi = SNR_RANGE_DB
     if not lo <= noise_snr_db <= hi:
         raise ConfigError(f"noise_snr_db {noise_snr_db} dB outside [{lo}, {hi}]")
-    if sample_rate < MIN_SAMPLE_RATE:
-        raise ConfigError(f"sample_rate must be >= {MIN_SAMPLE_RATE}")
+    check_sample_rate(sample_rate)
     fs = sample_rate
     gap = int(round(PHONEME_GAP_S * fs))
     lead = int(round(LEAD_SILENCE_S * fs))
@@ -414,6 +413,7 @@ def synthesize_beep_scene(
         raise ConfigError(
             f"face distance {face_distance_m} m outside [0.03, 1.0]"
         )
+    check_sample_rate(sample_rate)
     fs = sample_rate
     rng = np.random.default_rng(seed)
     beep = make_beep(fs)

@@ -182,6 +182,13 @@ def test_pose_non_finite_is_typed_error(flag, value, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidPoseError"
 
 
+@pytest.mark.parametrize("rate", ["0", "-192000", "384001"])
+def test_pose_rate_out_of_range_is_typed_error(rate, capsys):
+    code, out = run_cli("pose", "--tdoa", "40", "--sample-rate", rate)
+    assert (code, out) == (2, "")
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 def _run_python(*args):
     """A fresh interpreter that imports this checkout's phonotdoa."""
     src = str(Path(phonotdoa.__file__).resolve().parents[1])
@@ -304,10 +311,14 @@ def test_verify_malformed_input_file_is_typed_error(pipeline, tmp_path, case, ca
     {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": 0},
     {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": -192000},
     {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": 1000},
+    {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": 384001},
+    {"kind": "beep", "face_distance_m": 0.1, "sample_rate": 0},
+    {"kind": "beep", "face_distance_m": 0.1, "sample_rate": 384001},
 ], ids=[
     "pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text",
     "seed_negative", "snr_very_negative", "attack_snr_very_negative",
-    "rate_zero", "rate_negative", "rate_below_minimum",
+    "rate_zero", "rate_negative", "rate_below_minimum", "rate_above_maximum",
+    "beep_rate_zero", "beep_rate_above_maximum",
 ])
 def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     path = tmp_path / "scene.json"

@@ -171,6 +171,11 @@ def test_config_validation():
     assert config.mode == ProfileMode.TEXT_INDEPENDENT
 
 
+def test_config_rejects_rate_above_maximum():
+    with pytest.raises(ConfigError, match=r"sample_rate must be in \[44100, 384000\] Hz"):
+        ExperimentConfig.from_dict({"sample_rate": 384001})
+
+
 def test_weighted_method_needs_text_independent_mode():
     config = ExperimentConfig.from_dict(
         {**_SMALL, "methods": ["correlation", "weighted"]}

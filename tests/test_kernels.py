@@ -4,7 +4,8 @@ Each reference below is the plain per-bin / per-frame / per-byte form
 of a kernel: two full complex exps for the per-mic phase shifts, one
 rfft pair per GCC-PHAT sub-window, a direct-sum correlation for CC,
 triplet assembly for 24-bit PCM, an interleaved divide for WAV scaling,
-a whole-file decode for the blocked WAV decode, a direct sinusoid sum
+a whole-file decode for the blocked WAV decode, a whole-file encode
+for the blocked WAV encode, a direct sinusoid sum
 for the pure-shift delay, one draw per harmonic and scipy's
 next_fast_len for the FFT pad length. The batched kernels
 must agree with them to floating-point rounding (bit-exact where no
@@ -20,7 +21,7 @@ import pytest
 from scipy.fft import next_fast_len
 
 from phonotdoa.audio_io import (
-    _DECODE_BLOCK_FRAMES,
+    _BLOCK_FRAMES,
     StereoRecording,
     _decode_pcm,
     load_wav,
@@ -93,6 +94,24 @@ def _decode_24_reference(raw):
     b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
     val = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
     return np.where(val & 0x800000, val - 0x1000000, val)
+
+
+def _encode_reference(recording, bits):
+    """write_wav's data chunk as one whole-file encode: interleave,
+    round, clip, int64, and 24-bit triplets from np.where byte planes."""
+    scale = 2 ** (bits - 1)
+    interleaved = np.empty(recording.n_samples * 2)
+    interleaved[0::2] = recording.top
+    interleaved[1::2] = recording.bottom
+    q = np.clip(np.round(interleaved * scale), -scale, scale - 1).astype(np.int64)
+    if bits != 24:
+        return q.astype("<i2" if bits == 16 else "<i4").tobytes()
+    u = np.where(q < 0, q + 0x1000000, q)
+    out = np.empty((len(u), 3), dtype=np.uint8)
+    out[:, 0] = u & 0xFF
+    out[:, 1] = (u >> 8) & 0xFF
+    out[:, 2] = (u >> 16) & 0xFF
+    return out.tobytes()
 
 
 def _pure_shift_reference(n, delay, seed, sample_rate=192000, band=(100.0, 8000.0)):
@@ -229,7 +248,7 @@ def test_decode_24bit_is_bit_identical_to_triplets():
 @pytest.mark.parametrize("bits", [16, 24, 32])
 @pytest.mark.parametrize(
     "n_frames",
-    [0, 1, _DECODE_BLOCK_FRAMES - 1, _DECODE_BLOCK_FRAMES, _DECODE_BLOCK_FRAMES + 1],
+    [0, 1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1],
 )
 def test_load_wav_blocks_equal_whole_file_decode(tmp_path, bits, n_frames):
     # every byte pattern, so each block boundary splits arbitrary samples
@@ -256,6 +275,50 @@ def test_load_wav_allocates_only_payload_and_output(tmp_path, bits):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * (payload + 16 * n_frames)
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32])
+@pytest.mark.parametrize(
+    "n_frames",
+    [0, 1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 3 * _BLOCK_FRAMES + 7],
+)
+def test_write_wav_blocks_equal_whole_file_encode(tmp_path, bits, n_frames):
+    rng = np.random.default_rng(n_frames + bits)
+    top = rng.uniform(-1.0, 1.0, n_frames)
+    bottom = rng.uniform(-1.0, 1.0, n_frames)
+    # the range ends, values StereoRecording admits that must clip,
+    # half-step ties (rint rounds them to even) and -0.0
+    step = 2.0 ** (1 - bits)
+    edges = np.array([
+        1.0, -1.0, 1.0 + 1e-9, -1.0 - 1e-9, -0.0, 0.5 * step, -0.5 * step,
+        1.5 * step, -2.5 * step, 1.0 - 0.5 * step, -1.0 + 0.5 * step,
+    ])
+    k = min(n_frames, len(edges))
+    top[:k] = edges[:k]
+    bottom[n_frames - k :] = edges[::-1][:k]
+    recording = StereoRecording(48000, top, bottom)
+    write_wav(recording, tmp_path / "got.wav", bit_depth=bits)
+    _write_pcm(tmp_path / "want.wav", _encode_reference(recording, bits), bits // 8)
+    assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32])
+def test_write_wav_allocates_no_whole_file_buffer(tmp_path, bits):
+    # a verify-sized recording, whose interleaved float64 copy alone is
+    # 7.7 MB: the block buffers are the only allocations, so the peak
+    # does not grow with the length
+    n_frames = 478_336
+    rng = np.random.default_rng(bits)
+    recording = StereoRecording(
+        48000, rng.uniform(-1.0, 1.0, n_frames), rng.uniform(-1.0, 1.0, n_frames)
+    )
+    tracemalloc.start()
+    try:
+        write_wav(recording, tmp_path / "r.wav", bit_depth=bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 @pytest.mark.parametrize("delay", [-17.3, 40.5, -17.0, 3.25])
