@@ -53,6 +53,21 @@ class StereoRecording:
     bottom: np.ndarray
 
     def __post_init__(self):
+        self._validate(scan_range=True)
+
+    @classmethod
+    def _from_pcm(cls, sample_rate: int, channels: np.ndarray) -> "StereoRecording":
+        """The recording of a decoded (2, frames) array. PCM words scaled
+        by 2^(1-bits) lie in [-1, 1) and are finite, so the sample range
+        scan is skipped; every other check runs."""
+        recording = object.__new__(cls)
+        object.__setattr__(recording, "sample_rate", sample_rate)
+        object.__setattr__(recording, "top", channels[0])
+        object.__setattr__(recording, "bottom", channels[1])
+        recording._validate(scan_range=False)
+        return recording
+
+    def _validate(self, scan_range: bool) -> None:
         top = np.asarray(self.top, dtype=np.float64)
         bottom = np.asarray(self.bottom, dtype=np.float64)
         object.__setattr__(self, "top", top)
@@ -68,15 +83,17 @@ class StereoRecording:
                 f"sample rate {self.sample_rate} below {MIN_SAMPLE_RATE} Hz minimum"
             )
         # NaN fails both comparisons, so it is refused like an out-of-range sample
-        if len(top) and not all(
+        if scan_range and len(top) and not all(
             x.min() >= -1.0 - 1e-9 and x.max() <= 1.0 + 1e-9 for x in (top, bottom)
         ):
             raise FormatError("samples exceed [-1, 1] or are NaN")
         if self.sample_rate not in PREFERRED_RATES:
+            # level 4 skips _validate, __post_init__ or _from_pcm, and
+            # __init__ or load_wav: it names the caller's line
             warnings.warn(
                 f"sample rate {self.sample_rate} Hz is accepted but ranging "
                 f"resolution is only specified for {PREFERRED_RATES}",
-                stacklevel=3,
+                stacklevel=4,
             )
 
     @property
@@ -161,7 +178,7 @@ def load_wav(path) -> StereoRecording:
         np.multiply(
             _decode_pcm(block, sampwidth).reshape(-1, 2).T, scale, out=channels[:, lo:hi]
         )
-    return StereoRecording(sample_rate=rate, top=channels[0], bottom=channels[1])
+    return StereoRecording._from_pcm(rate, channels)
 
 
 def write_wav(recording: StereoRecording, path, bit_depth: int = 16) -> None:
@@ -203,6 +220,15 @@ def write_wav(recording: StereoRecording, path, bit_depth: int = 16) -> None:
 # What a loader's field parsing raises on JSON of the wrong shape: a
 # missing key or index, a wrong type, or a value that does not convert.
 FIELD_ERRORS = (AttributeError, LookupError, OverflowError, TypeError, ValueError)
+
+
+def json_int(value) -> int:
+    """A field that must be a JSON integer. Python reads true as 1 and
+    int() truncates 10.9 or parses "10", so a bool, float or string
+    raises TypeError (one of FIELD_ERRORS) instead."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _finite(text: str) -> float:

@@ -11,10 +11,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -472,6 +470,11 @@ def run_experiment(config: ExperimentConfig, model=None, workers=None) -> dict:
     if workers == 1:
         dynamics = list(map(measure, jobs))
     else:
+        # imported here: the pool's 15 modules would add about 20 ms to
+        # every CLI call, and only a corpus run forks
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # fork: workers start from this process's imported modules, which
         # costs milliseconds where a fresh interpreter costs a second
         context = multiprocessing.get_context("fork")

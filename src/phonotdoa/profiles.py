@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import FIELD_ERRORS, read_json, write_json
+from .audio_io import (
+    FIELD_ERRORS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, json_int, read_json, write_json,
+)
 from .errors import SchemaError
 from .geometry import DevicePose
 from .phonemes import INVENTORY, PhonemeInventory
@@ -253,7 +255,7 @@ def _template_from_json(doc: dict) -> PhonemeTemplate:
         label=str(doc["label"]),
         mean_delay=float(doc["mean_delay"]),
         std_delay=float(doc["std_delay"]),
-        trial_count=int(doc["trial_count"]),
+        trial_count=json_int(doc["trial_count"]),
         delays=tuple(doc.get("delays", ())),
     )
 
@@ -299,7 +301,7 @@ def load_profile(path) -> UserProfile:
             mode=ProfileMode(doc["mode"]),
             device=device,
             enrollment_pose=pose,
-            sample_rate=int(doc["sample_rate"]),
+            sample_rate=json_int(doc["sample_rate"]),
             passphrase_templates={
                 pid: [_template_from_json(t) for t in templates]
                 for pid, templates in doc.get("passphrases", {}).items()
@@ -311,6 +313,11 @@ def load_profile(path) -> UserProfile:
         )
     except FIELD_ERRORS as exc:
         raise SchemaError(f"{path}: malformed profile: {exc!r}") from exc
-    if profile.sample_rate <= 0:
-        raise SchemaError(f"{path}: sample rate {profile.sample_rate} not positive")
+    rate = profile.sample_rate
+    if rate <= 0:
+        raise SchemaError(f"{path}: sample rate {rate} not positive")
+    if not MIN_SAMPLE_RATE <= rate <= MAX_SAMPLE_RATE:
+        raise SchemaError(
+            f"{path}: sample rate {rate} outside [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}] Hz"
+        )
     return profile

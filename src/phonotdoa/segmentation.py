@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .audio_io import FIELD_ERRORS, StereoRecording, read_json, write_json
+from .audio_io import FIELD_ERRORS, StereoRecording, json_int, read_json, write_json
 from .errors import SchemaError
 from .phonemes import INVENTORY, PhonemeInventory
 
@@ -69,7 +69,7 @@ def load_alignment(
             f"{ALIGNMENT_SCHEMA_VERSION}, got {doc.get('version')!r}"
         )
     try:
-        if int(doc["sample_rate"]) != recording.sample_rate:
+        if json_int(doc["sample_rate"]) != recording.sample_rate:
             raise SchemaError(
                 f"alignment rate {doc['sample_rate']} != recording rate "
                 f"{recording.sample_rate}"
@@ -77,8 +77,8 @@ def load_alignment(
         segments = [
             PhonemeSegment(
                 label=inventory.validate(str(entry["phoneme"])),
-                start=int(entry["start"]),
-                end=int(entry["end"]),
+                start=json_int(entry["start"]),
+                end=json_int(entry["end"]),
             )
             for entry in doc["segments"]
         ]

@@ -7,14 +7,18 @@ mic, live speech therefore produces positive delays.
 Correlations are computed in the frequency domain on mean-removed
 windows. CC transforms the whole window at the next power of two
 >= window length + max_lag, which keeps the circular wraparound outside
-the searched lag range. GCC-PHAT averages sub-windows and picks its FFT
-length per sub-window: the next power of two >= sub-window length +
-max_lag.
+the searched lag range. GCC-PHAT (Knapp & Carter, IEEE TASSP 1976)
+averages sub-windows and picks its FFT length per sub-window: the next
+power of two >= sub-window length + max_lag. Each window is centred by
+its own mean straight into the rows of one zero-filled
+(2, sub-windows, FFT length) buffer, Hann-weighted in place with a
+cached window and transformed without a further copy.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,10 +114,9 @@ class TdoaDynamic:
         return np.array([m.delay_samples for m in self.measurements], dtype=float)
 
 
-def _centered(a, b, max_lag: int):
-    """Write each window minus its mean into a zero-padded (2, longer
-    window) buffer; return the buffer and the two centered norms.
-    Empty and zero-variance windows raise DegenerateSignalError."""
+def _checked_windows(a, b, max_lag: int):
+    """Both windows as float64 arrays; an empty window raises
+    DegenerateSignalError, a lag range the windows cannot hold ValueError."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
@@ -122,14 +125,28 @@ def _centered(a, b, max_lag: int):
         raise ValueError("max_lag must be >= 1")
     if max_lag >= max(a.size, b.size):
         raise ValueError("max_lag must be smaller than the window length")
+    return a, b
+
+
+def _check_variance(x: np.ndarray, sum_sq: float) -> float:
+    """The centred norm of window x from its sum of squared deviations;
+    a zero-variance window raises DegenerateSignalError."""
+    norm = math.sqrt(sum_sq)
+    if norm <= _RELATIVE_VARIANCE_FLOOR * max(x.max(), -x.min()) * math.sqrt(x.size):
+        raise DegenerateSignalError("zero-variance correlation window")
+    return norm
+
+
+def _centered(a, b, max_lag: int):
+    """Write each window minus its mean into a zero-padded (2, longer
+    window) buffer; return the buffer and the two centered norms.
+    Empty and zero-variance windows raise DegenerateSignalError."""
+    a, b = _checked_windows(a, b, max_lag)
     buf = np.zeros((2, max(a.size, b.size)))
     norms = []
     for x, row in zip((a, b), buf):
         centered = np.subtract(x, x.mean(), out=row[: x.size])
-        norm = math.sqrt(np.sum(centered * centered))
-        if norm <= _RELATIVE_VARIANCE_FLOOR * max(x.max(), -x.min()) * math.sqrt(x.size):
-            raise DegenerateSignalError("zero-variance correlation window")
-        norms.append(norm)
+        norms.append(_check_variance(x, np.sum(centered * centered)))
     return buf, norms
 
 
@@ -165,6 +182,17 @@ def normalized_cross_correlation(a, b, max_lag: int) -> np.ndarray:
 PHAT_SEGMENT_FACTOR = 16
 
 
+# Hann windows by sub-window length. A sub-window is shorter than 1.5 *
+# max(PHAT_SEGMENT_FACTOR * max_lag, 256) samples, under 18 KB at 192 kHz
+# with the reference mic spacing, so 64 entries stay near 1 MB. Rendered
+# phoneme lengths are multiples of 256 samples: 387 segments used 38.
+@functools.lru_cache(maxsize=64)
+def _hann(length: int) -> np.ndarray:
+    window = np.hanning(length)
+    window.flags.writeable = False  # shared by every caller
+    return window
+
+
 def gcc_phat(a, b, max_lag: int, spectral_floor: float = PHAT_SPECTRAL_FLOOR) -> np.ndarray:
     """Phase-transform weighted cross-correlation by lag.
 
@@ -175,15 +203,28 @@ def gcc_phat(a, b, max_lag: int, spectral_floor: float = PHAT_SPECTRAL_FLOOR) ->
     smearing. Bins whose magnitude falls below spectral_floor times the
     peak magnitude are zero-weighted.
     """
-    buf, _ = _centered(a, b, max_lag)
-    length = min(len(a), len(b))
+    a, b = _checked_windows(a, b, max_lag)
+    length = min(a.size, b.size)
     n_seg = max(1, length // max(PHAT_SEGMENT_FACTOR * max_lag, 256))
     seg = length // n_seg
-    frames = buf[:, : n_seg * seg].reshape(2, n_seg, seg)  # a view: windowed in place
-    if n_seg > 1:
-        frames *= np.hanning(seg)
     n = _fft_length(seg, max_lag)
-    spec_a, spec_b = np.fft.rfft(frames, n, axis=-1)
+    # rows zero-padded to the FFT length up front, so rfft makes no padded copy
+    frames = np.zeros((2, n_seg, n))
+    for x, rows in zip((a, b), frames):
+        mean = x.mean()
+        filled = np.subtract(
+            x[: n_seg * seg].reshape(n_seg, seg), mean, out=rows[:, :seg]
+        )
+        # the variance check covers the whole window: the rows plus the
+        # samples past the last full sub-window. einsum, not np.dot: a
+        # BLAS dot starts threads that made forked corpus workers 5x slower
+        tail = x[n_seg * seg :] - mean
+        _check_variance(
+            x, np.einsum("ij,ij->", filled, filled) + np.einsum("i,i->", tail, tail)
+        )
+    if n_seg > 1:
+        frames[:, :, :seg] *= _hann(seg)
+    spec_a, spec_b = np.fft.rfft(frames, axis=-1)
     np.conjugate(spec_a, out=spec_a)
     spec_a *= spec_b
     spec = spec_a.sum(axis=0)
@@ -208,7 +249,7 @@ def _parabolic_offset(y_left: float, y_center: float, y_right: float) -> float:
     denom = y_left - 2.0 * y_center + y_right
     if denom == 0.0:
         return 0.0
-    return float(np.clip(0.5 * (y_left - y_right) / denom, -0.5, 0.5))
+    return float(min(max(0.5 * (y_left - y_right) / denom, -0.5), 0.5))
 
 
 def estimate_tdoa(

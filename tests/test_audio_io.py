@@ -29,15 +29,40 @@ def test_length_and_rate_pass_through(tmp_path):
     assert len(rec.bottom) == 9600
 
 
-def test_int16_full_scale_normalization(tmp_path):
-    data = np.array([32767, -32768, 0, 16384], dtype="<i2")  # two frames
+def _pcm(words, bits: int) -> bytes:
+    words = np.asarray(words, dtype="<i4")
+    if bits == 24:
+        return words.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    return words.astype("<i2" if bits == 16 else "<i4").tobytes()
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32])
+def test_int16_full_scale_normalization(tmp_path, bits):
+    # load_wav skips the sample range scan because of this: a word
+    # scaled by 2^(1-bits) lies in [-1, 1 - 2^(1-bits)]
+    full = 2 ** (bits - 1)
     path = tmp_path / "fs.wav"
-    _write_raw(path, 2, 2, 48000, data.tobytes())
+    _write_raw(path, 2, bits // 8, 48000, _pcm([full - 1, -full, 0, full // 2], bits))
     rec = load_wav(path)
-    assert rec.top[0] == pytest.approx(32767 / 32768)
-    assert rec.bottom[0] == pytest.approx(-1.0)
+    assert rec.top[0] == 1.0 - 2.0 ** (1 - bits)
+    assert rec.bottom[0] == -1.0
     assert rec.top[1] == 0.0
-    assert rec.bottom[1] == pytest.approx(0.5)
+    assert rec.bottom[1] == 0.5
+
+
+def test_load_wav_rate_below_minimum_rejected(tmp_path):
+    path = tmp_path / "8k.wav"
+    _write_raw(path, 2, 2, 8000, np.zeros(8, dtype="<i2").tobytes())
+    with pytest.raises(FormatError, match="sample rate 8000 below 44100 Hz minimum"):
+        load_wav(path)
+
+
+def test_load_wav_unusual_rate_warns(tmp_path):
+    path = tmp_path / "44k.wav"
+    _write_raw(path, 2, 2, 44100, np.zeros(8, dtype="<i2").tobytes())
+    with pytest.warns(UserWarning, match="sample rate 44100 Hz is accepted") as record:
+        load_wav(path)
+    assert record[0].filename == __file__
 
 
 def test_mono_file_rejected(tmp_path):
@@ -193,5 +218,6 @@ def test_non_finite_samples_fail_closed(channel, value):
 
 
 def test_unusual_rate_warns():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         StereoRecording(44100, np.zeros(4), np.zeros(4))
+    assert record[0].filename == __file__

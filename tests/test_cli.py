@@ -209,10 +209,12 @@ def test_pose_nan_angle_exits_2_under_optimize():
 
 def test_import_loads_no_scipy():
     # every CLI call is a fresh process: scipy.signal, needed only for
-    # beep-echo ranging, must not load with the package
+    # beep-echo ranging, and the process pool, needed only by a corpus
+    # run, must not load with the package
     proc = _run_python("-c", (
         "import phonotdoa, phonotdoa.cli; import sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('scipy', 'multiprocessing', 'concurrent')))"
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -279,6 +281,14 @@ MALFORMED_INPUTS = {
         "alignment", _segments({"phoneme": "AA", "start": "x", "end": 100}), "SchemaError",
     ),
     "sample_rate_text": ("alignment", lambda p, a: _with(a, sample_rate="fast"), "SchemaError"),
+    "sample_rate_fraction": (
+        "alignment", lambda p, a: _with(a, sample_rate=a["sample_rate"] + 0.7), "SchemaError",
+    ),
+    "profile_rate_low": ("profile", lambda p, a: _with(p, sample_rate=1000), "SchemaError"),
+    "profile_rate_fraction": (
+        "profile", lambda p, a: _with(p, sample_rate=p["sample_rate"] + 0.7), "SchemaError",
+    ),
+    "profile_rate_bool": ("profile", lambda p, a: _with(p, sample_rate=True), "SchemaError"),
 }
 
 

@@ -193,12 +193,15 @@ def test_delayed_pair_pad_matches_power_of_two_reference(n):
             assert np.max(np.abs(got - np.stack(ref))) <= 1e-10 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("length", [300, 2048, 9000, 19200, 30721])
+@pytest.mark.parametrize("len_a, len_b", [
+    *(pytest.param(n, n, id=str(n)) for n in (300, 2048, 9000, 19200, 30721)),
+    (2048, 2000), (9000, 9100),
+])
 @pytest.mark.parametrize("max_lag", [10, 93])
-def test_gcc_phat_matches_looped_reference(length, max_lag):
-    rng = np.random.default_rng(length + max_lag)
-    a = rng.standard_normal(length)
-    b = np.roll(a, 7) + 0.3 * rng.standard_normal(length)
+def test_gcc_phat_matches_looped_reference(len_a, len_b, max_lag):
+    rng = np.random.default_rng(len_a + max_lag)
+    a = rng.standard_normal(len_a)
+    b = np.roll(np.resize(a, len_b), 7) + 0.3 * rng.standard_normal(len_b)
     got = gcc_phat(a, b, max_lag)
     want = _gcc_phat_reference(a, b, max_lag)
     assert got.shape == want.shape

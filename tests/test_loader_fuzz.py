@@ -326,6 +326,28 @@ def test_load_profile_non_positive_rate_rejected(tmp_path, rate):
         load_profile(path)
 
 
+@pytest.mark.parametrize("rate, match", [
+    (1000, "outside"), (384001, "outside"),
+    (192000.5, "expected an integer"), (True, "expected an integer"),
+])
+def test_load_profile_rate_out_of_range_rejected(tmp_path, rate, match):
+    # each of these once loaded, and verify printed a verdict at that rate
+    doc = _profile_doc(tmp_path)
+    doc["sample_rate"] = rate
+    path = _write(tmp_path / "p.json", doc)
+    with pytest.raises(SchemaError, match=match):
+        load_profile(path)
+
+
+@pytest.mark.parametrize("count", [3.0, 3.7, True, "3"])
+def test_load_profile_non_integer_trial_count_rejected(tmp_path, count):
+    doc = _profile_doc(tmp_path)
+    doc["passphrases"]["pp0"][1]["trial_count"] = count
+    path = _write(tmp_path / "p.json", doc)
+    with pytest.raises(SchemaError, match="expected an integer"):
+        load_profile(path)
+
+
 def test_load_profile_round_trips_the_fuzz_base(tmp_path):
     # the mutations above start from a profile that loads
     path = _write(tmp_path / "p.json", _profile_doc(tmp_path))

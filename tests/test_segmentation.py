@@ -94,6 +94,21 @@ def test_load_alignment_bad_version(tmp_path):
         load_alignment(_alignment_file(tmp_path, doc), _silent())
 
 
+@pytest.mark.parametrize("field", ["start", "end", "sample_rate"])
+@pytest.mark.parametrize("value", [True, 10.9, 192000.7, "10"])
+def test_load_alignment_non_integer_field_rejected(tmp_path, field, value):
+    # int() once read 10.9 as 10, true as 1 and "10" as 10, and passed
+    # a rate of 192000.7 against a 192 kHz recording
+    segment = {"phoneme": "AA", "start": 0, "end": 4000}
+    doc = {"version": 1, "sample_rate": 192000, "segments": [segment]}
+    if field == "sample_rate":
+        doc["sample_rate"] = value
+    else:
+        segment[field] = value
+    with pytest.raises(SchemaError, match="expected an integer"):
+        load_alignment(_alignment_file(tmp_path, doc), _silent())
+
+
 def test_alignment_roundtrip(tmp_path):
     segs = [
         PhonemeSegment(start=100, end=4000, label="AA"),

@@ -65,6 +65,24 @@ def test_cc_constant_signal_degenerate():
         gcc_phat(a, b, 40)
 
 
+@pytest.mark.parametrize("window", [np.full(3000, 0.3), np.zeros(3000)], ids=["constant", "zeros"])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_gcc_phat_degenerate_window(window, side):
+    other = _band_noise(3100)
+    a, b = (window, other) if side == "a" else (other, window)
+    with pytest.raises(DegenerateSignalError, match="zero-variance correlation window"):
+        gcc_phat(a, b, 40)
+
+
+def test_gcc_phat_variance_past_last_sub_window_counts():
+    # at max_lag 40 the common 3000 samples make 4 sub-windows of 750, so
+    # b's last 100 samples sit in no sub-window but still count
+    a = _band_noise(3000)
+    b = np.full(3100, 0.3)
+    b[3000:] += _band_noise(100)
+    assert gcc_phat(a, b, 40).shape == (81,)
+
+
 def test_cc_empty_window_degenerate():
     with pytest.raises(DegenerateSignalError, match="empty correlation window"):
         normalized_cross_correlation(np.array([]), np.array([]), 1)
