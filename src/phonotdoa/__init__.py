@@ -40,12 +40,8 @@ from .scoring import (
     ScoringMethod,
     SimilarityScore,
     Verdict,
-    combined_score,
-    correlation_score,
     decide,
-    probability_score,
     score_dynamic,
-    weighted_correlation_score,
 )
 from .segmentation import PhonemeSegment, load_alignment
 from .simulator import (

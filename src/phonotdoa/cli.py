@@ -18,10 +18,10 @@ from pathlib import Path
 
 from . import __version__
 from .audio_io import (
-    FIELD_ERRORS, check_sample_rate, load_wav, read_json, write_json, write_wav,
+    FIELD_ERRORS, check_sample_rate, json_int, load_wav, read_json, write_json, write_wav,
 )
 from .config import load_config
-from .errors import ConfigError, PhonotdoaError, SchemaError
+from .errors import ConfigError, PhonotdoaError
 from .evaluation import ExperimentConfig, run_experiment, transform_templates, write_report
 from .geometry import (
     REFERENCE_POSE,
@@ -33,12 +33,7 @@ from .geometry import (
     transform_tdoa,
 )
 from .profiles import (
-    ProfileMode,
-    assemble_template,
-    enroll_from_dynamics,
-    load_profile,
-    normalize_dynamic,
-    save_profile,
+    ProfileMode, enroll_from_dynamics, load_profile, normalize_dynamic, save_profile,
 )
 from .scoring import ScoringMethod, Verdict, decide, score_dynamic
 from .segmentation import load_alignment, save_alignment
@@ -50,7 +45,7 @@ from .simulator import (
     synthesize_live,
 )
 from .sourcemodel import load_source_model
-from .tdoa import DeviceSpec, Method, measure_dynamic
+from .tdoa import DEFAULT_DEVICE, DeviceSpec, Method, measure_dynamic
 
 log = logging.getLogger("phonotdoa")
 
@@ -66,9 +61,9 @@ def _pose_from_args(args) -> DevicePose:
     )
 
 
-def _device_from_args(args, fallback=None) -> DeviceSpec:
+def _device_from_args(args, fallback=DEFAULT_DEVICE) -> DeviceSpec:
     if args.device_spacing_m is None:
-        return fallback if fallback is not None else DeviceSpec(0.15, "reference")
+        return fallback
     return DeviceSpec(mic_spacing_m=args.device_spacing_m, name=args.device_name)
 
 
@@ -90,8 +85,8 @@ def cmd_simulate(args) -> int:
     scene = read_json(args.scene, ConfigError)
     try:
         kind = scene["kind"]
-        fs = int(scene.get("sample_rate", 192000))
-        seed = int(scene.get("seed", args.seed))
+        fs = json_int(scene.get("sample_rate", 192000))
+        seed = json_int(scene.get("seed", args.seed))
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         if kind == "beep":
@@ -105,7 +100,7 @@ def cmd_simulate(args) -> int:
             snr = float(scene.get("noise_snr_db", 30.0))
             if kind == "live":
                 echo = scene.get("echo")
-                echo = (int(echo[0]), float(echo[1])) if echo else None
+                echo = (json_int(echo[0]), float(echo[1])) if echo else None
                 jitter_scale = float(scene.get("jitter_scale", 1.0))
             else:
                 scenario = AttackScenario(
@@ -237,22 +232,9 @@ def cmd_verify(args) -> int:
             dynamic, device, profile.device, to_sample_rate=profile.sample_rate
         )
 
-    inventory_stats = None
-    if profile.mode == ProfileMode.TEXT_DEPENDENT:
-        pid = args.passphrase_id
-        if pid is None:
-            ids = sorted(profile.passphrase_templates)
-            if len(ids) != 1:
-                raise SchemaError(
-                    f"profile holds {len(ids)} passphrases; pass --passphrase-id"
-                )
-            pid = ids[0]
-        templates = profile.templates_for(pid)
-    else:
-        templates = assemble_template(profile, [s.label for s in segments])
-        inventory_stats = {
-            label: t.std_delay for label, t in profile.phoneme_templates.items()
-        }
+    templates = profile.utterance_templates(
+        [s.label for s in segments], args.passphrase_id
+    )
 
     # pose release: map enrolled templates onto the verification pose
     alpha = math.radians(args.angle_deg or 0.0)
@@ -265,15 +247,14 @@ def cmd_verify(args) -> int:
     if args.distance_m is not None:
         new_x = args.distance_m
     delta_x = (new_x - profile.enrollment_pose.x) if new_x is not None else 0.0
-    if alpha != 0.0 or delta_x != 0.0:
-        templates = transform_templates(
-            templates, profile.enrollment_pose, alpha, delta_x,
-            profile.sample_rate, c=config.c,
-        )
+    templates = transform_templates(
+        templates, profile.enrollment_pose, alpha, delta_x,
+        profile.sample_rate, c=config.c,
+    )
 
-    method = ScoringMethod(config.method)
     sim = score_dynamic(
-        dynamic, templates, method=method, inventory_stats=inventory_stats
+        dynamic, templates, method=ScoringMethod(config.method),
+        weighted=profile.mode == ProfileMode.TEXT_INDEPENDENT,
     )
     decision = decide(sim, config.threshold)
     _emit(decision.to_json_dict())

@@ -36,7 +36,3 @@ class NoSolutionError(PhonotdoaError):
 
 class InvalidPoseError(PhonotdoaError):
     """Pose or device fields violate their constraints."""
-
-
-class DegenerateSequenceError(PhonotdoaError):
-    """Constant sequence; correlation coefficient undefined."""

@@ -13,7 +13,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +22,7 @@ from .audio_io import FIELD_ERRORS, check_sample_rate, write_json
 from .errors import ConfigError, NoSolutionError
 from .geometry import REFERENCE_POSE, SPEED_OF_SOUND, DevicePose, transform_tdoa
 from .phonemes import INVENTORY
-from .profiles import (
-    MIN_TRIALS,
-    PhonemeTemplate,
-    ProfileMode,
-    assemble_template,
-    enroll_from_dynamics,
-)
+from .profiles import MIN_TRIALS, ProfileMode, enroll_from_dynamics
 from .scoring import ScoringMethod, score_dynamic
 from .simulator import (
     MIN_REPLACE_DISTANCE_M,
@@ -40,7 +34,7 @@ from .simulator import (
     synthesize_live,
 )
 from .sourcemodel import load_source_model
-from .tdoa import DeviceSpec, TdoaDynamic, measure_dynamic
+from .tdoa import DEFAULT_DEVICE, DeviceSpec, TdoaDynamic, measure_dynamic
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ class ExperimentConfig:
     transform: bool = True
     per_user_variation: bool = True
     oral_only: bool = False
-    device: DeviceSpec = field(default_factory=lambda: DeviceSpec(0.15, "reference"))
+    device: DeviceSpec = DEFAULT_DEVICE
     threshold: float = None
 
     @classmethod
@@ -307,9 +301,12 @@ def transform_templates(
     sample_rate: int,
     c: float = SPEED_OF_SOUND,
 ):
-    """Map template means to a new handset pose. Templates whose delay
-    admits no on-axis source (e.g. nasals, whose source sits high above
-    the mouth) are passed through unchanged."""
+    """Map template means to a new handset pose; with no pose change the
+    templates are returned as they are. Templates whose delay admits no
+    on-axis source (e.g. nasals, whose source sits high above the mouth)
+    are passed through unchanged."""
+    if alpha == 0.0 and delta_x == 0.0:
+        return templates
     out = []
     for t in templates:
         try:
@@ -319,15 +316,7 @@ def transform_templates(
             )
         except NoSolutionError:
             new_mean = t.mean_delay
-        out.append(
-            PhonemeTemplate(
-                label=t.label,
-                mean_delay=new_mean,
-                std_delay=t.std_delay,
-                trial_count=t.trial_count,
-                delays=t.delays,
-            )
-        )
+        out.append(replace(t, mean_delay=new_mean))
     return out
 
 
@@ -483,32 +472,24 @@ def run_experiment(config: ExperimentConfig, model=None, workers=None) -> dict:
 
     pose0 = REFERENCE_POSE
     fs = config.sample_rate
+    weighted = config.mode == ProfileMode.TEXT_INDEPENDENT
     rows = []
     for user_id, passphrase_id, band, labels, enroll, pp_rows in passphrases:
         profile = enroll_from_dynamics(
             user_id, config.mode, [dynamics[j] for j in enroll],
             pose0, config.device, passphrase_id,
         )
-        if config.mode == ProfileMode.TEXT_DEPENDENT:
-            base_templates = profile.templates_for(passphrase_id)
-            inventory_stats = None
-        else:
-            base_templates = assemble_template(profile, labels)
-            inventory_stats = {
-                label: t.std_delay for label, t in profile.phoneme_templates.items()
-            }
+        base_templates = profile.utterance_templates(labels, passphrase_id)
         templates = [
             transform_templates(
                 base_templates, pose0, math.radians(alpha_deg), delta_x, fs
             )
-            if (alpha_deg or delta_x) and config.transform
+            if config.transform
             else base_templates
             for alpha_deg, delta_x in poses
         ]
         for kind, pose_idx, j in pp_rows:
-            sim = score_dynamic(
-                dynamics[j], templates[pose_idx], inventory_stats=inventory_stats
-            )
+            sim = score_dynamic(dynamics[j], templates[pose_idx], weighted=weighted)
             alpha_deg, delta_x = poses[pose_idx]
             rows.append(
                 {

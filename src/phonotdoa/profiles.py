@@ -82,6 +82,22 @@ class UserProfile:
                 f"profile has no passphrase {passphrase_id!r}"
             ) from None
 
+    def utterance_templates(self, labels, passphrase_id: str = None) -> list:
+        """The templates to score an utterance of labels against: the
+        inventory templates in label order for a text-independent
+        profile, else the named passphrase's, or the only passphrase's
+        when none is named."""
+        if self.mode == ProfileMode.TEXT_INDEPENDENT:
+            return assemble_template(self, labels)
+        if passphrase_id is None:
+            ids = sorted(self.passphrase_templates)
+            if len(ids) != 1:
+                raise SchemaError(
+                    f"profile holds {len(ids)} passphrases; pass --passphrase-id"
+                )
+            passphrase_id = ids[0]
+        return self.templates_for(passphrase_id)
+
 
 def enroll_text_dependent(
     user_id: str,

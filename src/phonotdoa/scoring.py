@@ -7,9 +7,13 @@ std shrinks and its values are not comparable across phonemes, while
 the kernel is a per-phoneme monotone transform of it that stays in
 (0, 1]. Template stds are floored at 0.5 samples before use.
 
-Weighted correlation uses weights inside the covariance and variance
-sums once each, with plain sequence means, so uniform weights cancel
-exactly and the score stays in [-1, 1].
+Weighted correlation (text-independent profiles) weights each phoneme
+by 1/(template std + 0.1): stable phonemes count more. The weights enter
+the covariance and variance sums once each, with plain sequence means,
+so uniform weights cancel exactly and the score stays in [-1, 1].
+
+A constant sequence has no correlation; it scores 0.0 as a correlation
+and the neutral 0.5 as the correlation half of the combined score.
 """
 
 from __future__ import annotations
@@ -20,14 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSequenceError, SchemaError
+from .errors import ConfigError, SchemaError
 from .profiles import STD_FLOOR_SAMPLES
 from .tdoa import TdoaDynamic
 
 MIN_SEQUENCE_LENGTH = 3
 
-# weighting for the stability-aware correlation: stable phonemes count
-# more, w = 1/(sigma + eps)
+# weighting for the stability-aware correlation: w = 1/(std + eps)
 WEIGHT_EPSILON = 0.1  # samples
 
 _VARIANCE_EPS = 1e-24
@@ -51,7 +54,7 @@ class SimilarityScore:
     probability: float
     combined: float
     method_used: ScoringMethod
-    weighted: float = None  # None without inventory stats
+    weighted: float = None  # weights 1/(template std + 0.1); text-independent only
 
     def selected(self, method: ScoringMethod = None) -> float:
         """The score of method (default: the method used); each method's
@@ -59,7 +62,7 @@ class SimilarityScore:
         method = method or self.method_used
         if method == ScoringMethod.WEIGHTED and self.weighted is None:
             raise ConfigError(
-                "weighted method needs a text-independent profile's inventory stats"
+                "weighted method needs a text-independent profile"
             )
         return getattr(self, method.value)
 
@@ -112,12 +115,12 @@ def _paired(dynamic: TdoaDynamic, templates) -> tuple:
     return x, means, stds
 
 
-def _weights(templates, inventory_stats) -> np.ndarray:
-    sigmas = np.array([float(inventory_stats[t.label]) for t in templates])
-    return 1.0 / (sigmas + WEIGHT_EPSILON)
+def _weights(templates) -> np.ndarray:
+    return 1.0 / (np.array([t.std_delay for t in templates]) + WEIGHT_EPSILON)
 
 
-def _pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray = None) -> float:
+def _pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray = None):
+    """Weighted Pearson correlation, or None for a constant sequence."""
     xc = x - x.mean()
     yc = y - y.mean()
     if w is None:
@@ -126,82 +129,41 @@ def _pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray = None) -> float:
     vx = float(np.sum(w * xc * xc))
     vy = float(np.sum(w * yc * yc))
     if vx < _VARIANCE_EPS or vy < _VARIANCE_EPS:
-        raise DegenerateSequenceError("constant sequence has no correlation")
-    return cov / math.sqrt(vx * vy)
-
-
-def _pearson_or_none(x, y, w=None):
-    try:
-        return _pearson(x, y, w)
-    except DegenerateSequenceError:
         return None
+    return cov / math.sqrt(vx * vy)
 
 
 def _kernel_mean(x, means, stds) -> float:
     return float(np.mean(np.exp(-((x - means) ** 2) / (2.0 * stds**2))))
 
 
-def correlation_score(dynamic: TdoaDynamic, templates) -> float:
-    """Pearson correlation between measured delays and template means."""
-    x, means, _ = _paired(dynamic, list(templates))
-    return _pearson(x, means)
-
-
-def probability_score(dynamic: TdoaDynamic, templates) -> float:
-    """Mean Gaussian-kernel agreement, one term per phoneme, in (0, 1]."""
-    return _kernel_mean(*_paired(dynamic, list(templates)))
-
-
-def weighted_correlation_score(
-    dynamic: TdoaDynamic,
-    templates,
-    inventory_stats,
-) -> float:
-    """Stability-weighted correlation: per-phoneme group stds from
-    inventory_stats set the weights, so stable phonemes dominate and a
-    wild phoneme cannot drag the whole score down."""
-    templates = list(templates)
-    x, means, _ = _paired(dynamic, templates)
-    return _pearson(x, means, _weights(templates, inventory_stats))
-
-
-def combined_score(
-    dynamic: TdoaDynamic,
-    templates,
-    inventory_stats=None,
-) -> float:
-    """Mean of the rescaled correlation ((rho+1)/2) and the probability
-    score. A degenerate (constant) measured sequence contributes the
-    neutral 0.5 instead of erroring; uses the weighted correlation when
-    inventory stats are supplied (text-independent mode)."""
-    return score_dynamic(dynamic, templates, inventory_stats=inventory_stats).combined
-
-
 def score_dynamic(
     dynamic: TdoaDynamic,
     templates,
     method: ScoringMethod = ScoringMethod.COMBINED,
-    inventory_stats=None,
+    weighted: bool = False,
 ) -> SimilarityScore:
     """Every score for one comparison, from one pairing; the method only
-    selects among them. A degenerate correlation maps to 0.0 at this
-    level (a flat replay dynamic earns no similarity)."""
+    selects among them. correlation is the Pearson correlation with the
+    template means, probability the mean per-phoneme kernel value in
+    (0, 1], combined the mean of (rho + 1)/2 and probability. With
+    weighted, rho in the combined score is the stability-weighted
+    correlation, also reported as weighted."""
     templates = list(templates)
     x, means, stds = _paired(dynamic, templates)
     prob = _kernel_mean(x, means, stds)
-    rho = _pearson_or_none(x, means)
-    # the combined score uses the weighted correlation when stats exist
-    weighted, combined_rho = None, rho
-    if inventory_stats is not None:
-        combined_rho = _pearson_or_none(x, means, _weights(templates, inventory_stats))
-        weighted = 0.0 if combined_rho is None else combined_rho
+    rho = _pearson(x, means)
+    weighted_rho, combined_rho = None, rho
+    if weighted:
+        combined_rho = _pearson(x, means, _weights(templates))
+        weighted_rho = 0.0 if combined_rho is None else combined_rho
     corr_part = 0.5 if combined_rho is None else (combined_rho + 1.0) / 2.0
     return SimilarityScore(
         correlation=0.0 if rho is None else rho,
         probability=prob,
         combined=(corr_part + prob) / 2.0,
         method_used=method,
-        weighted=weighted,
+        weighted=weighted_rho,
     )
 
 

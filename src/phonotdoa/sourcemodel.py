@@ -30,7 +30,7 @@ import math
 
 from .audio_io import FIELD_ERRORS, read_json
 from .errors import ConfigError, NoSolutionError, SchemaError
-from .geometry import REFERENCE_POSE, DevicePose, pose_to_tdoa, solve_on_line
+from .geometry import REFERENCE_POSE, SPEED_OF_SOUND, DevicePose, pose_to_tdoa, solve_on_line
 from .phonemes import INVENTORY, NASAL
 
 MODEL_SCHEMA_VERSION = 1
@@ -137,7 +137,7 @@ class VocalSourceModel:
         self,
         sources: dict,
         reference_pose: DevicePose = REFERENCE_POSE,
-        c: float = 340.0,
+        c: float = SPEED_OF_SOUND,
     ):
         if reference_pose.alpha != 0.0:
             raise ConfigError(
@@ -260,13 +260,13 @@ class VocalSourceModel:
                 )
                 for label, entry in doc["phonemes"].items()
             }
-            c = float(doc.get("speed_of_sound", 340.0))
+            c = float(doc.get("speed_of_sound", SPEED_OF_SOUND))
         except FIELD_ERRORS as exc:
             raise ConfigError(f"malformed source model: {exc!r}") from exc
         return cls(sources, pose, c)
 
 
-def build_default_source_model(c: float = 340.0) -> VocalSourceModel:
+def build_default_source_model(c: float = SPEED_OF_SOUND) -> VocalSourceModel:
     """Solve the shipped coordinates from the target-delay table."""
     pose = REFERENCE_POSE
     sources = {}

@@ -26,9 +26,8 @@ import numpy as np
 
 from .audio_io import StereoRecording
 from .errors import DegenerateSignalError, InvalidPoseError
+from .geometry import SPEED_OF_SOUND
 from .segmentation import PhonemeSegment
-
-SPEED_OF_SOUND = 340.0  # m/s
 
 # search margin beyond the geometric maximum lag
 MAX_LAG_MARGIN = 8

@@ -10,6 +10,7 @@ import json
 import contextlib
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,11 +26,7 @@ from phonotdoa.evaluation import (
 from phonotdoa.geometry import REFERENCE_POSE, pose_to_tdoa, transform_tdoa
 from phonotdoa.phonemes import AFFRICATE, INVENTORY, NASAL, STOP
 from phonotdoa.profiles import PhonemeTemplate, normalize_dynamic
-from phonotdoa.scoring import (
-    correlation_score,
-    probability_score,
-    weighted_correlation_score,
-)
+from phonotdoa.scoring import score_dynamic
 from phonotdoa.simulator import (
     AttackKind,
     AttackScenario,
@@ -481,8 +478,10 @@ def test_c9_identities(source_model):
         PhonemeTemplate(label=l, mean_delay=m, std_delay=1.0, trial_count=3)
         for l, m in zip(labels, means)
     ]
-    plain = correlation_score(dyn, templates)
-    uniform = weighted_correlation_score(dyn, templates, {l: 2.1 for l in labels})
+    plain = score_dynamic(dyn, templates).correlation
+    uniform = score_dynamic(
+        dyn, [replace(t, std_delay=2.1) for t in templates], weighted=True
+    ).weighted
     checks.append(abs(plain - uniform) <= 1e-12)
 
     # normalization round trip to 1e-9
@@ -492,7 +491,7 @@ def test_c9_identities(source_model):
     checks.append(bool(np.all(np.abs(back.delays - dyn.delays) < 1e-9)))
 
     # kernel value exp(-1/2) at a one-sigma offset
-    one_sigma = probability_score(
+    one_sigma = score_dynamic(
         TdoaDynamic(
             measurements=(
                 TdoaMeasurement(label="AA", delay_samples=53.0, peak_value=1.0, method=Method.GCC_PHAT),
@@ -507,7 +506,7 @@ def test_c9_identities(source_model):
             PhonemeTemplate(label="S", mean_delay=54.5, std_delay=1.0, trial_count=3),
             PhonemeTemplate(label="K", mean_delay=47.5, std_delay=1.0, trial_count=3),
         ],
-    )
+    ).probability
     checks.append(abs(one_sigma - (math.exp(-0.5) + 2.0) / 3.0) < 1e-12)
 
     ok = all(checks)

@@ -289,6 +289,14 @@ MALFORMED_INPUTS = {
         "profile", lambda p, a: _with(p, sample_rate=p["sample_rate"] + 0.7), "SchemaError",
     ),
     "profile_rate_bool": ("profile", lambda p, a: _with(p, sample_rate=True), "SchemaError"),
+    # a text-dependent profile needs --passphrase-id unless it holds one passphrase
+    "profile_two_passphrases": (
+        "profile",
+        lambda p, a: _with(p, passphrases={"passphrase0": p["passphrases"]["passphrase0"],
+                                           "second": p["passphrases"]["passphrase0"]}),
+        "SchemaError",
+    ),
+    "profile_no_passphrases": ("profile", lambda p, a: _with(p, passphrases={}), "SchemaError"),
 }
 
 
@@ -310,6 +318,17 @@ def test_verify_malformed_input_file_is_typed_error(pipeline, tmp_path, case, ca
     assert json.loads(capsys.readouterr().err)["error"] == error
 
 
+def test_verify_unknown_passphrase_id_is_typed_error(pipeline, capsys):
+    _, profile, live_dir, _ = pipeline
+    code, out = run_cli(
+        "verify", live_dir / "recording.wav", live_dir / "alignment.json",
+        "--profile", profile, "--passphrase-id", "absent",
+    )
+    assert (code, out) == (2, "")
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "SchemaError", "message": "profile has no passphrase 'absent'"}
+
+
 @pytest.mark.parametrize("scene", [
     {"kind": "live", "labels": ["AA", "S", "K"], "pose": {"x": 0.03}},
     {"kind": "beep"},
@@ -324,11 +343,18 @@ def test_verify_malformed_input_file_is_typed_error(pipeline, tmp_path, case, ca
     {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": 384001},
     {"kind": "beep", "face_distance_m": 0.1, "sample_rate": 0},
     {"kind": "beep", "face_distance_m": 0.1, "sample_rate": 384001},
+    # integer fields must be JSON integers, not parsed or truncated
+    {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": "192000"},
+    {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": 192000.9},
+    {"kind": "live", "labels": ["AA", "S", "K"], "seed": True},
+    {"kind": "live", "labels": ["AA", "S", "K"], "seed": "5"},
+    {"kind": "live", "labels": ["AA", "S", "K"], "echo": [96.9, 0.3]},
 ], ids=[
     "pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text",
     "seed_negative", "snr_very_negative", "attack_snr_very_negative",
     "rate_zero", "rate_negative", "rate_below_minimum", "rate_above_maximum",
     "beep_rate_zero", "beep_rate_above_maximum",
+    "rate_numeric_text", "rate_fraction", "seed_bool", "seed_text", "echo_lag_fraction",
 ])
 def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     path = tmp_path / "scene.json"

@@ -5,18 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonotdoa.errors import DegenerateSequenceError, SchemaError
+from phonotdoa.errors import SchemaError
 from phonotdoa.profiles import PhonemeTemplate
-from phonotdoa.scoring import (
-    ScoringMethod,
-    Verdict,
-    combined_score,
-    correlation_score,
-    decide,
-    probability_score,
-    score_dynamic,
-    weighted_correlation_score,
-)
+from phonotdoa.scoring import ScoringMethod, Verdict, decide, score_dynamic
 from phonotdoa.tdoa import DeviceSpec, Method, TdoaDynamic, TdoaMeasurement
 
 DEVICE = DeviceSpec(0.15, "reference")
@@ -51,51 +42,53 @@ LAB5 = ["AA", "S", "K", "OW", "M"]
 def test_correlation_perfect_match():
     means = [50.0, 55.0, 48.0, 52.0, -30.0]
     dyn = _dynamic(means, LAB5)
-    assert correlation_score(dyn, _templates(means, LAB5)) == pytest.approx(1.0)
+    assert score_dynamic(dyn, _templates(means, LAB5)).correlation == pytest.approx(1.0)
 
 
 def test_correlation_anti_match():
     means = [50.0, 55.0, 48.0, 52.0, -30.0]
     flipped = [100.0 - m for m in means]  # negated and shifted
     dyn = _dynamic(flipped, LAB5)
-    assert correlation_score(dyn, _templates(means, LAB5)) == pytest.approx(-1.0)
+    assert score_dynamic(dyn, _templates(means, LAB5)).correlation == pytest.approx(-1.0)
 
 
 def test_correlation_constant_dynamic_degenerate():
     dyn = _dynamic([63.0, 63.0, 63.0, 63.0], LAB4)
     templates = _templates([50.0, 55.0, 48.0, 52.0], LAB4)
-    with pytest.raises(DegenerateSequenceError):
-        correlation_score(dyn, templates)
-    # at the decision level the degenerate correlation maps to 0
+    # the degenerate correlation maps to 0
     sim = score_dynamic(dyn, templates, method=ScoringMethod.CORRELATION)
     assert sim.correlation == 0.0
     # and contributes the neutral 0.5 inside the combined score
-    prob = probability_score(dyn, templates)
+    prob = sim.probability
     assert sim.combined == pytest.approx((0.5 + prob) / 2.0)
+    # the weighted correlation degenerates the same way
+    wsim = score_dynamic(dyn, templates, weighted=True)
+    assert wsim.weighted == 0.0
+    assert wsim.combined == pytest.approx((0.5 + prob) / 2.0)
 
 
 def test_correlation_length_mismatch():
     dyn = _dynamic([1.0, 2.0, 3.0], ["AA", "S", "K"])
     with pytest.raises(SchemaError, match="dynamic has 3 phonemes, templates 2"):
-        correlation_score(dyn, _templates([1.0, 2.0], ["AA", "S"]))
+        score_dynamic(dyn, _templates([1.0, 2.0], ["AA", "S"]))
 
 
 def test_correlation_needs_three():
     dyn = _dynamic([1.0, 2.0], ["AA", "S"])
     with pytest.raises(SchemaError, match="need at least 3 phonemes, got 2"):
-        correlation_score(dyn, _templates([1.0, 2.0], ["AA", "S"]))
+        score_dynamic(dyn, _templates([1.0, 2.0], ["AA", "S"]))
 
 
 def test_label_mismatch_rejected():
     dyn = _dynamic([1.0, 2.0, 3.0], ["AA", "S", "K"])
     with pytest.raises(SchemaError, match="label mismatch: measured 'K' vs template 'M'"):
-        correlation_score(dyn, _templates([1.0, 2.0, 3.0], ["AA", "S", "M"]))
+        score_dynamic(dyn, _templates([1.0, 2.0, 3.0], ["AA", "S", "M"]))
 
 
 def test_probability_exact_match_is_one():
     means = [50.0, 55.0, 48.0, 52.0]
     dyn = _dynamic(means, LAB4)
-    assert probability_score(dyn, _templates(means, LAB4)) == pytest.approx(1.0)
+    assert score_dynamic(dyn, _templates(means, LAB4)).probability == pytest.approx(1.0)
 
 
 def test_probability_one_sigma_offset():
@@ -104,7 +97,7 @@ def test_probability_one_sigma_offset():
     labels = ["AA", "S", "K"]
     stds = [2.0, 1.0, 1.0]
     delays = [52.0, 55.0, 48.0]
-    got = probability_score(_dynamic(delays, labels), _templates(means, labels, stds))
+    got = score_dynamic(_dynamic(delays, labels), _templates(means, labels, stds)).probability
     want = (math.exp(-0.5) + 1.0 + 1.0) / 3.0
     assert got == pytest.approx(want, abs=1e-12)
     assert math.exp(-0.5) == pytest.approx(0.6065, abs=1e-4)
@@ -115,7 +108,7 @@ def test_probability_std_floor():
     labels = ["AA", "S", "K"]
     stds = [0.0, 0.0, 0.0]  # floored to 0.5
     delays = [50.5, 55.0, 48.0]
-    got = probability_score(_dynamic(delays, labels), _templates(means, labels, stds))
+    got = score_dynamic(_dynamic(delays, labels), _templates(means, labels, stds)).probability
     want = (math.exp(-0.5) + 2.0) / 3.0
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -134,9 +127,9 @@ def test_probability_monte_carlo_oracle():
     for i in range(4000):
         delays = means + rng.normal(0.0, sigma, 4)
         vals.append(
-            probability_score(
+            score_dynamic(
                 _dynamic(delays, labels), _templates(means, labels, [sigma] * 4)
-            )
+            ).probability
         )
     assert np.mean(vals) == pytest.approx(mc, abs=0.01)
 
@@ -147,9 +140,9 @@ def test_probability_monotone_in_offset():
     templates = _templates(means, labels)
     prev = 1.1
     for off in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0):
-        got = probability_score(
+        got = score_dynamic(
             _dynamic([means[0] + off, means[1], means[2]], labels), templates
-        )
+        ).probability
         assert got < prev
         prev = got
     assert prev > 0.0  # stays in (0, 1]
@@ -159,37 +152,36 @@ def test_weighted_uniform_equals_plain():
     means = [50.0, 55.0, 48.0, 52.0, -30.0]
     delays = [51.0, 54.0, 49.5, 52.5, -28.0]
     dyn = _dynamic(delays, LAB5)
-    templates = _templates(means, LAB5)
-    stats = {l: 1.7 for l in LAB5}
-    plain = correlation_score(dyn, templates)
-    weighted = weighted_correlation_score(dyn, templates, stats)
+    sim = score_dynamic(dyn, _templates(means, LAB5, [1.7] * 5), weighted=True)
+    plain = sim.correlation
+    weighted = sim.weighted
     assert weighted == pytest.approx(plain, abs=1e-12)
 
 
 def test_weighted_exact_match_is_one():
     means = [50.0, 55.0, 48.0, 52.0]
     dyn = _dynamic(means, LAB4)
-    stats = {"AA": 1.0, "S": 2.0, "K": 10.0, "OW": 1.5}
-    got = weighted_correlation_score(dyn, _templates(means, LAB4), stats)
+    stds = [1.0, 2.0, 10.0, 1.5]  # AA, S, K, OW
+    got = score_dynamic(dyn, _templates(means, LAB4, stds), weighted=True).weighted
     assert got == pytest.approx(1.0)
 
 
 def test_weighted_discounts_unstable_phoneme():
     means = [50.0, 55.0, 48.0, 52.0, -30.0]
-    stats = {"AA": 1.0, "S": 1.0, "K": 12.0, "OW": 1.0, "M": 2.0}
+    stds = [1.0, 1.0, 12.0, 1.0, 2.0]  # AA, S, K, OW, M
     corrupted = list(means)
     corrupted[2] += 20.0  # corrupt the highest-sigma phoneme (K)
     dyn = _dynamic(corrupted, LAB5)
-    templates = _templates(means, LAB5)
-    plain = correlation_score(dyn, templates)
-    weighted = weighted_correlation_score(dyn, templates, stats)
+    sim = score_dynamic(dyn, _templates(means, LAB5, stds), weighted=True)
+    plain = sim.correlation
+    weighted = sim.weighted
     assert weighted > plain
 
 
 def test_combined_perfect_match():
     means = [50.0, 55.0, 48.0, 52.0]
     dyn = _dynamic(means, LAB4)
-    assert combined_score(dyn, _templates(means, LAB4)) == pytest.approx(1.0)
+    assert score_dynamic(dyn, _templates(means, LAB4)).combined == pytest.approx(1.0)
 
 
 def test_combined_is_mean_of_parts():
@@ -197,10 +189,11 @@ def test_combined_is_mean_of_parts():
     delays = [52.0, 53.0, 50.0, 51.0, -27.0]
     dyn = _dynamic(delays, LAB5)
     templates = _templates(means, LAB5)
-    rho = correlation_score(dyn, templates)
-    prob = probability_score(dyn, templates)
+    sim = score_dynamic(dyn, templates)
+    rho = sim.correlation
+    prob = sim.probability
     want = ((rho + 1.0) / 2.0 + prob) / 2.0
-    assert combined_score(dyn, templates) == pytest.approx(want, abs=1e-12)
+    assert sim.combined == pytest.approx(want, abs=1e-12)
 
 
 def test_combined_midpoint_arithmetic():
@@ -240,9 +233,9 @@ def test_scores_deterministic():
 def test_correlation_affine_invariance(scale, shift):
     means = [50.0, 55.0, 48.0, 52.0, -30.0]
     delays = [52.0, 53.0, 50.0, 51.0, -27.0]
-    base = correlation_score(_dynamic(delays, LAB5), _templates(means, LAB5))
-    mapped = correlation_score(
+    base = score_dynamic(_dynamic(delays, LAB5), _templates(means, LAB5)).correlation
+    mapped = score_dynamic(
         _dynamic([scale * d + shift for d in delays], LAB5),
         _templates([scale * m + shift for m in means], LAB5),
-    )
+    ).correlation
     assert mapped == pytest.approx(base, abs=1e-9)
