@@ -3,6 +3,13 @@
 Channel convention is fixed across the whole toolkit: channel 0 is the
 top microphone, channel 1 is the bottom microphone. Nothing downstream
 ever swaps them implicitly; delay signs depend on it.
+
+WAV files are read through one decoder, WavReader: it checks the header
+and the payload's presence when it opens a file, then decodes any frame
+span on demand. The measuring commands keep a reader open and decode
+one segment at a time; load_wav decodes the whole file into a
+StereoRecording for library use. Both a recording and a reader answer
+window(start, end) with the (top, bottom) samples of those frames.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ MAX_SAMPLE_RATE = 384_000
 
 _SUPPORTED_WIDTHS = {2: 16, 3: 24, 4: 32}
 
-# frames that load_wav and write_wav convert at a time: small enough that
+# frames that WavReader and write_wav convert at a time: small enough that
 # a block's buffers stay in cache and reuse freed heap, not fresh pages
 _BLOCK_FRAMES = 1 << 15
 
@@ -36,6 +43,17 @@ def check_sample_rate(rate) -> None:
     if not MIN_SAMPLE_RATE <= rate <= MAX_SAMPLE_RATE:
         raise ConfigError(
             f"sample_rate must be in [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}] Hz, got {rate}"
+        )
+
+
+def _warn_unusual_rate(rate: int, stacklevel: int) -> None:
+    """Warn about a supported rate outside PREFERRED_RATES; stacklevel
+    counts from the caller, as warnings.warn does."""
+    if rate not in PREFERRED_RATES:
+        warnings.warn(
+            f"sample rate {rate} Hz is accepted but ranging "
+            f"resolution is only specified for {PREFERRED_RATES}",
+            stacklevel=stacklevel + 1,
         )
 
 
@@ -53,21 +71,6 @@ class StereoRecording:
     bottom: np.ndarray
 
     def __post_init__(self):
-        self._validate(scan_range=True)
-
-    @classmethod
-    def _from_pcm(cls, sample_rate: int, channels: np.ndarray) -> "StereoRecording":
-        """The recording of a decoded (2, frames) array. PCM words scaled
-        by 2^(1-bits) lie in [-1, 1) and are finite, so the sample range
-        scan is skipped; every other check runs."""
-        recording = object.__new__(cls)
-        object.__setattr__(recording, "sample_rate", sample_rate)
-        object.__setattr__(recording, "top", channels[0])
-        object.__setattr__(recording, "bottom", channels[1])
-        recording._validate(scan_range=False)
-        return recording
-
-    def _validate(self, scan_range: bool) -> None:
         top = np.asarray(self.top, dtype=np.float64)
         bottom = np.asarray(self.bottom, dtype=np.float64)
         object.__setattr__(self, "top", top)
@@ -83,18 +86,24 @@ class StereoRecording:
                 f"sample rate {self.sample_rate} below {MIN_SAMPLE_RATE} Hz minimum"
             )
         # NaN fails both comparisons, so it is refused like an out-of-range sample
-        if scan_range and len(top) and not all(
+        if len(top) and not all(
             x.min() >= -1.0 - 1e-9 and x.max() <= 1.0 + 1e-9 for x in (top, bottom)
         ):
             raise FormatError("samples exceed [-1, 1] or are NaN")
-        if self.sample_rate not in PREFERRED_RATES:
-            # level 4 skips _validate, __post_init__ or _from_pcm, and
-            # __init__ or load_wav: it names the caller's line
-            warnings.warn(
-                f"sample rate {self.sample_rate} Hz is accepted but ranging "
-                f"resolution is only specified for {PREFERRED_RATES}",
-                stacklevel=4,
-            )
+        # stacklevel 3 passes __post_init__ and __init__: it names the line
+        # that built the recording
+        _warn_unusual_rate(self.sample_rate, stacklevel=3)
+
+    @classmethod
+    def _from_pcm(cls, sample_rate: int, channels: np.ndarray) -> "StereoRecording":
+        """The recording of a (2, frames) array that WavReader decoded.
+        The reader has checked the rate and warned about it, and PCM words
+        scaled by 2^(1-bits) lie in [-1, 1), so no check runs again."""
+        recording = object.__new__(cls)
+        object.__setattr__(recording, "sample_rate", sample_rate)
+        object.__setattr__(recording, "top", channels[0])
+        object.__setattr__(recording, "bottom", channels[1])
+        return recording
 
     @property
     def n_samples(self) -> int:
@@ -103,6 +112,10 @@ class StereoRecording:
     @property
     def duration(self) -> float:
         return self.n_samples / self.sample_rate
+
+    def window(self, start: int, end: int) -> tuple:
+        """The (top, bottom) samples of frames [start, end), as views."""
+        return self.top[start:end], self.bottom[start:end]
 
 
 def _decode_pcm(raw, sampwidth: int) -> np.ndarray:
@@ -133,52 +146,105 @@ def _encode_pcm(words: np.ndarray, sampwidth: int) -> np.ndarray:
     return out
 
 
-def load_wav(path) -> StereoRecording:
-    """Load a 2-channel 16/24/32-bit PCM WAV file.
+class WavReader:
+    """An open 2-channel 16/24/32-bit PCM WAV file, decoded on demand.
 
-    Channel 0 maps to the top mic, channel 1 to the bottom mic; samples
-    are normalized by 2^(bits-1), so int16 32767 becomes 32767/32768.
+    Opening checks the header (2 channels, a supported width, a rate of
+    at least MIN_SAMPLE_RATE) and that the payload the header declares
+    is present, reading only its last frame, so a truncated file or a
+    header that declares more frames than the file holds raises
+    FormatError before any buffer is sized from the header. A rate
+    outside PREFERRED_RATES warns once, here; the warning names the line
+    that opens the reader, or with stacklevel=2 the line that called it.
 
-    The data payload is read once; it and the (2, frames) float64
-    output are the only whole-file buffers. Blocks of _BLOCK_FRAMES
-    frames are decoded, deinterleaved and scaled straight into their
-    slice of the output.
+    window(start, end) decodes frames [start, end) in blocks of
+    _BLOCK_FRAMES frames. Samples are normalized by 2^(bits-1), so int16
+    32767 becomes 32767/32768. Use the reader as a context manager, or
+    call close().
     """
-    try:
-        with wave.open(str(path), "rb") as w:
-            n_channels = w.getnchannels()
-            sampwidth = w.getsampwidth()
-            rate = w.getframerate()
-            n_frames = w.getnframes()
-            raw = w.readframes(n_frames)
-    except (wave.Error, EOFError, RuntimeError) as exc:
-        raise FormatError(f"{path}: not a readable WAV file: {exc!r}") from exc
 
-    if n_channels != 2:
-        raise FormatError(
-            f"{path}: expected 2 channels, found {n_channels}"
-        )
-    if sampwidth not in _SUPPORTED_WIDTHS:
-        raise FormatError(
-            f"{path}: unsupported sample width {8 * sampwidth} bits"
-        )
-    if len(raw) < n_frames * n_channels * sampwidth:
-        raise FormatError(
-            f"{path}: data chunk shorter than header declares"
-        )
+    def __init__(self, path, stacklevel: int = 1):
+        self._path = path
+        # the reader owns the file: wave leaves a file object it did not
+        # open to its owner, so a reader never closed warns when collected
+        self._file = open(path, "rb")
+        try:
+            try:
+                self._wave = w = wave.open(self._file)
+                n_channels = w.getnchannels()
+                self._sampwidth = w.getsampwidth()
+                self.sample_rate = w.getframerate()
+                self.n_samples = w.getnframes()
+            except (wave.Error, EOFError, RuntimeError) as exc:
+                raise FormatError(f"{path}: not a readable WAV file: {exc!r}") from exc
+            if n_channels != 2:
+                raise FormatError(f"{path}: expected 2 channels, found {n_channels}")
+            if self._sampwidth not in _SUPPORTED_WIDTHS:
+                raise FormatError(
+                    f"{path}: unsupported sample width {8 * self._sampwidth} bits"
+                )
+            if self.sample_rate < MIN_SAMPLE_RATE:
+                raise FormatError(
+                    f"{path}: sample rate {self.sample_rate} below "
+                    f"{MIN_SAMPLE_RATE} Hz minimum"
+                )
+            self._frame_bytes = 2 * self._sampwidth
+            if self.n_samples:
+                # the declared payload is present when its last frame is
+                w.setpos(self.n_samples - 1)
+                try:
+                    last = w.readframes(1)
+                except RuntimeError:  # a seek past the RIFF chunk's declared end
+                    last = b""
+                if len(last) < self._frame_bytes:
+                    raise FormatError(f"{path}: data chunk shorter than header declares")
+        except BaseException:
+            self._file.close()
+            raise
+        _warn_unusual_rate(self.sample_rate, stacklevel + 1)
 
-    # a power-of-two scale is exact, so every block matches a whole-file decode
-    scale = 2.0 ** (1 - _SUPPORTED_WIDTHS[sampwidth])
-    frame_bytes = n_channels * sampwidth
-    payload = memoryview(raw)
-    channels = np.empty((2, n_frames))
-    for lo in range(0, n_frames, _BLOCK_FRAMES):
-        hi = min(lo + _BLOCK_FRAMES, n_frames)
-        block = payload[lo * frame_bytes : hi * frame_bytes]
-        np.multiply(
-            _decode_pcm(block, sampwidth).reshape(-1, 2).T, scale, out=channels[:, lo:hi]
+    def window(self, start: int, end: int) -> np.ndarray:
+        """Frames [start, end) as a (2, end - start) float64 array whose
+        rows are the top and bottom channels."""
+        if not 0 <= start <= end <= self.n_samples:
+            raise ValueError(f"frames [{start}, {end}) outside [0, {self.n_samples})")
+        # a power-of-two scale is exact, so every block matches a whole-file decode
+        scale = 2.0 ** (1 - _SUPPORTED_WIDTHS[self._sampwidth])
+        channels = np.empty((2, end - start))
+        self._wave.setpos(start)
+        for lo in range(0, end - start, _BLOCK_FRAMES):
+            hi = min(lo + _BLOCK_FRAMES, end - start)
+            raw = self._wave.readframes(hi - lo)
+            if len(raw) < (hi - lo) * self._frame_bytes:
+                raise FormatError(f"{self._path}: data chunk shorter than header declares")
+            np.multiply(
+                _decode_pcm(raw, self._sampwidth).reshape(-1, 2).T, scale,
+                out=channels[:, lo:hi],
+            )
+        return channels
+
+    def close(self) -> None:
+        self._wave.close()
+        self._file.close()
+
+    def __enter__(self) -> "WavReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def load_wav(path) -> StereoRecording:
+    """Load a whole 2-channel 16/24/32-bit PCM WAV file.
+
+    Channel 0 maps to the top mic, channel 1 to the bottom mic. The file
+    is read through WavReader, so it is checked and decoded as there;
+    the (2, frames) float64 output is the only whole-file buffer.
+    """
+    with WavReader(path, stacklevel=2) as reader:
+        return StereoRecording._from_pcm(
+            reader.sample_rate, reader.window(0, reader.n_samples)
         )
-    return StereoRecording._from_pcm(rate, channels)
 
 
 def write_wav(recording: StereoRecording, path, bit_depth: int = 16) -> None:
@@ -229,6 +295,16 @@ def json_int(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def json_real(value) -> float:
+    """A field that must be a JSON number, as a float. float() parses
+    "0.1" and reads true as 1.0, so a bool or string raises TypeError
+    (one of FIELD_ERRORS) instead; read_json has refused NaN and
+    infinity already."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _finite(text: str) -> float:

@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import __version__
 from .audio_io import (
-    FIELD_ERRORS, check_sample_rate, json_int, load_wav, read_json, write_json, write_wav,
+    FIELD_ERRORS, WavReader, check_sample_rate, json_int, json_real, load_wav, read_json,
+    write_json, write_wav,
 )
 from .config import load_config
 from .errors import ConfigError, PhonotdoaError
@@ -90,24 +91,24 @@ def cmd_simulate(args) -> int:
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         if kind == "beep":
-            face = float(scene["face_distance_m"])
+            face = json_real(scene["face_distance_m"])
         else:
             labels = scene.get("labels")
             if not labels:
                 raise ConfigError("scene needs a 'labels' phoneme list")
             pose_doc = scene.get("pose")
             pose = DevicePose(**pose_doc) if pose_doc else REFERENCE_POSE
-            snr = float(scene.get("noise_snr_db", 30.0))
+            snr = json_real(scene.get("noise_snr_db", 30.0))
             if kind == "live":
                 echo = scene.get("echo")
-                echo = (json_int(echo[0]), float(echo[1])) if echo else None
-                jitter_scale = float(scene.get("jitter_scale", 1.0))
+                echo = (json_int(echo[0]), json_real(echo[1])) if echo else None
+                jitter_scale = json_real(scene.get("jitter_scale", 1.0))
             else:
                 scenario = AttackScenario(
                     kind=AttackKind(kind),
                     source_offset=tuple(scene.get("source_offset", (0.0, 0.0))),
                     trajectory=tuple(tuple(p) for p in scene.get("trajectory", ())),
-                    recorder_distance_m=float(scene.get("recorder_distance_m", 0.0)),
+                    recorder_distance_m=json_real(scene.get("recorder_distance_m", 0.0)),
                 )
     except FIELD_ERRORS as exc:
         raise ConfigError(f"{args.scene}: malformed scene: {exc!r}") from exc
@@ -181,12 +182,12 @@ def _parse_trial(spec: str) -> tuple:
 
 
 def _measure_trial(spec: str, method: Method, device: DeviceSpec):
-    """Load and measure one trial. Its recording is freed on return, so
-    enrollment holds one decoded recording at a time."""
+    """Measure one trial straight from its WAV file, which holds one
+    segment's decoded samples at a time."""
     wav_path, align_path = _parse_trial(spec)
-    recording = load_wav(wav_path)
-    segments = load_alignment(align_path, recording)
-    return measure_dynamic(recording, segments, method=method, device=device)
+    with WavReader(wav_path) as recording:
+        segments = load_alignment(align_path, recording)
+        return measure_dynamic(recording, segments, method=method, device=device)
 
 
 def cmd_enroll(args) -> int:
@@ -219,14 +220,13 @@ def cmd_verify(args) -> int:
     )
     log.info("effective config: %s", json.dumps(config.as_dict(), sort_keys=True))
     profile = load_profile(args.profile)
-    recording = load_wav(args.recording)
-    segments = load_alignment(args.alignment, recording)
-    device = _device_from_args(args, fallback=profile.device)
-
-    dynamic = measure_dynamic(recording, segments, device=device, c=config.c)
+    with WavReader(args.recording) as recording:
+        segments = load_alignment(args.alignment, recording)
+        device = _device_from_args(args, fallback=profile.device)
+        dynamic = measure_dynamic(recording, segments, device=device, c=config.c)
     if (
         device.mic_spacing_m != profile.device.mic_spacing_m
-        or recording.sample_rate != profile.sample_rate
+        or dynamic.sample_rate != profile.sample_rate
     ):
         dynamic = normalize_dynamic(
             dynamic, device, profile.device, to_sample_rate=profile.sample_rate
@@ -284,11 +284,11 @@ def cmd_evaluate(args) -> int:
 # --- tdoa ---
 
 def cmd_tdoa(args) -> int:
-    recording = load_wav(args.recording)
-    segments = load_alignment(args.alignment, recording)
-    device = _device_from_args(args)
-    method = Method.CC if args.method == "cc" else Method.GCC_PHAT
-    dynamic = measure_dynamic(recording, segments, method=method, device=device)
+    with WavReader(args.recording) as recording:
+        segments = load_alignment(args.alignment, recording)
+        device = _device_from_args(args)
+        method = Method.CC if args.method == "cc" else Method.GCC_PHAT
+        dynamic = measure_dynamic(recording, segments, method=method, device=device)
     print("label,start,end,delay_samples,delay_subsample,peak_value,method")
     for seg, m in zip(segments, dynamic.measurements):
         print(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import FIELD_ERRORS, check_sample_rate, write_json
+from .audio_io import FIELD_ERRORS, check_sample_rate, json_real, write_json
 from .errors import ConfigError, NoSolutionError
 from .geometry import REFERENCE_POSE, SPEED_OF_SOUND, DevicePose, transform_tdoa
 from .phonemes import INVENTORY
@@ -148,7 +148,7 @@ class ExperimentConfig:
             if "device" in known:
                 dev = known["device"]
                 known["device"] = DeviceSpec(
-                    mic_spacing_m=float(dev["mic_spacing_m"]),
+                    mic_spacing_m=json_real(dev["mic_spacing_m"]),
                     name=str(dev.get("name", "generic")),
                 )
             for key in ("length_bands", "pose_changes"):

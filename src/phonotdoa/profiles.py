@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import (
-    FIELD_ERRORS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, json_int, read_json, write_json,
+    FIELD_ERRORS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, json_int, json_real, read_json,
+    write_json,
 )
 from .errors import SchemaError
 from .geometry import DevicePose
@@ -269,8 +270,8 @@ def _template_to_json(t: PhonemeTemplate) -> dict:
 def _template_from_json(doc: dict) -> PhonemeTemplate:
     return PhonemeTemplate(
         label=str(doc["label"]),
-        mean_delay=float(doc["mean_delay"]),
-        std_delay=float(doc["std_delay"]),
+        mean_delay=json_real(doc["mean_delay"]),
+        std_delay=json_real(doc["std_delay"]),
         trial_count=json_int(doc["trial_count"]),
         delays=tuple(doc.get("delays", ())),
     )
@@ -308,10 +309,10 @@ def load_profile(path) -> UserProfile:
         )
     try:
         device = DeviceSpec(
-            mic_spacing_m=float(doc["device"]["mic_spacing_m"]),
+            mic_spacing_m=json_real(doc["device"]["mic_spacing_m"]),
             name=str(doc["device"].get("name", "generic")),
         )
-        pose = DevicePose(**{k: float(v) for k, v in doc["pose"].items()})
+        pose = DevicePose(**{k: json_real(v) for k, v in doc["pose"].items()})
         profile = UserProfile(
             user_id=str(doc["user_id"]),
             mode=ProfileMode(doc["mode"]),

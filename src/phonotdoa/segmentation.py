@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .audio_io import FIELD_ERRORS, StereoRecording, json_int, read_json, write_json
+from .audio_io import (
+    FIELD_ERRORS, StereoRecording, WavReader, json_int, read_json, write_json,
+)
 from .errors import SchemaError
 from .phonemes import INVENTORY, PhonemeInventory
 
@@ -54,10 +56,11 @@ def validate_segments(segments, n_samples: int) -> list:
 
 def load_alignment(
     path,
-    recording: StereoRecording,
+    recording: StereoRecording | WavReader,
     inventory: PhonemeInventory = INVENTORY,
 ) -> list:
-    """Load a versioned alignment JSON file for a recording.
+    """Load a versioned alignment JSON file for a recording, of which it
+    reads only sample_rate and n_samples.
 
     Schema: {"version": 1, "sample_rate": int,
              "segments": [{"phoneme": str, "start": int, "end": int}, ...]}

@@ -13,6 +13,12 @@ power of two >= sub-window length + max_lag. Each window is centred by
 its own mean straight into the rows of one zero-filled
 (2, sub-windows, FFT length) buffer, Hann-weighted in place with a
 cached window and transformed without a further copy.
+
+A measurement reads only the frames inside its segments: it asks the
+recording for each segment's window(start, end), which a StereoRecording
+answers with views of its rows and an open audio_io.WavReader by
+decoding those frames from the file, so measuring a file holds one
+segment's samples at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import StereoRecording
+from .audio_io import StereoRecording, WavReader
 from .errors import DegenerateSignalError, InvalidPoseError
 from .geometry import SPEED_OF_SOUND
 from .segmentation import PhonemeSegment
@@ -252,7 +258,7 @@ def _parabolic_offset(y_left: float, y_center: float, y_right: float) -> float:
 
 
 def estimate_tdoa(
-    recording: StereoRecording,
+    recording: StereoRecording | WavReader,
     segment: PhonemeSegment,
     method: Method = Method.GCC_PHAT,
     device: DeviceSpec = DEFAULT_DEVICE,
@@ -260,7 +266,8 @@ def estimate_tdoa(
 ) -> TdoaMeasurement:
     """Delay of one phoneme segment between the two channels.
 
-    The search window is bounded by the device geometry: lags beyond
+    recording is a StereoRecording or an open WavReader: anything with
+    sample_rate, n_samples and window(start, end). The search window is bounded by the device geometry: lags beyond
     mic_spacing / c only admit noise peaks. delay_samples is the integer
     argmax; delay_subsample adds the parabolic refinement.
     """
@@ -272,8 +279,7 @@ def estimate_tdoa(
         )
     if segment.end > recording.n_samples:
         raise DegenerateSignalError("segment exceeds recording length")
-    a = recording.bottom[segment.start : segment.end]
-    b = recording.top[segment.start : segment.end]
+    b, a = recording.window(segment.start, segment.end)  # (top, bottom)
     if method == Method.CC:
         corr = normalized_cross_correlation(a, b, max_lag)
     elif method == Method.GCC_PHAT:
@@ -295,13 +301,14 @@ def estimate_tdoa(
 
 
 def measure_dynamic(
-    recording: StereoRecording,
+    recording: StereoRecording | WavReader,
     segments,
     method: Method = Method.GCC_PHAT,
     device: DeviceSpec = DEFAULT_DEVICE,
     c: float = SPEED_OF_SOUND,
 ) -> TdoaDynamic:
-    """Estimate every segment and reassemble in segment order."""
+    """Estimate every segment of a StereoRecording or an open WavReader
+    and reassemble in segment order."""
     measurements = [
         estimate_tdoa(recording, seg, method=method, device=device, c=c)
         for seg in segments

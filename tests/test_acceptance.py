@@ -32,7 +32,6 @@ from phonotdoa.simulator import (
     AttackScenario,
     synthesize_attack,
     synthesize_live,
-    synthesize_pure_shift,
 )
 from phonotdoa.tdoa import (
     DeviceSpec,
@@ -43,6 +42,8 @@ from phonotdoa.tdoa import (
     measure_dynamic,
     normalized_cross_correlation,
 )
+
+from pure_shift import synthesize_pure_shift
 
 FS = 192000
 MAX_LAG = 94  # covers |delay| <= 86 with margin

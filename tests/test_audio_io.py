@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 import wave
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonotdoa.audio_io import StereoRecording, load_wav, write_wav
+from phonotdoa.audio_io import _BLOCK_FRAMES, StereoRecording, WavReader, load_wav, write_wav
 from phonotdoa.errors import FormatError
+from phonotdoa.segmentation import PhonemeSegment
+from phonotdoa.tdoa import Method, measure_dynamic
 
 
 def _write_raw(path, n_channels, sampwidth, rate, frames: bytes):
@@ -221,3 +225,66 @@ def test_unusual_rate_warns():
     with pytest.warns(UserWarning) as record:
         StereoRecording(44100, np.zeros(4), np.zeros(4))
     assert record[0].filename == __file__
+
+
+# segments of a 2 * _BLOCK_FRAMES + 6000 frame recording: one short, one
+# longer than a block, one across the second block boundary and one
+# ending on the last frame
+_N_FRAMES = 2 * _BLOCK_FRAMES + 6000
+_SEGMENTS = [
+    PhonemeSegment(200, 3000, "AA"),
+    PhonemeSegment(3000, _BLOCK_FRAMES + 4000, "S"),
+    PhonemeSegment(2 * _BLOCK_FRAMES - 1500, 2 * _BLOCK_FRAMES + 1500, "K"),
+    PhonemeSegment(_N_FRAMES - 2500, _N_FRAMES, "T"),
+]
+
+
+@pytest.mark.parametrize("method", [Method.GCC_PHAT, Method.CC])
+@pytest.mark.parametrize("bit_depth", [16, 24, 32])
+def test_reader_measures_like_load_wav(tmp_path, bit_depth, method):
+    # the measuring commands decode each segment from the open file; the
+    # result must equal measuring load_wav's whole recording, bit for bit
+    rng = np.random.default_rng(bit_depth)
+    source = rng.uniform(-0.4, 0.4, _N_FRAMES + 7)
+    top = source[:_N_FRAMES] + rng.normal(0.0, 0.01, _N_FRAMES)
+    bottom = source[7:] + rng.normal(0.0, 0.01, _N_FRAMES)
+    path = tmp_path / "r.wav"
+    write_wav(StereoRecording(48000, top, bottom), path, bit_depth=bit_depth)
+    whole = load_wav(path)
+    with WavReader(path) as reader:
+        assert (reader.sample_rate, reader.n_samples) == (48000, _N_FRAMES)
+        for seg in _SEGMENTS:
+            assert np.array_equal(reader.window(seg.start, seg.end),
+                                  np.stack(whole.window(seg.start, seg.end)))
+        streamed = measure_dynamic(reader, _SEGMENTS, method=method)
+    expected = measure_dynamic(whole, _SEGMENTS, method=method)
+    assert streamed.measurements == expected.measurements
+    assert [m.delay_samples for m in streamed.measurements] == [7.0] * len(_SEGMENTS)
+
+
+def test_reader_window_outside_recording_rejected(tmp_path):
+    path = tmp_path / "w.wav"
+    write_wav(StereoRecording(48000, np.zeros(100), np.zeros(100)), path)
+    with WavReader(path) as reader:
+        for start, end in ((-1, 10), (10, 101), (20, 10)):
+            with pytest.raises(ValueError, match="outside"):
+                reader.window(start, end)
+
+
+def test_huge_declared_payload_rejected_before_allocation(tmp_path):
+    # a 1 KB file whose header declares 2^30 - 1 frames: the payload is
+    # checked from the file before a buffer of that size exists
+    header = b"RIFF" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE"
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 2, 48000, 48000 * 4, 4, 16)
+    header += b"data" + struct.pack("<I", 0xFFFFFFFC)
+    path = tmp_path / "huge.wav"
+    path.write_bytes(header + bytes(1024 - len(header)))
+    for load in (load_wav, WavReader):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="data chunk shorter than header declares"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20

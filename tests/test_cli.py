@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import contextlib
@@ -6,20 +7,26 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
+import wave
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phonotdoa
-from phonotdoa.audio_io import load_wav
+from phonotdoa import cli
+from phonotdoa.audio_io import StereoRecording, load_wav, write_wav
 from phonotdoa.cli import build_parser, main
 from phonotdoa.config import DEFAULT_THRESHOLD
 from phonotdoa.errors import NoSolutionError
-from phonotdoa.geometry import transform_tdoa
+from phonotdoa.geometry import REFERENCE_POSE, transform_tdoa
 from phonotdoa.profiles import load_profile
 from phonotdoa.scoring import ScoringMethod, decide, score_dynamic
-from phonotdoa.segmentation import load_alignment
-from phonotdoa.tdoa import measure_dynamic
+from phonotdoa.segmentation import PhonemeSegment, load_alignment, save_alignment
+from phonotdoa.simulator import synthesize_live
+from phonotdoa.tdoa import DEFAULT_DEVICE, Method, measure_dynamic
 
 LABELS = ["IY", "S", "K", "AA", "T", "OW", "N", "EH"]
 
@@ -267,6 +274,14 @@ def _segments(*entries):
     return lambda profile, alignment: _with(alignment, segments=list(entries))
 
 
+def _template_field(**fields):
+    """The profile with fields replaced in its first passphrase template."""
+    def make(profile, alignment):
+        first, *rest = profile["passphrases"]["passphrase0"]
+        return _with(profile, passphrases={"passphrase0": [{**first, **fields}, *rest]})
+    return make
+
+
 # file kind -> bytes built from the valid profile and alignment docs
 MALFORMED_INPUTS = {
     "config_not_utf8": ("config", lambda p, a: b'{"scoring": {}}\xff', "ConfigError"),
@@ -297,6 +312,19 @@ MALFORMED_INPUTS = {
         "SchemaError",
     ),
     "profile_no_passphrases": ("profile", lambda p, a: _with(p, passphrases={}), "SchemaError"),
+    # real-valued fields must be JSON numbers, not parsed strings or booleans
+    "template_mean_text": ("profile", _template_field(mean_delay="3.0"), "SchemaError"),
+    "template_std_bool": ("profile", _template_field(std_delay=True), "SchemaError"),
+    "device_spacing_text": (
+        "profile", lambda p, a: _with(p, device={**p["device"], "mic_spacing_m": "0.15"}),
+        "SchemaError",
+    ),
+    "pose_field_text": (
+        "profile", lambda p, a: _with(p, pose={**p["pose"], "x": "0.03"}), "SchemaError",
+    ),
+    "pose_field_bool": (
+        "profile", lambda p, a: _with(p, pose={**p["pose"], "alpha": False}), "SchemaError",
+    ),
 }
 
 
@@ -316,6 +344,89 @@ def test_verify_malformed_input_file_is_typed_error(pipeline, tmp_path, case, ca
     code, out = run_cli(*args)
     assert (code, out) == (2, "")
     assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def _truncate_after_last_segment(wav, alignment, out):
+    """Copy wav to out without the frames after the alignment's last
+    segment, so every segment's frames stay readable."""
+    raw = wav.read_bytes()
+    with wave.open(str(wav)) as w:
+        n, frame_bytes = w.getnframes(), w.getnchannels() * w.getsampwidth()
+    last_end = max(seg["end"] for seg in json.loads(alignment.read_text())["segments"])
+    assert last_end < n and len(raw) == 44 + n * frame_bytes
+    out.write_bytes(raw[: len(raw) - (n - last_end) * frame_bytes])
+    return out
+
+
+@pytest.mark.parametrize("command", ["verify", "enroll", "tdoa"])
+def test_wav_truncated_after_last_segment_is_format_error(pipeline, tmp_path, command, capsys):
+    # measuring reads only the segments' frames, yet a file shorter than
+    # its header declares is still refused when it is opened
+    tmp, profile, live_dir, _ = pipeline
+    alignment = live_dir / "alignment.json"
+    wav = _truncate_after_last_segment(live_dir / "recording.wav", alignment, tmp_path / "t.wav")
+    argv = {
+        "verify": ["verify", wav, alignment, "--profile", profile],
+        "tdoa": ["tdoa", wav, alignment],
+        "enroll": ["enroll", "--out", tmp_path / "p.json", "--user", "u",
+                   "--trial", f"{tmp}/t1/recording.wav:{tmp}/t1/alignment.json",
+                   "--trial", f"{tmp}/t2/recording.wav:{tmp}/t2/alignment.json",
+                   "--trial", f"{wav}:{alignment}"],
+    }[command]
+    code, out = run_cli(*argv)
+    assert (code, out) == (2, "")
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FormatError"
+    assert "data chunk shorter than header declares" in err["message"]
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_failed_verify_closes_its_recording(pipeline, tmp_path, capsys):
+    # the alignment is refused while the WAV file is open
+    _, profile, live_dir, _ = pipeline
+    alignment = json.loads((live_dir / "alignment.json").read_text())
+    bad = tmp_path / "a96k.json"
+    bad.write_text(json.dumps({**alignment, "sample_rate": 96000}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli("verify", live_dir / "recording.wav", bad, "--profile", profile)
+        gc.collect()
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_unusual_rate_warns_once_per_recording(tmp_path):
+    rng = np.random.default_rng(5)
+    with pytest.warns(UserWarning, match="sample rate 44100 Hz"):
+        rec = StereoRecording(44100, rng.uniform(-0.5, 0.5, 20000), rng.uniform(-0.5, 0.5, 20000))
+    write_wav(rec, tmp_path / "r.wav")
+    segments = [PhonemeSegment(lo, lo + 4000, "AA") for lo in (1000, 6000, 11000, 16000)]
+    save_alignment(segments, 44100, tmp_path / "a.json")
+    with pytest.warns(UserWarning) as record:
+        code, out = run_cli("tdoa", tmp_path / "r.wav", tmp_path / "a.json")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + len(segments)
+    assert [str(w.message)[:26] for w in record] == ["sample rate 44100 Hz is ac"]
+    assert record[0].filename == cli.__file__
+
+
+def test_measure_trial_holds_one_segment_at_a_time(tmp_path, source_model):
+    # a 44-phoneme, 192 kHz, 24-bit trial is about 8 MB of PCM and 22 MB
+    # decoded; measuring it from the file holds one segment's samples
+    utt = synthesize_live(sorted(source_model.labels), source_model, REFERENCE_POSE, 192000, 9)
+    write_wav(utt.recording, tmp_path / "r.wav", bit_depth=24)
+    save_alignment(utt.segments, 192000, tmp_path / "a.json")
+    spec = f"{tmp_path}/r.wav:{tmp_path}/a.json"
+    del utt
+    tracemalloc.start()
+    try:
+        dynamic = cli._measure_trial(spec, Method.GCC_PHAT, DEFAULT_DEVICE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dynamic) == 44
+    assert peak <= 4 << 20
 
 
 def test_verify_unknown_passphrase_id_is_typed_error(pipeline, capsys):
@@ -349,12 +460,22 @@ def test_verify_unknown_passphrase_id_is_typed_error(pipeline, capsys):
     {"kind": "live", "labels": ["AA", "S", "K"], "seed": True},
     {"kind": "live", "labels": ["AA", "S", "K"], "seed": "5"},
     {"kind": "live", "labels": ["AA", "S", "K"], "echo": [96.9, 0.3]},
+    # real-valued fields must be JSON numbers, not parsed strings or booleans
+    {"kind": "live", "labels": ["AA", "S", "K"], "noise_snr_db": "30", "jitter_scale": True},
+    {"kind": "live", "labels": ["AA", "S", "K"], "noise_snr_db": "30"},
+    {"kind": "live", "labels": ["AA", "S", "K"], "jitter_scale": True},
+    {"kind": "live", "labels": ["AA", "S", "K"], "echo": [96, "0.3"]},
+    {"kind": "beep", "face_distance_m": "0.1"},
+    {"kind": "static_playback", "labels": ["AA", "S", "K"], "noise_snr_db": False},
+    {"kind": "replace", "labels": ["AA", "S", "K"], "recorder_distance_m": "0.3"},
 ], ids=[
     "pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text",
     "seed_negative", "snr_very_negative", "attack_snr_very_negative",
     "rate_zero", "rate_negative", "rate_below_minimum", "rate_above_maximum",
     "beep_rate_zero", "beep_rate_above_maximum",
     "rate_numeric_text", "rate_fraction", "seed_bool", "seed_text", "echo_lag_fraction",
+    "snr_text_jitter_bool", "snr_text", "jitter_bool", "echo_amp_text",
+    "beep_distance_text", "attack_snr_bool", "recorder_distance_text",
 ])
 def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     path = tmp_path / "scene.json"
@@ -538,9 +659,10 @@ def test_evaluate_command(tmp_path):
     ({"seed": -1}, []),
     ({}, ["--seed", "-3"]),
     ({"noise_snr_db": -10000}, []),
+    ({"device": {"mic_spacing_m": "0.15"}}, []),
 ], ids=[
     "rate_text", "band_one_value", "users_fraction", "seed_negative",
-    "seed_flag_negative", "snr_very_negative",
+    "seed_flag_negative", "snr_very_negative", "device_spacing_text",
 ])
 def test_evaluate_malformed_experiment_is_typed_error(tmp_path, fields, flags, capsys):
     exp = tmp_path / "exp.json"

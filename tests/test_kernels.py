@@ -35,7 +35,6 @@ from phonotdoa.simulator import (
     _next_fast_len,
     _noise_excitation,
     _tukey,
-    synthesize_pure_shift,
 )
 from phonotdoa.tdoa import (
     PHAT_SEGMENT_FACTOR,
@@ -44,6 +43,8 @@ from phonotdoa.tdoa import (
     gcc_phat,
     normalized_cross_correlation,
 )
+
+from pure_shift import synthesize_pure_shift
 
 
 def _delayed_pair_reference(exc, tau_top, tau_bottom, pad=None):

@@ -11,10 +11,11 @@ from phonotdoa.simulator import (
     synthesize_attack,
     synthesize_beep_scene,
     synthesize_live,
-    synthesize_pure_shift,
 )
 from phonotdoa.sourcemodel import PhonemeSource, VocalSourceModel
 from phonotdoa.tdoa import measure_dynamic
+
+from pure_shift import synthesize_pure_shift
 
 LABELS = ["IY", "S", "K", "AA", "T", "OW", "N", "EH"]
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from phonotdoa.audio_io import StereoRecording
 from phonotdoa.errors import DegenerateSignalError
 from phonotdoa.segmentation import PhonemeSegment
-from phonotdoa.simulator import synthesize_pure_shift
 from phonotdoa.tdoa import (
     DEFAULT_DEVICE,
     DeviceSpec,
@@ -20,6 +19,8 @@ from phonotdoa.tdoa import (
     measure_dynamic,
     normalized_cross_correlation,
 )
+
+from pure_shift import synthesize_pure_shift
 
 
 def _band_noise(n, seed=0):
