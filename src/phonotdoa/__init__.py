@@ -51,7 +51,7 @@ from .simulator import (
     synthesize_beep_scene,
     synthesize_live,
 )
-from .sourcemodel import VocalSourceModel, build_default_source_model, load_source_model
+from .sourcemodel import VocalSourceModel, load_source_model
 from .tdoa import (
     DeviceSpec,
     Method,

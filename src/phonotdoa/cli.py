@@ -2,8 +2,9 @@
 
 Machine-readable results go to stdout (JSON, or CSV for `tdoa`); logs
 go to stderr. Exit codes: 0 = success (for `verify`: LIVE), 1 = REPLAY
-verdict, 2 = error. All randomness flows from --seed, so identical
-invocations produce byte-identical stdout.
+verdict, 2 = error. All randomness flows from one seed: a scene's or
+experiment's own "seed" field, or --seed when the file has none. So
+identical invocations produce byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _pose_from_args(args) -> DevicePose:
 def _device_from_args(args, fallback=DEFAULT_DEVICE) -> DeviceSpec:
     if args.device_spacing_m is None:
         return fallback
-    return DeviceSpec(mic_spacing_m=args.device_spacing_m, name=args.device_name)
+    return DeviceSpec(mic_spacing_m=args.device_spacing_m)
 
 
 def _add_pose_flags(p):
@@ -77,7 +78,6 @@ def _add_pose_flags(p):
 
 def _add_device_flags(p):
     p.add_argument("--device-spacing-m", type=float, default=None)
-    p.add_argument("--device-name", default="generic")
 
 
 # --- simulate ---
@@ -97,7 +97,10 @@ def cmd_simulate(args) -> int:
             if not labels:
                 raise ConfigError("scene needs a 'labels' phoneme list")
             pose_doc = scene.get("pose")
-            pose = DevicePose(**pose_doc) if pose_doc else REFERENCE_POSE
+            pose = (
+                DevicePose(**{k: json_real(v) for k, v in pose_doc.items()})
+                if pose_doc else REFERENCE_POSE
+            )
             snr = json_real(scene.get("noise_snr_db", 30.0))
             if kind == "live":
                 echo = scene.get("echo")
@@ -106,8 +109,12 @@ def cmd_simulate(args) -> int:
             else:
                 scenario = AttackScenario(
                     kind=AttackKind(kind),
-                    source_offset=tuple(scene.get("source_offset", (0.0, 0.0))),
-                    trajectory=tuple(tuple(p) for p in scene.get("trajectory", ())),
+                    source_offset=tuple(
+                        json_real(v) for v in scene.get("source_offset", (0.0, 0.0))
+                    ),
+                    trajectory=tuple(
+                        tuple(json_real(v) for v in p) for p in scene.get("trajectory", ())
+                    ),
                     recorder_distance_m=json_real(scene.get("recorder_distance_m", 0.0)),
                 )
     except FIELD_ERRORS as exc:
@@ -191,10 +198,12 @@ def _measure_trial(spec: str, method: Method, device: DeviceSpec):
 
 
 def cmd_enroll(args) -> int:
-    device = _device_from_args(args)
+    # the profile stores the device, so only enroll names it
+    device = DEFAULT_DEVICE
+    if args.device_spacing_m is not None:
+        device = DeviceSpec(mic_spacing_m=args.device_spacing_m, name=args.device_name)
     pose = _pose_from_args(args)
-    method = Method.GCC_PHAT if args.method != "cc" else Method.CC
-    dynamics = [_measure_trial(spec, method, device) for spec in args.trial]
+    dynamics = [_measure_trial(spec, Method(args.method), device) for spec in args.trial]
     profile = enroll_from_dynamics(
         args.user, ProfileMode(args.mode), dynamics, pose, device, args.passphrase_id
     )
@@ -286,9 +295,9 @@ def cmd_evaluate(args) -> int:
 def cmd_tdoa(args) -> int:
     with WavReader(args.recording) as recording:
         segments = load_alignment(args.alignment, recording)
-        device = _device_from_args(args)
-        method = Method.CC if args.method == "cc" else Method.GCC_PHAT
-        dynamic = measure_dynamic(recording, segments, method=method, device=device)
+        dynamic = measure_dynamic(
+            recording, segments, method=Method(args.method), device=_device_from_args(args)
+        )
     print("label,start,end,delay_samples,delay_subsample,peak_value,method")
     for seg, m in zip(segments, dynamic.measurements):
         print(
@@ -348,9 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text_dependent")
     p.add_argument("--trial", action="append", required=True,
                    metavar="WAV:ALIGNMENT", help="repeatable, >= 3 times")
-    p.add_argument("--method", choices=["cc", "gcc_phat"], default="gcc_phat")
+    p.add_argument("--method", choices=[m.value for m in Method], default="gcc_phat")
     _add_pose_flags(p)
     _add_device_flags(p)
+    p.add_argument("--device-name", default="generic",
+                   help="stored in the profile with --device-spacing-m")
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("verify", help="live/replay decision for a recording")
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tdoa", help="per-phoneme delays as CSV")
     p.add_argument("recording")
     p.add_argument("alignment")
-    p.add_argument("--method", choices=["cc", "gcc_phat"], default="gcc_phat")
+    p.add_argument("--method", choices=[m.value for m in Method], default="gcc_phat")
     _add_device_flags(p)
     p.set_defaults(func=cmd_tdoa)
 

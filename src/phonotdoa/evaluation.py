@@ -431,8 +431,9 @@ def _plan(config: ExperimentConfig, model, poses) -> tuple:
     return jobs, passphrases
 
 
-def run_experiment(config: ExperimentConfig, model=None, workers=None) -> dict:
-    """Generate a simulated corpus, enroll, score, and aggregate.
+def run_experiment(config: ExperimentConfig, workers=None) -> dict:
+    """Generate a simulated corpus from the packaged source model, enroll,
+    score, and aggregate.
 
     Returns the metrics report as a plain dict (see write_report for
     the file outputs). Reproducible: a config with the same seed gives
@@ -448,8 +449,7 @@ def run_experiment(config: ExperimentConfig, model=None, workers=None) -> dict:
         or config.mode == ProfileMode.TEXT_INDEPENDENT,
         "the weighted method needs text_independent mode",
     )
-    if model is None:
-        model = load_source_model()
+    model = load_source_model()
     poses = [(0.0, 0.0)] + [tuple(p) for p in config.pose_changes]
     jobs, passphrases = _plan(config, model, poses)
     if workers is None:

@@ -199,25 +199,20 @@ def transform_tdoa(
     return pose_to_tdoa(moved, sample_rate=sample_rate, c=c)
 
 
-def make_beep(
-    sample_rate: int,
-    f0: float = BEEP_F0,
-    f1: float = BEEP_F1,
-    duration: float = BEEP_DURATION,
-) -> np.ndarray:
-    """Inaudible linear ranging chirp (18-23 kHz, 50 ms by default)."""
-    if sample_rate < 2 * f1:
+def make_beep(sample_rate: int) -> np.ndarray:
+    """Inaudible linear ranging chirp: 18-23 kHz over 50 ms, Tukey-tapered."""
+    if sample_rate < 2 * BEEP_F1:
         raise InvalidPoseError(
-            f"sample rate {sample_rate} cannot represent a {f1:.0f} Hz chirp"
+            f"sample rate {sample_rate} cannot represent a {BEEP_F1:.0f} Hz chirp"
         )
     # imported here: scipy.signal takes over a second to load, and only
     # beep-echo ranging needs it
     from scipy.signal import chirp
     from scipy.signal.windows import tukey
 
-    n = int(round(duration * sample_rate))
+    n = int(round(BEEP_DURATION * sample_rate))
     t = np.arange(n) / sample_rate
-    sweep = chirp(t, f0=f0, f1=f1, t1=duration, method="linear")
+    sweep = chirp(t, f0=BEEP_F0, f1=BEEP_F1, t1=BEEP_DURATION, method="linear")
     return sweep * tukey(n, 0.1)
 
 
@@ -235,7 +230,7 @@ def estimate_face_distance(
     0.1 ms. Distance is (t2 - t1) * c / 2.
 
     The chirp bandwidth bounds the resolution: reflectors closer than
-    roughly c / (2 * bandwidth) (~7 cm for the default 5 kHz sweep with
+    roughly c / (2 * bandwidth) (~7 cm for the 5 kHz make_beep sweep with
     the tapered filter) merge into the emission peak, and the next
     reflector in the scene gets ranged instead.
     """

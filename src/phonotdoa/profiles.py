@@ -21,8 +21,8 @@ from .audio_io import (
 )
 from .errors import SchemaError
 from .geometry import DevicePose
-from .phonemes import INVENTORY, PhonemeInventory
-from .tdoa import DeviceSpec, Method, TdoaDynamic, estimate_tdoa, measure_dynamic
+from .phonemes import INVENTORY
+from .tdoa import DeviceSpec, TdoaDynamic, estimate_tdoa, measure_dynamic
 
 PROFILE_SCHEMA_VERSION = 1
 MIN_TRIALS = 3
@@ -106,11 +106,10 @@ def enroll_text_dependent(
     trials,
     pose: DevicePose,
     device: DeviceSpec,
-    method: Method = Method.GCC_PHAT,
 ) -> UserProfile:
     """Build a passphrase profile from >= 3 (recording, segments) trials."""
     dynamics = [
-        measure_dynamic(recording, segments, method=method, device=device)
+        measure_dynamic(recording, segments, device=device)
         for recording, segments in trials
     ]
     return enroll_from_dynamics(
@@ -123,8 +122,6 @@ def enroll_text_independent(
     samples,
     pose: DevicePose,
     device: DeviceSpec,
-    method: Method = Method.GCC_PHAT,
-    inventory: PhonemeInventory = INVENTORY,
 ) -> UserProfile:
     """Build per-phoneme templates from samples, which maps phoneme label
     -> list of (recording, segment) pairs, at least 3 per phoneme, all 44
@@ -136,11 +133,10 @@ def enroll_text_independent(
                 raise SchemaError(
                     f"segment labeled {segment.label!r} filed under {label!r}"
                 )
-            m = estimate_tdoa(recording, segment, method=method, device=device)
+            m = estimate_tdoa(recording, segment, device=device)
             dynamics.append(TdoaDynamic((m,), recording.sample_rate, device))
     return enroll_from_dynamics(
-        user_id, ProfileMode.TEXT_INDEPENDENT, dynamics, pose, device,
-        inventory=inventory,
+        user_id, ProfileMode.TEXT_INDEPENDENT, dynamics, pose, device
     )
 
 
@@ -151,7 +147,6 @@ def enroll_from_dynamics(
     pose: DevicePose,
     device: DeviceSpec,
     passphrase_id: str = None,
-    inventory: PhonemeInventory = INVENTORY,
 ) -> UserProfile:
     """Build a profile from the measured delay dynamics of enrollment trials.
 
@@ -193,7 +188,7 @@ def enroll_from_dynamics(
     for d in dynamics:
         for m in d.measurements:
             delays.setdefault(m.label, []).append(m.delay_samples)
-    missing = sorted(set(inventory.symbols) - set(delays))
+    missing = sorted(set(INVENTORY.symbols) - set(delays))
     if missing:
         raise SchemaError(f"missing phonemes: {', '.join(missing)}")
     short = sorted(label for label, ds in delays.items() if len(ds) < MIN_TRIALS)
@@ -201,7 +196,7 @@ def enroll_from_dynamics(
         raise SchemaError(
             f"phonemes with fewer than {MIN_TRIALS} samples: {', '.join(short)}"
         )
-    unknown = sorted(label for label in delays if label not in inventory)
+    unknown = sorted(label for label in delays if label not in INVENTORY)
     if unknown:
         raise SchemaError(f"unknown phoneme label {unknown[0]!r}")
     return UserProfile(
@@ -273,7 +268,7 @@ def _template_from_json(doc: dict) -> PhonemeTemplate:
         mean_delay=json_real(doc["mean_delay"]),
         std_delay=json_real(doc["std_delay"]),
         trial_count=json_int(doc["trial_count"]),
-        delays=tuple(doc.get("delays", ())),
+        delays=tuple(json_real(d) for d in doc.get("delays", ())),
     )
 
 

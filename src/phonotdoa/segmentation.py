@@ -12,7 +12,7 @@ from .audio_io import (
     FIELD_ERRORS, StereoRecording, WavReader, json_int, read_json, write_json,
 )
 from .errors import SchemaError
-from .phonemes import INVENTORY, PhonemeInventory
+from .phonemes import INVENTORY
 
 ALIGNMENT_SCHEMA_VERSION = 1
 
@@ -54,11 +54,7 @@ def validate_segments(segments, n_samples: int) -> list:
     return out
 
 
-def load_alignment(
-    path,
-    recording: StereoRecording | WavReader,
-    inventory: PhonemeInventory = INVENTORY,
-) -> list:
+def load_alignment(path, recording: StereoRecording | WavReader) -> list:
     """Load a versioned alignment JSON file for a recording, of which it
     reads only sample_rate and n_samples.
 
@@ -79,7 +75,7 @@ def load_alignment(
             )
         segments = [
             PhonemeSegment(
-                label=inventory.validate(str(entry["phoneme"])),
+                label=INVENTORY.validate(str(entry["phoneme"])),
                 start=json_int(entry["start"]),
                 end=json_int(entry["end"]),
             )

@@ -53,6 +53,13 @@ _NOISE_BANDS = {
 }
 
 MIN_REPLACE_DISTANCE_M = 0.25
+TRAJECTORY_POINTS = 64  # mobile-playback waypoints per circle_trajectory
+
+# beep scene: echo amplitudes against the bottom channel's 1.0 emission,
+# and the white-noise std per channel
+BEEP_FACE_AMP = 0.3
+BEEP_CLUTTER_AMP = 0.12
+BEEP_NOISE_STD = 0.003
 
 
 class AttackKind(enum.Enum):
@@ -110,19 +117,11 @@ class SimulatedUtterance:
         return np.array([g.delay_samples for g in self.ground_truth])
 
 
-def circle_trajectory(
-    radius: float = 0.05,
-    turns: float = 1.5,
-    n_points: int = 64,
-    center=(0.0, 0.0),
-    phase: float = 0.0,
-) -> tuple:
-    """Loudspeaker waypoints circling the mouth region."""
-    angles = phase + 2.0 * math.pi * turns * np.arange(n_points) / (n_points - 1)
-    return tuple(
-        (center[0] + radius * math.cos(a), center[1] + radius * math.sin(a))
-        for a in angles
-    )
+def circle_trajectory(radius: float = 0.05, turns: float = 1.5, phase: float = 0.0) -> tuple:
+    """TRAJECTORY_POINTS loudspeaker waypoints circling the mouth."""
+    n = TRAJECTORY_POINTS
+    angles = phase + 2.0 * math.pi * turns * np.arange(n) / (n - 1)
+    return tuple((radius * math.cos(a), radius * math.sin(a)) for a in angles)
 
 
 def _harmonic_excitation(rng, n: int, sample_rate: int, f0: float) -> np.ndarray:
@@ -234,7 +233,6 @@ def _render(
     noise_snr_db: float,
     echo,
     duration_range,
-    c: float,
 ) -> SimulatedUtterance:
     """Shared renderer: one effective source position per phoneme."""
     lo, hi = SNR_RANGE_DB
@@ -258,14 +256,14 @@ def _render(
         exc = _excitation(rng, src, n, fs, f0)
         d1 = math.hypot(ty - dy, tz - dz)
         d2 = math.hypot(by - dy, bz - dz)
-        pair = _delayed_pair(exc, d1 / c * fs, d2 / c * fs)
+        pair = _delayed_pair(exc, d1 / SPEED_OF_SOUND * fs, d2 / SPEED_OF_SOUND * fs)
         pair *= ((1.0 / max(d1, 0.01),), (1.0 / max(d2, 0.01),))
         pieces.append((cursor, pair))
         segments.append(PhonemeSegment(start=cursor, end=cursor + n, label=label))
         truths.append(
             GroundTruthPhoneme(
                 label=label,
-                delay_samples=(d1 - d2) / c * fs,
+                delay_samples=(d1 - d2) / SPEED_OF_SOUND * fs,
                 source_dy=dy,
                 source_dz=dz,
                 start=cursor,
@@ -319,7 +317,6 @@ def synthesize_live(
     echo=None,
     jitter_scale: float = 1.0,
     duration_range=DURATION_RANGE_S,
-    c: float = SPEED_OF_SOUND,
 ) -> SimulatedUtterance:
     """Render live speech: per-phoneme sources from the vocal model with
     seeded articulation jitter, picked up by both mics at the pose."""
@@ -335,7 +332,7 @@ def synthesize_live(
         positions.append(model.effective_source(label, jitter))
     return _render(
         labels, positions, model, pose, sample_rate, rng,
-        noise_snr_db, echo, duration_range, c,
+        noise_snr_db, echo, duration_range,
     )
 
 
@@ -359,7 +356,6 @@ def synthesize_attack(
     seed: int = 0,
     noise_snr_db: float = DEFAULT_SNR_DB,
     duration_range=DURATION_RANGE_S,
-    c: float = SPEED_OF_SOUND,
 ) -> SimulatedUtterance:
     """Render a replay attack.
 
@@ -378,7 +374,7 @@ def synthesize_attack(
         far_pose = pose.with_(x=scenario.recorder_distance_m)
         return synthesize_live(
             labels, model, far_pose, sample_rate, seed, noise_snr_db,
-            duration_range=duration_range, c=c,
+            duration_range=duration_range,
         )
     rng = np.random.default_rng(seed)
     if scenario.kind == AttackKind.STATIC_PLAYBACK:
@@ -393,7 +389,7 @@ def synthesize_attack(
         raise ConfigError(f"unknown attack kind {scenario.kind!r}")
     return _render(
         labels, positions, model, pose, sample_rate, rng,
-        noise_snr_db, None, duration_range, c,
+        noise_snr_db, None, duration_range,
     )
 
 
@@ -401,10 +397,6 @@ def synthesize_beep_scene(
     face_distance_m: float,
     sample_rate: int = 192000,
     seed: int = 0,
-    face_amp: float = 0.3,
-    clutter_amp: float = 0.12,
-    noise_std: float = 0.003,
-    c: float = SPEED_OF_SOUND,
 ) -> StereoRecording:
     """Ranging scene: chirp emission with a strong body-conduction copy
     at time zero, the face echo at 2*distance/c, and one weaker clutter
@@ -418,8 +410,8 @@ def synthesize_beep_scene(
     rng = np.random.default_rng(seed)
     beep = make_beep(fs)
     lead = int(round(0.02 * fs))
-    tau_face = 2.0 * face_distance_m / c * fs
-    tau_clutter = 2.0 * (face_distance_m + 0.30) / c * fs
+    tau_face = 2.0 * face_distance_m / SPEED_OF_SOUND * fs
+    tau_clutter = 2.0 * (face_distance_m + 0.30) / SPEED_OF_SOUND * fs
     total = lead + len(beep) + int(math.ceil(tau_clutter)) + int(round(0.03 * fs))
 
     pad = _next_fast_len(len(beep) + int(math.ceil(tau_clutter)) + 64)
@@ -430,12 +422,13 @@ def synthesize_beep_scene(
     bottom = np.zeros(total)
     top = np.zeros(total)
     for channel, path, amp in (
-        (bottom, direct, 1.0), (bottom, face, face_amp), (bottom, clutter, clutter_amp),
-        (top, direct, 0.7), (top, face, 0.7 * face_amp),
+        (bottom, direct, 1.0), (bottom, face, BEEP_FACE_AMP),
+        (bottom, clutter, BEEP_CLUTTER_AMP),
+        (top, direct, 0.7), (top, face, 0.7 * BEEP_FACE_AMP),
     ):
         channel[lead:end] += amp * path
-    bottom += rng.normal(0.0, noise_std, total)
-    top += rng.normal(0.0, noise_std, total)
+    bottom += rng.normal(0.0, BEEP_NOISE_STD, total)
+    top += rng.normal(0.0, BEEP_NOISE_STD, total)
     peak = max(float(np.max(np.abs(bottom))), float(np.max(np.abs(top))), 1e-12)
     scale = 0.9 / peak
     return StereoRecording(sample_rate=fs, top=top * scale, bottom=bottom * scale)

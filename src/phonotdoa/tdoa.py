@@ -198,15 +198,15 @@ def _hann(length: int) -> np.ndarray:
     return window
 
 
-def gcc_phat(a, b, max_lag: int, spectral_floor: float = PHAT_SPECTRAL_FLOOR) -> np.ndarray:
+def gcc_phat(a, b, max_lag: int) -> np.ndarray:
     """Phase-transform weighted cross-correlation by lag.
 
     The cross-spectrum is estimated by averaging Hann-windowed
     sub-windows of the input, then divided by its magnitude, so every
     retained bin contributes unit power regardless of the source
     spectrum; that sharpens the delay peak and suppresses multipath
-    smearing. Bins whose magnitude falls below spectral_floor times the
-    peak magnitude are zero-weighted.
+    smearing. Bins whose magnitude falls below PHAT_SPECTRAL_FLOOR times
+    the peak magnitude are zero-weighted.
     """
     a, b = _checked_windows(a, b, max_lag)
     length = min(a.size, b.size)
@@ -238,7 +238,7 @@ def gcc_phat(a, b, max_lag: int, spectral_floor: float = PHAT_SPECTRAL_FLOOR) ->
     if peak <= 0.0:
         raise DegenerateSignalError("all-zero cross-spectrum")
     weighted = np.divide(
-        spec, mag, out=np.zeros_like(spec), where=mag > spectral_floor * peak
+        spec, mag, out=np.zeros_like(spec), where=mag > PHAT_SPECTRAL_FLOOR * peak
     )
     return _extract_lags(np.fft.irfft(weighted, n), max_lag)
 
@@ -267,9 +267,10 @@ def estimate_tdoa(
     """Delay of one phoneme segment between the two channels.
 
     recording is a StereoRecording or an open WavReader: anything with
-    sample_rate, n_samples and window(start, end). The search window is bounded by the device geometry: lags beyond
-    mic_spacing / c only admit noise peaks. delay_samples is the integer
-    argmax; delay_subsample adds the parabolic refinement.
+    sample_rate, n_samples and window(start, end). The search window is
+    bounded by the device geometry: lags beyond mic_spacing / c only
+    admit noise peaks. delay_samples is the integer argmax;
+    delay_subsample adds the parabolic refinement.
     """
     max_lag = max_lag_for_device(device, recording.sample_rate, c)
     if segment.length < 2 * max_lag:

@@ -325,6 +325,9 @@ MALFORMED_INPUTS = {
     "pose_field_bool": (
         "profile", lambda p, a: _with(p, pose={**p["pose"], "alpha": False}), "SchemaError",
     ),
+    "template_delays_text_bool": (
+        "profile", _template_field(delays=["1.5", True, 2]), "SchemaError",
+    ),
 }
 
 
@@ -468,6 +471,12 @@ def test_verify_unknown_passphrase_id_is_typed_error(pipeline, capsys):
     {"kind": "beep", "face_distance_m": "0.1"},
     {"kind": "static_playback", "labels": ["AA", "S", "K"], "noise_snr_db": False},
     {"kind": "replace", "labels": ["AA", "S", "K"], "recorder_distance_m": "0.3"},
+    {"kind": "static_playback", "labels": ["AA", "S", "K"], "source_offset": ["0.01", True],
+     "sample_rate": 48000},
+    {"kind": "mobile_playback", "labels": ["AA", "S", "K"],
+     "trajectory": [["0.01", "0.0"], [0.02, False]]},
+    {"kind": "live", "labels": ["AA", "S", "K"],
+     "pose": {"x": True, "l1": 0.14, "l2": 0.01, "l": 0.15}},
 ], ids=[
     "pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text",
     "seed_negative", "snr_very_negative", "attack_snr_very_negative",
@@ -476,6 +485,7 @@ def test_verify_unknown_passphrase_id_is_typed_error(pipeline, capsys):
     "rate_numeric_text", "rate_fraction", "seed_bool", "seed_text", "echo_lag_fraction",
     "snr_text_jitter_bool", "snr_text", "jitter_bool", "echo_amp_text",
     "beep_distance_text", "attack_snr_bool", "recorder_distance_text",
+    "offset_text_bool", "trajectory_text_bool", "pose_bool",
 ])
 def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     path = tmp_path / "scene.json"
@@ -495,6 +505,30 @@ def test_simulate_negative_seed_flag_is_typed_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not (tmp_path / "out").exists()
+
+
+SEED_DOCS = {
+    "simulate": {"kind": "live", "labels": LABELS},
+    "evaluate": {
+        "users": 1, "passphrases_per_user": 1, "live_trials": 2,
+        "static_attacks": 1, "mobile_attacks": 1, "length_bands": [[2, 2]],
+        "band_weights": [1.0], "duration_range": [0.06, 0.08],
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_DOCS))
+def test_file_seed_wins_and_seed_flag_fills_a_missing_one(tmp_path, command):
+    def run(name, *flags, **fields):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**SEED_DOCS[command], **fields}))
+        out = tmp_path / name
+        assert run_cli(command, path, out, *flags)[0] == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    seed5, seed9 = run("seed5", seed=5), run("seed9", seed=9)
+    assert run("seed5_flag9", "--seed", "9", seed=5) == seed5 != seed9
+    assert run("unseeded_flag9", "--seed", "9") == seed9 != run("unseeded")
 
 
 def test_reused_parser_matches_fresh_parser(pipeline, tmp_path):

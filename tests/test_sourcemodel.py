@@ -8,13 +8,11 @@ from phonotdoa.geometry import REFERENCE_POSE, pose_to_tdoa
 from phonotdoa.phonemes import INVENTORY, NASAL
 from phonotdoa.sourcemodel import (
     MAX_SOURCE_RADIUS,
-    PHONEME_TARGETS,
     PhonemeSource,
     VocalSourceModel,
     _solve_dy,
-    _solve_dz,
-    build_default_source_model,
 )
+from source_targets import PHONEME_TARGETS, _solve_dz, build_default_source_model
 
 
 def test_targets_cover_inventory():
