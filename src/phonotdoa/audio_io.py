@@ -109,10 +109,6 @@ class StereoRecording:
     def n_samples(self) -> int:
         return len(self.top)
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.sample_rate
-
     def window(self, start: int, end: int) -> tuple:
         """The (top, bottom) samples of frames [start, end), as views."""
         return self.top[start:end], self.bottom[start:end]

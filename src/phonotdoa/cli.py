@@ -94,8 +94,8 @@ def cmd_simulate(args) -> int:
             face = json_real(scene["face_distance_m"])
         else:
             labels = scene.get("labels")
-            if not labels:
-                raise ConfigError("scene needs a 'labels' phoneme list")
+            if type(labels) is not list or not labels or any(type(x) is not str for x in labels):
+                raise ConfigError(f"scene 'labels' must be a non-empty list of strings: {labels!r}")
             pose_doc = scene.get("pose")
             pose = (
                 DevicePose(**{k: json_real(v) for k, v in pose_doc.items()})
@@ -104,8 +104,14 @@ def cmd_simulate(args) -> int:
             snr = json_real(scene.get("noise_snr_db", 30.0))
             if kind == "live":
                 echo = scene.get("echo")
-                echo = (json_int(echo[0]), json_real(echo[1])) if echo else None
+                if echo is not None:
+                    lag, amp = echo
+                    echo = (json_int(lag), json_real(amp))
+                    if lag < 1:
+                        raise ConfigError(f"echo lag must be >= 1 sample, got {lag}")
                 jitter_scale = json_real(scene.get("jitter_scale", 1.0))
+                if jitter_scale < 0:
+                    raise ConfigError(f"jitter_scale must be >= 0, got {jitter_scale}")
             else:
                 scenario = AttackScenario(
                     kind=AttackKind(kind),

@@ -6,8 +6,9 @@ model; each microphone channel receives the excitation through an exact
 spectral fractional delay of its own travel time, so the ground-truth
 delay of a phoneme equals pose_to_tdoa of its effective source position
 by construction. Excitations are deliberately simple (harmonic stacks
-for voiced sounds, band-limited noise for voiceless ones): the delay
-dynamic depends on geometry and bandwidth, not on phonetic realism.
+for voiced sounds, band-limited noise for voiceless ones, as
+phonemes.INVENTORY voices and classes each label): the delay dynamic
+depends on geometry and bandwidth, not on phonetic realism.
 
 All randomness flows from the integer seed through numpy's PCG64
 generator (the default_rng algorithm), so identical parameters give
@@ -30,7 +31,7 @@ from .geometry import (
     make_beep,
     mic_positions,
 )
-from .phonemes import AFFRICATE, FRICATIVE, GLIDE, STOP
+from .phonemes import AFFRICATE, FRICATIVE, GLIDE, INVENTORY, STOP
 from .segmentation import PhonemeSegment
 from .sourcemodel import VocalSourceModel
 
@@ -159,11 +160,11 @@ def _tukey(n: int, alpha: float = 0.15) -> np.ndarray:
     return win
 
 
-def _excitation(rng, src, n: int, sample_rate: int, f0: float) -> np.ndarray:
-    if src.voiced:
+def _excitation(rng, label: str, n: int, sample_rate: int, f0: float) -> np.ndarray:
+    if INVENTORY.is_voiced(label):
         sig = _harmonic_excitation(rng, n, sample_rate, f0)
     else:
-        band = _NOISE_BANDS.get(src.articulation, (500.0, 8000.0))
+        band = _NOISE_BANDS[INVENTORY.articulation_class(label)]
         sig = _noise_excitation(rng, n, sample_rate, band)
     sig = sig * _tukey(n)
     rms = math.sqrt(float(np.mean(sig * sig)))
@@ -226,7 +227,6 @@ def _delayed_pair(exc: np.ndarray, tau_top: float, tau_bottom: float) -> np.ndar
 def _render(
     labels,
     positions,
-    model: VocalSourceModel,
     pose: DevicePose,
     sample_rate: int,
     rng,
@@ -250,10 +250,9 @@ def _render(
     truths = []
     cursor = lead
     for label, (dy, dz) in zip(labels, positions):
-        src = model.source(label)
         # multiple-of-256 lengths keep the excitation FFTs fast
         n = max(256, 256 * int(round(rng.uniform(*duration_range) * fs / 256)))
-        exc = _excitation(rng, src, n, fs, f0)
+        exc = _excitation(rng, label, n, fs, f0)
         d1 = math.hypot(ty - dy, tz - dz)
         d2 = math.hypot(by - dy, bz - dz)
         pair = _delayed_pair(exc, d1 / SPEED_OF_SOUND * fs, d2 / SPEED_OF_SOUND * fs)
@@ -330,10 +329,7 @@ def synthesize_live(
         src = model.source(label)
         jitter = rng.normal(0.0, src.jitter_std * jitter_scale) if jitter_scale > 0 else 0.0
         positions.append(model.effective_source(label, jitter))
-    return _render(
-        labels, positions, model, pose, sample_rate, rng,
-        noise_snr_db, echo, duration_range,
-    )
+    return _render(labels, positions, pose, sample_rate, rng, noise_snr_db, echo, duration_range)
 
 
 def _trajectory_point(trajectory, u: float) -> tuple:
@@ -387,10 +383,7 @@ def synthesize_attack(
         ]
     else:
         raise ConfigError(f"unknown attack kind {scenario.kind!r}")
-    return _render(
-        labels, positions, model, pose, sample_rate, rng,
-        noise_snr_db, None, duration_range,
-    )
+    return _render(labels, positions, pose, sample_rate, rng, noise_snr_db, None, duration_range)
 
 
 def synthesize_beep_scene(

@@ -8,9 +8,12 @@ top-mic path is the shorter one, which makes their delays strongly
 negative at the reference pose. All offsets stay inside a 0.10 m radius
 around the mouth reference point.
 
-The shipped coordinates in data/vocal_source_model.json were solved
-once from per-phoneme target delays (the closed-form
-geometry.solve_on_line at the reference pose, which must be vertical)
+The model holds only what nothing else knows: each phoneme's offset
+(dy, dz) and jitter std. Articulation class and voicing come from
+phonemes.INVENTORY, and the reference pose and speed of sound from
+geometry.REFERENCE_POSE and SPEED_OF_SOUND. The shipped coordinates in
+data/vocal_source_model.json were solved once from per-phoneme target
+delays (the closed-form geometry.solve_on_line at the reference pose)
 and then frozen. The target table and the solver that regenerates the
 file from it live in tests/source_targets.py, where a unit test pins
 the file to its regeneration.
@@ -32,9 +35,9 @@ import math
 
 from .audio_io import FIELD_ERRORS
 from .errors import ConfigError, NoSolutionError, SchemaError
-from .geometry import REFERENCE_POSE, SPEED_OF_SOUND, DevicePose, pose_to_tdoa, solve_on_line
+from .geometry import REFERENCE_POSE, SPEED_OF_SOUND, pose_to_tdoa, solve_on_line
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 MAX_SOURCE_RADIUS = 0.10  # m
 MODEL_SAMPLE_RATE = 192000  # jitter stds are expressed at this rate
 
@@ -56,13 +59,10 @@ class PhonemeSource:
     dy: float
     dz: float
     jitter_std: float
-    articulation: str
-    voiced: bool
-    target_delay: float
 
 
-def _delay_at(dy: float, dz: float, pose: DevicePose, c: float) -> float:
-    return pose_to_tdoa(pose, (dy, dz), MODEL_SAMPLE_RATE, c)
+def _delay_at(dy: float, dz: float) -> float:
+    return pose_to_tdoa(REFERENCE_POSE, (dy, dz), MODEL_SAMPLE_RATE)
 
 
 def _dy_bracket(dz: float) -> tuple:
@@ -70,40 +70,31 @@ def _dy_bracket(dz: float) -> tuple:
     return -reach, min(_FORWARD_DY_CAP, reach)
 
 
-def _on_line(target: float, pose: DevicePose, c: float, **line) -> float:
-    """solve_on_line for a delay in samples at the model rate, or NaN
-    where the delay is unreachable."""
+def _on_line(target: float, **line) -> float:
+    """solve_on_line at the vertical reference pose for a delay in samples
+    at the model rate, or NaN where the delay is unreachable."""
+    pose = REFERENCE_POSE
     try:
         return solve_on_line(
-            target * c / MODEL_SAMPLE_RATE, pose.l1, pose.l1 - pose.l, **line
+            target * SPEED_OF_SOUND / MODEL_SAMPLE_RATE, pose.l1, pose.l1 - pose.l, **line
         )
     except NoSolutionError:
         return math.nan
 
 
-def _solve_dy(target: float, dz: float, pose: DevicePose, c: float) -> float:
+def _solve_dy(target: float, dz: float) -> float:
     """Point on the horizontal line z = dz with the requested delay."""
     lo, hi = _dy_bracket(dz)
-    dy = pose.x - _on_line(target, pose, c, z=dz)
+    dy = REFERENCE_POSE.x - _on_line(target, z=dz)
     if not lo <= dy <= hi:
         raise ConfigError(f"delay {target:.2f} not reachable on the z = {dz:.3f} m line")
     return dy
 
 
 class VocalSourceModel:
-    """Phoneme label -> point source offset, jitter std, and class."""
+    """Phoneme label -> point source offset and jitter std."""
 
-    def __init__(
-        self,
-        sources: dict,
-        reference_pose: DevicePose = REFERENCE_POSE,
-        c: float = SPEED_OF_SOUND,
-    ):
-        if reference_pose.alpha != 0.0:
-            raise ConfigError(
-                f"reference pose must be vertical (alpha = 0), got "
-                f"alpha = {reference_pose.alpha}"
-            )
+    def __init__(self, sources: dict):
         for src in sources.values():
             radius = math.hypot(src.dy, src.dz)
             if radius > MAX_SOURCE_RADIUS + 1e-12:
@@ -114,8 +105,6 @@ class VocalSourceModel:
             if src.jitter_std <= 0:
                 raise ConfigError(f"{src.label}: jitter std must be positive")
         self.sources = dict(sources)
-        self.reference_pose = reference_pose
-        self.c = c
 
     @property
     def labels(self) -> tuple:
@@ -132,7 +121,7 @@ class VocalSourceModel:
 
     def reference_delay(self, label: str) -> float:
         src = self.source(label)
-        return _delay_at(src.dy, src.dz, self.reference_pose, self.c)
+        return _delay_at(src.dy, src.dz)
 
     def effective_source(self, label: str, jitter_samples: float = 0.0) -> tuple:
         """Source position whose reference-pose delay is shifted by the
@@ -140,14 +129,13 @@ class VocalSourceModel:
         src = self.source(label)
         if jitter_samples == 0.0:
             return (src.dy, src.dz)
-        pose, c = self.reference_pose, self.c
-        lo, hi = sorted(_delay_at(y, src.dz, pose, c) for y in _dy_bracket(src.dz))
+        lo, hi = sorted(_delay_at(y, src.dz) for y in _dy_bracket(src.dz))
         margin = min(_WINDOW_MARGIN, 0.25 * (hi - lo))
         if hi - lo <= 1e-9:
             return (src.dy, src.dz)  # degenerate line, jitter unrepresentable
         target = self.reference_delay(label) + jitter_samples
         target = min(max(target, lo + margin), hi - margin)
-        return (_solve_dy(target, src.dz, pose, c), src.dz)
+        return (_solve_dy(target, src.dz), src.dz)
 
     def perturbed(self, rng) -> "VocalSourceModel":
         """Seeded per-user variant: axis scaling within +/-10 percent and
@@ -166,68 +154,23 @@ class VocalSourceModel:
                 shrink = _USER_RADIUS / radius
                 dy *= shrink
                 dz *= shrink
-            out[label] = PhonemeSource(
-                label=label,
-                dy=dy,
-                dz=dz,
-                jitter_std=src.jitter_std * jit,
-                articulation=src.articulation,
-                voiced=src.voiced,
-                target_delay=src.target_delay,
-            )
-        return VocalSourceModel(out, self.reference_pose, self.c)
-
-    def to_dict(self) -> dict:
-        pose = self.reference_pose
-        return {
-            "version": MODEL_SCHEMA_VERSION,
-            "sample_rate": MODEL_SAMPLE_RATE,
-            "speed_of_sound": self.c,
-            "reference_pose": {
-                "x": pose.x, "l1": pose.l1, "l2": pose.l2,
-                "l": pose.l, "alpha": pose.alpha,
-            },
-            "phonemes": {
-                label: {
-                    "dy": src.dy,
-                    "dz": src.dz,
-                    "jitter_std": src.jitter_std,
-                    "class": src.articulation,
-                    "voiced": src.voiced,
-                    "target_delay": src.target_delay,
-                }
-                for label, src in sorted(self.sources.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "VocalSourceModel":
-        if doc.get("version") != MODEL_SCHEMA_VERSION:
-            raise ConfigError(
-                f"source model version {doc.get('version')!r} unsupported"
-            )
-        try:
-            pose = DevicePose(**doc["reference_pose"])
-            sources = {
-                label: PhonemeSource(
-                    label=label,
-                    dy=float(entry["dy"]),
-                    dz=float(entry["dz"]),
-                    jitter_std=float(entry["jitter_std"]),
-                    articulation=str(entry["class"]),
-                    voiced=bool(entry["voiced"]),
-                    target_delay=float(entry["target_delay"]),
-                )
-                for label, entry in doc["phonemes"].items()
-            }
-            c = float(doc.get("speed_of_sound", SPEED_OF_SOUND))
-        except FIELD_ERRORS as exc:
-            raise ConfigError(f"malformed source model: {exc!r}") from exc
-        return cls(sources, pose, c)
+            out[label] = PhonemeSource(label, dy, dz, src.jitter_std * jit)
+        return VocalSourceModel(out)
 
 
 def load_source_model() -> VocalSourceModel:
     """Load the frozen coordinate table packaged as data/vocal_source_model.json."""
     ref = resources.files("phonotdoa").joinpath("data/vocal_source_model.json")
-    return VocalSourceModel.from_dict(json.loads(ref.read_text()))
-
+    doc = json.loads(ref.read_text())
+    if doc.get("version") != MODEL_SCHEMA_VERSION:
+        raise ConfigError(f"source model version {doc.get('version')!r} unsupported")
+    try:
+        sources = {
+            label: PhonemeSource(
+                label, float(entry["dy"]), float(entry["dz"]), float(entry["jitter_std"])
+            )
+            for label, entry in doc["phonemes"].items()
+        }
+    except FIELD_ERRORS as exc:
+        raise ConfigError(f"malformed source model: {exc!r}") from exc
+    return VocalSourceModel(sources)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .audio_io import StereoRecording, WavReader
 from .errors import DegenerateSignalError, InvalidPoseError
-from .geometry import SPEED_OF_SOUND
+from .geometry import REFERENCE_POSE, SPEED_OF_SOUND
 from .segmentation import PhonemeSegment
 
 # search margin beyond the geometric maximum lag
@@ -75,7 +75,7 @@ class DeviceSpec:
 NOTE3 = DeviceSpec(mic_spacing_m=0.151, name="note3")
 NOTE5 = DeviceSpec(mic_spacing_m=0.153, name="note5")
 S5 = DeviceSpec(mic_spacing_m=0.141, name="s5")
-DEFAULT_DEVICE = DeviceSpec(mic_spacing_m=0.15, name="reference")
+DEFAULT_DEVICE = DeviceSpec(mic_spacing_m=REFERENCE_POSE.l, name="reference")
 
 
 @dataclass(frozen=True)

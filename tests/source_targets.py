@@ -2,17 +2,20 @@
 that regenerates data/vocal_source_model.json from it.
 
 test_sourcemodel pins the shipped file to build_default_source_model()
-within 1e-9 m. To change the source model, edit PHONEME_TARGETS and
-write build_default_source_model().to_dict() over the shipped file.
+within 1e-9 m. To change the source model, edit PHONEME_TARGETS and run
+write_source_model(build_default_source_model(), path) over the shipped
+file.
 """
 
+import json
 import math
 
 from phonotdoa.errors import ConfigError
-from phonotdoa.geometry import REFERENCE_POSE, SPEED_OF_SOUND, DevicePose
+from phonotdoa.geometry import REFERENCE_POSE
 from phonotdoa.phonemes import INVENTORY, NASAL
 from phonotdoa.sourcemodel import (
     _SOLVE_RADIUS,
+    MODEL_SCHEMA_VERSION,
     PhonemeSource,
     VocalSourceModel,
     _on_line,
@@ -53,9 +56,9 @@ PHONEME_TARGETS = {
 }
 
 
-def _solve_dz(target: float, dy: float, pose: DevicePose, c: float) -> float:
+def _solve_dz(target: float, dy: float) -> float:
     """Point on the vertical line y = dy (used to place the nasal sources)."""
-    dz = _on_line(target, pose, c, h=pose.x - dy)
+    dz = _on_line(target, h=REFERENCE_POSE.x - dy)
     if not 0.05 <= dz <= math.sqrt(max(_SOLVE_RADIUS**2 - dy * dy, 0.0)):
         raise ConfigError(f"delay {target:.2f} not reachable on the y = {dy:.3f} m line")
     return dz
@@ -63,23 +66,24 @@ def _solve_dz(target: float, dy: float, pose: DevicePose, c: float) -> float:
 
 def build_default_source_model() -> VocalSourceModel:
     """Solve the shipped coordinates from the target-delay table."""
-    pose = REFERENCE_POSE
     sources = {}
     for label, (target, jitter) in PHONEME_TARGETS.items():
-        cls = INVENTORY.articulation_class(label)
-        if cls == NASAL:
-            dz = _solve_dz(target, 0.0, pose, SPEED_OF_SOUND)
-            dy = 0.0
+        if INVENTORY.articulation_class(label) == NASAL:
+            dy, dz = 0.0, _solve_dz(target, 0.0)
         else:
-            dz = 0.0
-            dy = _solve_dy(target, 0.0, pose, SPEED_OF_SOUND)
-        sources[label] = PhonemeSource(
-            label=label,
-            dy=dy,
-            dz=dz,
-            jitter_std=jitter,
-            articulation=cls,
-            voiced=INVENTORY.is_voiced(label),
-            target_delay=target,
-        )
-    return VocalSourceModel(sources, pose)
+            dy, dz = _solve_dy(target, 0.0), 0.0
+        sources[label] = PhonemeSource(label, dy, dz, jitter)
+    return VocalSourceModel(sources)
+
+
+def write_source_model(model: VocalSourceModel, path) -> None:
+    """Write a model in the packaged file's layout (sorted, 2-space indent)."""
+    doc = {
+        "version": MODEL_SCHEMA_VERSION,
+        "phonemes": {
+            label: {"dy": src.dy, "dz": src.dz, "jitter_std": src.jitter_std}
+            for label, src in model.sources.items()
+        },
+    }
+    with open(path, "w") as f:
+        f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -477,6 +477,15 @@ def test_verify_unknown_passphrase_id_is_typed_error(pipeline, capsys):
      "trajectory": [["0.01", "0.0"], [0.02, False]]},
     {"kind": "live", "labels": ["AA", "S", "K"],
      "pose": {"x": True, "l1": 0.14, "l2": 0.01, "l": 0.15}},
+    # labels must be a non-empty list of strings
+    {"kind": "live", "labels": 5},
+    {"kind": "live", "labels": [["AA"]]},
+    {"kind": "static_playback", "labels": "AA"},
+    # echo is exactly [lag >= 1, amplitude]; jitter_scale is >= 0
+    {"kind": "live", "labels": ["AA", "S", "K"], "echo": [-5, 0.3]},
+    {"kind": "live", "labels": ["AA", "S", "K"], "echo": [0, 0.3]},
+    {"kind": "live", "labels": ["AA", "S", "K"], "echo": [5, 0.3, 9]},
+    {"kind": "live", "labels": ["AA", "S", "K"], "jitter_scale": -1},
 ], ids=[
     "pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text",
     "seed_negative", "snr_very_negative", "attack_snr_very_negative",
@@ -486,6 +495,8 @@ def test_verify_unknown_passphrase_id_is_typed_error(pipeline, capsys):
     "snr_text_jitter_bool", "snr_text", "jitter_bool", "echo_amp_text",
     "beep_distance_text", "attack_snr_bool", "recorder_distance_text",
     "offset_text_bool", "trajectory_text_bool", "pose_bool",
+    "labels_number", "labels_nested", "labels_string",
+    "echo_lag_negative", "echo_lag_zero", "echo_three_values", "jitter_negative",
 ])
 def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     path = tmp_path / "scene.json"
@@ -495,6 +506,14 @@ def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     # the SNR and rate cases parse and are refused by the renderer: still
     # no output left
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_unknown_label_is_schema_error(tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"kind": "live", "labels": ["AA", "QQ"]}))
+    assert run_cli("simulate", path, tmp_path / "out") == (2, "")
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
     assert not (tmp_path / "out").exists()
 
 

@@ -63,14 +63,10 @@ def test_unit_jitter_reproduced_in_stds(source_model):
     # all-unit jitter model: with 3 trials the expected sample std is
     # sigma * c4(3) ~ 0.886; average over many positions to see it
     sources = {
-        label: PhonemeSource(
-            label=src.label, dy=src.dy, dz=src.dz, jitter_std=1.0,
-            articulation=src.articulation, voiced=src.voiced,
-            target_delay=src.target_delay,
-        )
+        label: PhonemeSource(label=src.label, dy=src.dy, dz=src.dz, jitter_std=1.0)
         for label, src in source_model.sources.items()
     }
-    unit_model = VocalSourceModel(sources, source_model.reference_pose)
+    unit_model = VocalSourceModel(sources)
     labels = sorted(unit_model.labels)
     trials = _trials(unit_model, labels=labels, seed0=300)
     profile = enroll_text_dependent("u1", "pp0", trials, REFERENCE_POSE, DEVICE)

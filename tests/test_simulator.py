@@ -23,14 +23,10 @@ LABELS = ["IY", "S", "K", "AA", "T", "OW", "N", "EH"]
 def test_symmetric_pose_zero_ground_truth(source_model):
     pose = DevicePose(x=0.05, l1=0.075, l2=0.075, l=0.15)
     sources = {
-        label: PhonemeSource(
-            label=label, dy=0.0, dz=0.0, jitter_std=1.0,
-            articulation=INVENTORY.articulation_class(label),
-            voiced=INVENTORY.is_voiced(label), target_delay=0.0,
-        )
+        label: PhonemeSource(label=label, dy=0.0, dz=0.0, jitter_std=1.0)
         for label in ("AA", "S", "M")
     }
-    model = VocalSourceModel(sources, reference_pose=pose)
+    model = VocalSourceModel(sources)
     utt = synthesize_live(["AA", "S", "M"], model, pose, seed=0, jitter_scale=0.0)
     assert np.allclose(utt.true_delays, 0.0, atol=1e-12)
 

@@ -1,4 +1,6 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from phonotdoa.geometry import REFERENCE_POSE, pose_to_tdoa
 from phonotdoa.phonemes import INVENTORY, NASAL
 from phonotdoa.sourcemodel import (
     MAX_SOURCE_RADIUS,
+    MODEL_SCHEMA_VERSION,
     PhonemeSource,
     VocalSourceModel,
     _solve_dy,
@@ -29,11 +32,21 @@ def test_shipped_file_matches_regeneration(source_model):
         assert a.jitter_std == b.jitter_std
 
 
+def test_shipped_file_holds_positions_and_jitter_only():
+    # class, voicing, pose and speed of sound each have one home elsewhere
+    ref = resources.files("phonotdoa").joinpath("data/vocal_source_model.json")
+    doc = json.loads(ref.read_text())
+    assert set(doc) == {"version", "phonemes"}
+    assert doc["version"] == MODEL_SCHEMA_VERSION
+    for entry in doc["phonemes"].values():
+        assert set(entry) == {"dy", "dz", "jitter_std"}
+
+
 def test_solved_positions_hit_targets(source_model):
     for label in source_model.labels:
         src = source_model.source(label)
         got = pose_to_tdoa(REFERENCE_POSE, (src.dy, src.dz), 192000)
-        assert got == pytest.approx(src.target_delay, abs=1e-6)
+        assert got == pytest.approx(PHONEME_TARGETS[label][0], abs=1e-6)
 
 
 def test_offsets_inside_source_region(source_model):
@@ -45,12 +58,13 @@ def test_offsets_inside_source_region(source_model):
 def test_nasals_high_orals_on_axis(source_model):
     for label in source_model.labels:
         src = source_model.source(label)
+        target = PHONEME_TARGETS[label][0]
         if INVENTORY.articulation_class(label) == NASAL:
             assert src.dz > 0.05
-            assert src.target_delay < -20
+            assert target < -20
         else:
             assert src.dz == 0.0
-            assert src.target_delay > 30
+            assert target > 30
 
 
 def test_effective_source_reproduces_jittered_delay(source_model):
@@ -76,28 +90,18 @@ def test_effective_source_clamps_wild_jitter(source_model):
 
 def test_solvers_refuse_unreachable_delays():
     with pytest.raises(ConfigError, match="delay 90.00 not reachable on the z = 0.000 m line"):
-        _solve_dy(90.0, 0.0, REFERENCE_POSE, 340.0)
+        _solve_dy(90.0, 0.0)
     # reachable on the line, but past the 2 cm cap toward the handset
     with pytest.raises(ConfigError, match="delay 72.00 not reachable on the z = 0.000 m line"):
-        _solve_dy(72.0, 0.0, REFERENCE_POSE, 340.0)
+        _solve_dy(72.0, 0.0)
     # reachable on the line, but beyond the solve radius behind the mouth
     with pytest.raises(ConfigError, match="delay 30.00 not reachable on the z = 0.000 m line"):
-        _solve_dy(30.0, 0.0, REFERENCE_POSE, 340.0)
+        _solve_dy(30.0, 0.0)
     with pytest.raises(ConfigError, match="delay 200.00 not reachable on the y = 0.000 m line"):
-        _solve_dz(200.0, 0.0, REFERENCE_POSE, 340.0)
+        _solve_dz(200.0, 0.0)
     # a positive delay lies below the mouth, outside the nasal window
     with pytest.raises(ConfigError, match="delay 50.00 not reachable on the y = 0.000 m line"):
-        _solve_dz(50.0, 0.0, REFERENCE_POSE, 340.0)
-
-
-def test_tilted_reference_pose_rejected(source_model):
-    tilted = REFERENCE_POSE.with_(alpha=0.1)
-    with pytest.raises(ConfigError, match="reference pose must be vertical"):
-        VocalSourceModel(source_model.sources, tilted)
-    doc = source_model.to_dict()
-    doc["reference_pose"]["alpha"] = 0.1
-    with pytest.raises(ConfigError, match="reference pose must be vertical"):
-        VocalSourceModel.from_dict(doc)
+        _solve_dz(50.0, 0.0)
 
 
 def test_unknown_label(source_model):
@@ -128,16 +132,7 @@ def test_perturbed_model_respects_radius(source_model):
 
 
 def test_model_rejects_out_of_region_source():
-    src = PhonemeSource(
-        label="AA", dy=0.2, dz=0.0, jitter_std=1.0,
-        articulation="vowel", voiced=True, target_delay=50.0,
-    )
+    src = PhonemeSource(label="AA", dy=0.2, dz=0.0, jitter_std=1.0)
     with pytest.raises(ConfigError, match="outside the 0.1 m mouth/nasal region"):
         VocalSourceModel({"AA": src})
 
-
-def test_roundtrip_dict(source_model):
-    doc = source_model.to_dict()
-    back = VocalSourceModel.from_dict(doc)
-    for label in source_model.labels:
-        assert back.source(label) == source_model.source(label)
