@@ -24,7 +24,7 @@ from .audio_io import (
 )
 from .config import load_config
 from .errors import ConfigError, PhonotdoaError
-from .evaluation import ExperimentConfig, run_experiment, transform_templates, write_report
+from .evaluation import ExperimentConfig, run_experiment, write_report
 from .geometry import (
     REFERENCE_POSE,
     SPEED_OF_SOUND,
@@ -107,11 +107,7 @@ def cmd_simulate(args) -> int:
                 if echo is not None:
                     lag, amp = echo
                     echo = (json_int(lag), json_real(amp))
-                    if lag < 1:
-                        raise ConfigError(f"echo lag must be >= 1 sample, got {lag}")
                 jitter_scale = json_real(scene.get("jitter_scale", 1.0))
-                if jitter_scale < 0:
-                    raise ConfigError(f"jitter_scale must be >= 0, got {jitter_scale}")
             else:
                 scenario = AttackScenario(
                     kind=AttackKind(kind),
@@ -194,13 +190,13 @@ def _parse_trial(spec: str) -> tuple:
     return wav_path, align_path
 
 
-def _measure_trial(spec: str, method: Method, device: DeviceSpec):
-    """Measure one trial straight from its WAV file, which holds one
-    segment's decoded samples at a time."""
+def _measure_trial(spec: str, device: DeviceSpec):
+    """Measure one trial with GCC-PHAT straight from its WAV file, which
+    holds one segment's decoded samples at a time."""
     wav_path, align_path = _parse_trial(spec)
     with WavReader(wav_path) as recording:
         segments = load_alignment(align_path, recording)
-        return measure_dynamic(recording, segments, method=method, device=device)
+        return measure_dynamic(recording, segments, device=device)
 
 
 def cmd_enroll(args) -> int:
@@ -209,7 +205,7 @@ def cmd_enroll(args) -> int:
     if args.device_spacing_m is not None:
         device = DeviceSpec(mic_spacing_m=args.device_spacing_m, name=args.device_name)
     pose = _pose_from_args(args)
-    dynamics = [_measure_trial(spec, Method(args.method), device) for spec in args.trial]
+    dynamics = [_measure_trial(spec, device) for spec in args.trial]
     profile = enroll_from_dynamics(
         args.user, ProfileMode(args.mode), dynamics, pose, device, args.passphrase_id
     )
@@ -238,7 +234,7 @@ def cmd_verify(args) -> int:
     with WavReader(args.recording) as recording:
         segments = load_alignment(args.alignment, recording)
         device = _device_from_args(args, fallback=profile.device)
-        dynamic = measure_dynamic(recording, segments, device=device, c=config.c)
+        dynamic = measure_dynamic(recording, segments, device=device)
     if (
         device.mic_spacing_m != profile.device.mic_spacing_m
         or dynamic.sample_rate != profile.sample_rate
@@ -247,26 +243,18 @@ def cmd_verify(args) -> int:
             dynamic, device, profile.device, to_sample_rate=profile.sample_rate
         )
 
-    templates = profile.utterance_templates(
-        [s.label for s in segments], args.passphrase_id
-    )
-
-    # pose release: map enrolled templates onto the verification pose
-    alpha = math.radians(args.angle_deg or 0.0)
+    # pose release: move the enrolled templates to the verification pose
     new_x = None
     if args.beep_echo is not None:
         echo_rec = load_wav(args.beep_echo)
-        beep = make_beep(echo_rec.sample_rate)
-        new_x = estimate_face_distance(echo_rec, beep, c=config.c)
+        new_x = estimate_face_distance(echo_rec, make_beep(echo_rec.sample_rate))
         log.info("beep-echo distance estimate: %.4f m", new_x)
     if args.distance_m is not None:
         new_x = args.distance_m
-    delta_x = (new_x - profile.enrollment_pose.x) if new_x is not None else 0.0
-    templates = transform_templates(
-        templates, profile.enrollment_pose, alpha, delta_x,
-        profile.sample_rate, c=config.c,
+    templates = profile.templates_at(
+        dynamic.labels, args.passphrase_id, math.radians(args.angle_deg or 0.0),
+        new_x - profile.enrollment_pose.x if new_x is not None else 0.0,
     )
-
     sim = score_dynamic(
         dynamic, templates, method=ScoringMethod(config.method),
         weighted=profile.mode == ProfileMode.TEXT_INDEPENDENT,
@@ -316,15 +304,12 @@ def cmd_tdoa(args) -> int:
 # --- pose ---
 
 def cmd_pose(args) -> int:
-    config = load_config(args.config)
     pose = _pose_from_args(args)
     check_sample_rate(args.sample_rate)
     result = {
         "tdoa1": args.tdoa,
         "sample_rate": args.sample_rate,
-        "x_solved": solve_source_distance(
-            args.tdoa, pose.l1, pose.l2, args.sample_rate, c=config.c
-        ),
+        "x_solved": solve_source_distance(args.tdoa, pose.l1, pose.l2, args.sample_rate),
     }
     if args.angle_deg is not None or args.delta_x_m is not None:
         result["tdoa2"] = transform_tdoa(
@@ -333,7 +318,6 @@ def cmd_pose(args) -> int:
             alpha=math.radians(args.angle_deg or 0.0),
             delta_x=args.delta_x_m or 0.0,
             sample_rate=args.sample_rate,
-            c=config.c,
         )
     _emit(result)
     return 0
@@ -353,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene", help="scene description JSON")
     p.add_argument("out", help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("enroll", help="build a user profile from trials")
     p.add_argument("--out", required=True, help="profile JSON path")
@@ -363,12 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text_dependent")
     p.add_argument("--trial", action="append", required=True,
                    metavar="WAV:ALIGNMENT", help="repeatable, >= 3 times")
-    p.add_argument("--method", choices=[m.value for m in Method], default="gcc_phat")
     _add_pose_flags(p)
     _add_device_flags(p)
     p.add_argument("--device-name", default="generic",
                    help="stored in the profile with --device-spacing-m")
-    p.set_defaults(func=cmd_enroll)
+    p.set_defaults(run=cmd_enroll)
 
     p = sub.add_parser("verify", help="live/replay decision for a recording")
     p.add_argument("recording", help="two-channel WAV")
@@ -386,29 +369,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="beep-echo WAV to estimate the distance from")
     p.add_argument("--config", default=None)
     _add_device_flags(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("evaluate", help="run a simulated experiment config")
     p.add_argument("experiment", help="experiment config JSON")
     p.add_argument("out", help="report output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(run=cmd_evaluate)
 
     p = sub.add_parser("tdoa", help="per-phoneme delays as CSV")
     p.add_argument("recording")
     p.add_argument("alignment")
     p.add_argument("--method", choices=[m.value for m in Method], default="gcc_phat")
     _add_device_flags(p)
-    p.set_defaults(func=cmd_tdoa)
+    p.set_defaults(run=cmd_tdoa)
 
     p = sub.add_parser("pose", help="solve source distance / transform a delay")
     p.add_argument("--tdoa", type=float, required=True)
     p.add_argument("--sample-rate", type=int, default=192000)
     p.add_argument("--angle-deg", type=float, default=None)
     p.add_argument("--delta-x-m", type=float, default=None)
-    p.add_argument("--config", default=None)
     _add_pose_flags(p)
-    p.set_defaults(func=cmd_pose)
+    p.set_defaults(run=cmd_pose)
 
     return parser
 
@@ -420,7 +402,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.run(args)
     except (PhonotdoaError, OSError) as exc:
         print(
             json.dumps(

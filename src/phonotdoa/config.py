@@ -1,6 +1,8 @@
-"""Layered run configuration: built-in defaults, then a JSON config
-file, then command-line flags. The effective values are echoed to the
-log at the start of every run."""
+"""Layered scoring configuration for `verify`: built-in defaults, then
+a JSON config file, then command-line flags. The effective values are
+echoed to the log at the start of every run. The speed of sound is not
+configurable: every command uses geometry.SPEED_OF_SOUND, the value the
+simulator renders with."""
 
 from __future__ import annotations
 
@@ -9,18 +11,16 @@ from dataclasses import dataclass
 
 from .audio_io import read_json
 from .errors import ConfigError
-from .geometry import SPEED_OF_SOUND
 from .scoring import ScoringMethod
 
 DEFAULT_THRESHOLD = 0.60
 
 # config-file section -> keys it may hold
-_KEYS = {"geometry": ("c",), "scoring": ("method", "threshold")}
+_KEYS = {"scoring": ("method", "threshold")}
 
 
 @dataclass
 class CliConfig:
-    c: float = SPEED_OF_SOUND
     method: str = "combined"
     threshold: float = DEFAULT_THRESHOLD
 
@@ -32,20 +32,15 @@ class CliConfig:
                 f"scoring.method must be one of "
                 f"{', '.join(m.value for m in ScoringMethod)}, got {self.method!r}"
             ) from None
-        for name, value in (("geometry.c", self.c), ("scoring.threshold", self.threshold)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-        if not self.c > 0:
-            raise ConfigError("geometry.c must be positive")
+        value = self.threshold
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"scoring.threshold must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"scoring.threshold must be finite, got {value!r}")
         return self
 
     def as_dict(self) -> dict:
-        return {
-            "geometry": {"c": self.c},
-            "scoring": {"method": self.method, "threshold": self.threshold},
-        }
+        return {"scoring": {"method": self.method, "threshold": self.threshold}}
 
 
 def load_config(path=None, overrides=None) -> CliConfig:

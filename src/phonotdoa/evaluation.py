@@ -13,14 +13,14 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .audio_io import FIELD_ERRORS, check_sample_rate, json_real, write_json
-from .errors import ConfigError, NoSolutionError
-from .geometry import REFERENCE_POSE, SPEED_OF_SOUND, DevicePose, transform_tdoa
+from .errors import ConfigError
+from .geometry import REFERENCE_POSE
 from .phonemes import INVENTORY
 from .profiles import MIN_TRIALS, ProfileMode, enroll_from_dynamics
 from .scoring import ScoringMethod, score_dynamic
@@ -293,33 +293,6 @@ def _sample_passphrase(rng, config: ExperimentConfig, labels_pool) -> tuple:
     return tuple(labels), _band_label(config.length_bands[band_idx])
 
 
-def transform_templates(
-    templates,
-    pose: DevicePose,
-    alpha: float,
-    delta_x: float,
-    sample_rate: int,
-    c: float = SPEED_OF_SOUND,
-):
-    """Map template means to a new handset pose; with no pose change the
-    templates are returned as they are. Templates whose delay admits no
-    on-axis source (e.g. nasals, whose source sits high above the mouth)
-    are passed through unchanged."""
-    if alpha == 0.0 and delta_x == 0.0:
-        return templates
-    out = []
-    for t in templates:
-        try:
-            new_mean = transform_tdoa(
-                t.mean_delay, pose, alpha=alpha, delta_x=delta_x,
-                sample_rate=sample_rate, c=c,
-            )
-        except NoSolutionError:
-            new_mean = t.mean_delay
-        out.append(replace(t, mean_delay=new_mean))
-    return out
-
-
 def _measure(config: ExperimentConfig, job) -> TdoaDynamic:
     """Render one utterance and measure its per-phoneme delay dynamic.
 
@@ -470,23 +443,21 @@ def run_experiment(config: ExperimentConfig, workers=None) -> dict:
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
             dynamics = list(pool.map(measure, jobs))
 
-    pose0 = REFERENCE_POSE
-    fs = config.sample_rate
     weighted = config.mode == ProfileMode.TEXT_INDEPENDENT
+    # (alpha, delta_x) the templates move by for each verification pose
+    moves = [
+        (math.radians(alpha_deg), delta_x) if config.transform else (0.0, 0.0)
+        for alpha_deg, delta_x in poses
+    ]
     rows = []
     for user_id, passphrase_id, band, labels, enroll, pp_rows in passphrases:
         profile = enroll_from_dynamics(
             user_id, config.mode, [dynamics[j] for j in enroll],
-            pose0, config.device, passphrase_id,
+            REFERENCE_POSE, config.device, passphrase_id,
         )
-        base_templates = profile.utterance_templates(labels, passphrase_id)
         templates = [
-            transform_templates(
-                base_templates, pose0, math.radians(alpha_deg), delta_x, fs
-            )
-            if config.transform
-            else base_templates
-            for alpha_deg, delta_x in poses
+            profile.templates_at(labels, passphrase_id, alpha, delta_x)
+            for alpha, delta_x in moves
         ]
         for kind, pose_idx, j in pp_rows:
             sim = score_dynamic(dynamics[j], templates[pose_idx], weighted=weighted)

@@ -9,7 +9,9 @@ at (x, -l2). Tilting by alpha rotates the handset about its top mic, so
 the bottom mic moves to (x + l*sin(alpha), l1 - l*cos(alpha)).
 
 A positive delay means the top-mic path is longer (bottom leads), the
-same convention the delay estimator uses.
+same convention the delay estimator uses. Delays and path differences
+convert at the one speed of sound SPEED_OF_SOUND, the value the
+simulator renders with.
 
 Only numpy loads with this module. Beep-echo ranging (make_beep,
 estimate_face_distance) imports scipy.signal on first use, so commands
@@ -95,17 +97,14 @@ def path_difference(pose: DevicePose, source_offset=(0.0, 0.0)) -> float:
 
 
 def pose_to_tdoa(
-    pose: DevicePose,
-    source_offset=(0.0, 0.0),
-    sample_rate: int = 192000,
-    c: float = SPEED_OF_SOUND,
+    pose: DevicePose, source_offset=(0.0, 0.0), sample_rate: int = 192000
 ) -> float:
     """Forward model: delay in samples for a source near the mouth.
 
     This is the single forward model shared by the simulator and the
     inverse solvers; positive means the top-mic path is longer.
     """
-    return path_difference(pose, source_offset) / c * sample_rate
+    return path_difference(pose, source_offset) / SPEED_OF_SOUND * sample_rate
 
 
 def solve_on_line(delta_d: float, top_z: float, bottom_z: float, *, z=None, h=None) -> float:
@@ -140,19 +139,14 @@ def solve_on_line(delta_d: float, top_z: float, bottom_z: float, *, z=None, h=No
     )
 
 
-def solve_source_distance(
-    tdoa_samples: float,
-    l1: float,
-    l2: float,
-    sample_rate: int,
-    c: float = SPEED_OF_SOUND,
-) -> float:
+def solve_source_distance(tdoa_samples: float, l1: float, l2: float, sample_rate: int) -> float:
     """Invert sqrt(l1^2 + x^2) - sqrt(l2^2 + x^2) = delta_d for x.
 
-    delta_d comes from the delay via delta_d = tdoa * c / sample_rate;
-    x is the closed-form solve_on_line distance on the mouth axis.
+    delta_d comes from the delay via
+    delta_d = tdoa * SPEED_OF_SOUND / sample_rate; x is the closed-form
+    solve_on_line distance on the mouth axis.
     """
-    delta_d = tdoa_samples * c / sample_rate
+    delta_d = tdoa_samples * SPEED_OF_SOUND / sample_rate
     if l1 == l2:
         if delta_d == 0.0:
             raise NoSolutionError(
@@ -182,7 +176,6 @@ def transform_tdoa(
     alpha: float = 0.0,
     delta_x: float = 0.0,
     sample_rate: int = 192000,
-    c: float = SPEED_OF_SOUND,
 ) -> float:
     """Predict the delay after moving the handset back by delta_x and
     tilting it by alpha about its top mic, keeping the source fixed.
@@ -192,11 +185,11 @@ def transform_tdoa(
     simulator share one geometry. The moved pose is validated by
     DevicePose (x + delta_x > 0, |alpha| < pi/2, all finite).
     """
-    x = solve_source_distance(tdoa_samples, pose.l1, pose.l2, sample_rate, c=c)
+    x = solve_source_distance(tdoa_samples, pose.l1, pose.l2, sample_rate)
     if alpha == 0.0 and delta_x == 0.0:
         return tdoa_samples  # no pose change (solve above validated the input)
     moved = pose.with_(x=x + delta_x, alpha=alpha)
-    return pose_to_tdoa(moved, sample_rate=sample_rate, c=c)
+    return pose_to_tdoa(moved, sample_rate=sample_rate)
 
 
 def make_beep(sample_rate: int) -> np.ndarray:
@@ -216,23 +209,19 @@ def make_beep(sample_rate: int) -> np.ndarray:
     return sweep * tukey(n, 0.1)
 
 
-def estimate_face_distance(
-    echo_recording: StereoRecording,
-    beep: np.ndarray,
-    c: float = SPEED_OF_SOUND,
-) -> float:
+def estimate_face_distance(echo_recording: StereoRecording, beep: np.ndarray) -> float:
     """Round-trip range to the face from a beep-echo recording.
 
     Matched-filters the bottom channel against the beep; the first
     correlation peak is the body-conduction copy of the emission (time
     zero), the second is the face reflection. Peaks must exceed three
     times the correlation noise floor and be separated by at least
-    0.1 ms. Distance is (t2 - t1) * c / 2.
+    0.1 ms. Distance is (t2 - t1) * SPEED_OF_SOUND / 2.
 
     The chirp bandwidth bounds the resolution: reflectors closer than
-    roughly c / (2 * bandwidth) (~7 cm for the 5 kHz make_beep sweep with
-    the tapered filter) merge into the emission peak, and the next
-    reflector in the scene gets ranged instead.
+    roughly SPEED_OF_SOUND / (2 * bandwidth) (~7 cm for the 5 kHz
+    make_beep sweep with the tapered filter) merge into the emission
+    peak, and the next reflector in the scene gets ranged instead.
     """
     # imported here: scipy.signal takes over a second to load, and only
     # beep-echo ranging needs it
@@ -267,4 +256,4 @@ def estimate_face_distance(
             f"found {len(peaks)} qualifying correlation peaks, need 2"
         )
     t1, t2 = peaks[0], peaks[1]
-    return (t2 - t1) / fs * c / 2.0
+    return (t2 - t1) / fs * SPEED_OF_SOUND / 2.0

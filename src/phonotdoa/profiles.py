@@ -3,7 +3,8 @@
 Text-dependent profiles store one template sequence per enrolled
 passphrase (mean/std per position over >= 3 trials). Text-independent
 profiles store one template per inventory phoneme and assemble passphrase
-templates on demand. Raw per-trial delays are kept alongside the
+templates on demand. Enrollment measures every delay with GCC-PHAT, as
+verification does. Raw per-trial delays are kept alongside the
 statistics so they can always be recomputed or re-weighted without
 re-enrollment.
 """
@@ -11,7 +12,7 @@ re-enrollment.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .audio_io import (
     FIELD_ERRORS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, json_int, json_real, read_json,
     write_json,
 )
-from .errors import SchemaError
-from .geometry import DevicePose
+from .errors import NoSolutionError, SchemaError
+from .geometry import DevicePose, transform_tdoa
 from .phonemes import INVENTORY
 from .tdoa import DeviceSpec, TdoaDynamic, estimate_tdoa, measure_dynamic
 
@@ -83,21 +84,44 @@ class UserProfile:
                 f"profile has no passphrase {passphrase_id!r}"
             ) from None
 
-    def utterance_templates(self, labels, passphrase_id: str = None) -> list:
-        """The templates to score an utterance of labels against: the
-        inventory templates in label order for a text-independent
-        profile, else the named passphrase's, or the only passphrase's
-        when none is named."""
+    def templates_at(
+        self, labels, passphrase_id: str = None, alpha: float = 0.0, delta_x: float = 0.0
+    ) -> list:
+        """The templates to score an utterance of labels against, moved
+        from the enrollment pose to a handset tilted by alpha about its
+        top mic and moved back by delta_x, at the profile's sample rate.
+
+        A text-independent profile gives its inventory templates in label
+        order; a text-dependent one the named passphrase's, or the only
+        passphrase's when none is named. With no pose change the templates
+        are returned as they are. A template whose delay admits no on-axis
+        source (e.g. a nasal, whose source sits high above the mouth)
+        keeps its mean.
+        """
         if self.mode == ProfileMode.TEXT_INDEPENDENT:
-            return assemble_template(self, labels)
-        if passphrase_id is None:
-            ids = sorted(self.passphrase_templates)
-            if len(ids) != 1:
-                raise SchemaError(
-                    f"profile holds {len(ids)} passphrases; pass --passphrase-id"
+            templates = assemble_template(self, labels)
+        else:
+            if passphrase_id is None:
+                ids = sorted(self.passphrase_templates)
+                if len(ids) != 1:
+                    raise SchemaError(
+                        f"profile holds {len(ids)} passphrases; pass --passphrase-id"
+                    )
+                passphrase_id = ids[0]
+            templates = self.templates_for(passphrase_id)
+        if alpha == 0.0 and delta_x == 0.0:
+            return templates
+        moved = []
+        for t in templates:
+            try:
+                mean = transform_tdoa(
+                    t.mean_delay, self.enrollment_pose, alpha=alpha, delta_x=delta_x,
+                    sample_rate=self.sample_rate,
                 )
-            passphrase_id = ids[0]
-        return self.templates_for(passphrase_id)
+            except NoSolutionError:
+                mean = t.mean_delay
+            moved.append(replace(t, mean_delay=mean))
+        return moved
 
 
 def enroll_text_dependent(

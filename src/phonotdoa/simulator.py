@@ -279,8 +279,7 @@ def _render(
 
     if echo is not None:
         lag, amp = int(echo[0]), float(echo[1])
-        if lag > 0:
-            out[:, lag:] += amp * out[:, :-lag]
+        out[:, lag:] += amp * out[:, :-lag]
 
     # einsum, not np.dot: BLAS threads its dot above ~10^4 samples and
     # doubles the CPU time of a render for no wall-time gain
@@ -318,7 +317,16 @@ def synthesize_live(
     duration_range=DURATION_RANGE_S,
 ) -> SimulatedUtterance:
     """Render live speech: per-phoneme sources from the vocal model with
-    seeded articulation jitter, picked up by both mics at the pose."""
+    seeded articulation jitter, picked up by both mics at the pose.
+
+    echo=(lag, amplitude) adds the whole render again lag >= 1 samples
+    later; jitter_scale >= 0 scales every phoneme's jitter std, and 0
+    draws no jitter. A lag below 1 or a negative jitter_scale raises
+    ConfigError."""
+    if echo is not None and not echo[0] >= 1:
+        raise ConfigError(f"echo lag must be >= 1 sample, got {echo[0]}")
+    if not jitter_scale >= 0:
+        raise ConfigError(f"jitter_scale must be >= 0, got {jitter_scale}")
     labels = list(labels)
     for label in labels:
         if label not in model:
@@ -392,8 +400,8 @@ def synthesize_beep_scene(
     seed: int = 0,
 ) -> StereoRecording:
     """Ranging scene: chirp emission with a strong body-conduction copy
-    at time zero, the face echo at 2*distance/c, and one weaker clutter
-    echo beyond the face."""
+    at time zero, the face echo at 2 * distance / SPEED_OF_SOUND, and
+    one weaker clutter echo beyond the face."""
     if not 0.03 <= face_distance_m <= 1.0:
         raise ConfigError(
             f"face distance {face_distance_m} m outside [0.03, 1.0]"

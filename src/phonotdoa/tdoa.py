@@ -71,10 +71,7 @@ class DeviceSpec:
             )
 
 
-# spacings measured on the handsets used to anchor the defaults
-NOTE3 = DeviceSpec(mic_spacing_m=0.151, name="note3")
-NOTE5 = DeviceSpec(mic_spacing_m=0.153, name="note5")
-S5 = DeviceSpec(mic_spacing_m=0.141, name="s5")
+# the handset of geometry.REFERENCE_POSE
 DEFAULT_DEVICE = DeviceSpec(mic_spacing_m=REFERENCE_POSE.l, name="reference")
 
 
@@ -243,11 +240,9 @@ def gcc_phat(a, b, max_lag: int) -> np.ndarray:
     return _extract_lags(np.fft.irfft(weighted, n), max_lag)
 
 
-def max_lag_for_device(
-    device: DeviceSpec, sample_rate: int, c: float = SPEED_OF_SOUND
-) -> int:
+def max_lag_for_device(device: DeviceSpec, sample_rate: int) -> int:
     """Physically admissible lag bound: path difference <= mic spacing."""
-    return int(math.ceil(device.mic_spacing_m / c * sample_rate)) + MAX_LAG_MARGIN
+    return int(math.ceil(device.mic_spacing_m / SPEED_OF_SOUND * sample_rate)) + MAX_LAG_MARGIN
 
 
 def _parabolic_offset(y_left: float, y_center: float, y_right: float) -> float:
@@ -262,17 +257,16 @@ def estimate_tdoa(
     segment: PhonemeSegment,
     method: Method = Method.GCC_PHAT,
     device: DeviceSpec = DEFAULT_DEVICE,
-    c: float = SPEED_OF_SOUND,
 ) -> TdoaMeasurement:
     """Delay of one phoneme segment between the two channels.
 
     recording is a StereoRecording or an open WavReader: anything with
     sample_rate, n_samples and window(start, end). The search window is
-    bounded by the device geometry: lags beyond mic_spacing / c only
-    admit noise peaks. delay_samples is the integer argmax;
-    delay_subsample adds the parabolic refinement.
+    bounded by the device geometry: lags beyond
+    mic_spacing / SPEED_OF_SOUND only admit noise peaks. delay_samples
+    is the integer argmax; delay_subsample adds the parabolic refinement.
     """
-    max_lag = max_lag_for_device(device, recording.sample_rate, c)
+    max_lag = max_lag_for_device(device, recording.sample_rate)
     if segment.length < 2 * max_lag:
         raise DegenerateSignalError(
             f"segment length {segment.length} < {2 * max_lag} samples "
@@ -306,13 +300,11 @@ def measure_dynamic(
     segments,
     method: Method = Method.GCC_PHAT,
     device: DeviceSpec = DEFAULT_DEVICE,
-    c: float = SPEED_OF_SOUND,
 ) -> TdoaDynamic:
     """Estimate every segment of a StereoRecording or an open WavReader
     and reassemble in segment order."""
     measurements = [
-        estimate_tdoa(recording, seg, method=method, device=device, c=c)
-        for seg in segments
+        estimate_tdoa(recording, seg, method=method, device=device) for seg in segments
     ]
     return TdoaDynamic(
         measurements=tuple(measurements),

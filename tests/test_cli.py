@@ -2,7 +2,6 @@ import gc
 import io
 import json
 import contextlib
-import dataclasses
 import math
 import os
 import subprocess
@@ -17,16 +16,12 @@ import pytest
 
 import phonotdoa
 from phonotdoa import cli
-from phonotdoa.audio_io import StereoRecording, load_wav, write_wav
+from phonotdoa.audio_io import StereoRecording, write_wav
 from phonotdoa.cli import build_parser, main
-from phonotdoa.config import DEFAULT_THRESHOLD
-from phonotdoa.errors import NoSolutionError
-from phonotdoa.geometry import REFERENCE_POSE, transform_tdoa
-from phonotdoa.profiles import load_profile
-from phonotdoa.scoring import ScoringMethod, decide, score_dynamic
-from phonotdoa.segmentation import PhonemeSegment, load_alignment, save_alignment
+from phonotdoa.geometry import REFERENCE_POSE
+from phonotdoa.segmentation import PhonemeSegment, save_alignment
 from phonotdoa.simulator import synthesize_live
-from phonotdoa.tdoa import DEFAULT_DEVICE, Method, measure_dynamic
+from phonotdoa.tdoa import DEFAULT_DEVICE
 
 LABELS = ["IY", "S", "K", "AA", "T", "OW", "N", "EH"]
 
@@ -266,6 +261,34 @@ def test_bad_config_file_is_typed_error(pipeline, tmp_path, doc, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+def test_verify_config_cannot_set_speed_of_sound(pipeline, tmp_path, capsys):
+    # every command uses geometry.SPEED_OF_SOUND; a config that still
+    # holds the removed geometry section is refused, even at 340 m/s
+    _, profile, live_dir, _ = pipeline
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"geometry": {"c": 340.0}}))
+    code, out = run_cli(
+        "verify", live_dir / "recording.wav", live_dir / "alignment.json",
+        "--profile", profile, "--config", config,
+    )
+    assert (code, out) == (2, "")
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "unknown config section 'geometry'" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enroll", "--out", "p.json", "--user", "u", "--trial", "r.wav:a.json", "--method", "cc"],
+    ["pose", "--tdoa", "63", "--config", "config.json"],
+], ids=["enroll_method", "pose_config"])
+def test_removed_flags_are_unrecognized(argv, capsys):
+    # enrollment always measures with GCC-PHAT, and pose reads no config
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
 def _with(doc, **fields):
     return json.dumps({**doc, **fields}).encode()
 
@@ -424,7 +447,7 @@ def test_measure_trial_holds_one_segment_at_a_time(tmp_path, source_model):
     del utt
     tracemalloc.start()
     try:
-        dynamic = cli._measure_trial(spec, Method.GCC_PHAT, DEFAULT_DEVICE)
+        dynamic = cli._measure_trial(spec, DEFAULT_DEVICE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -609,43 +632,6 @@ def test_verify_tilted_live_accepts(pipeline, tmp_path):
     )
     assert code == 0
     assert json.loads(doc)["verdict"] == "live"
-
-
-def test_verify_pose_release_uses_configured_speed_of_sound(pipeline, tmp_path):
-    # the tilted templates must be solved at the config's c, as the
-    # measurement and the `pose` subcommand are
-    _, profile_path, live_dir, _ = pipeline
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"geometry": {"c": 300.0}}))
-    wav, alignment = live_dir / "recording.wav", live_dir / "alignment.json"
-    code, out = run_cli(
-        "verify", wav, alignment, "--profile", profile_path,
-        "--config", config, "--angle-deg", "30",
-    )
-    recording = load_wav(wav)
-    profile = load_profile(profile_path)
-    dynamic = measure_dynamic(
-        recording, load_alignment(alignment, recording), device=profile.device, c=300.0
-    )
-    (pid,) = profile.passphrase_templates
-
-    def decision(c):
-        templates = []
-        for t in profile.templates_for(pid):
-            try:
-                mean = transform_tdoa(
-                    t.mean_delay, profile.enrollment_pose, alpha=math.radians(30),
-                    sample_rate=profile.sample_rate, c=c,
-                )
-            except NoSolutionError:
-                mean = t.mean_delay
-            templates.append(dataclasses.replace(t, mean_delay=mean))
-        score = score_dynamic(dynamic, templates, method=ScoringMethod.COMBINED)
-        return decide(score, DEFAULT_THRESHOLD).to_json_dict()
-
-    assert decision(300.0) != decision(340.0)
-    assert code in (0, 1)
-    assert json.loads(out) == decision(300.0)
 
 
 def test_simulate_beep_scene(tmp_path):

@@ -98,6 +98,19 @@ def test_echo_option_keeps_delay(source_model):
         assert abs(m.delay_samples - g.delay_samples) <= 2.0
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"echo": (0, 0.5)}, "echo lag"),
+    ({"echo": (-5, 0.5)}, "echo lag"),
+    ({"echo": (0.5, 0.5)}, "echo lag"),
+    ({"jitter_scale": -0.5}, "jitter_scale"),
+    ({"jitter_scale": float("nan")}, "jitter_scale"),
+], ids=["echo_lag_zero", "echo_lag_negative", "echo_lag_fraction", "jitter_negative", "jitter_nan"])
+def test_live_bad_echo_or_jitter_is_config_error(source_model, kwargs, match):
+    # refused by the library, not silently rendered without echo or jitter
+    with pytest.raises(ConfigError, match=match):
+        synthesize_live(["AA", "S", "OW"], source_model, REFERENCE_POSE, seed=9, **kwargs)
+
+
 def test_static_playback_flat_dynamic(source_model):
     scenario = AttackScenario(kind=AttackKind.STATIC_PLAYBACK, source_offset=(0.0, 0.0))
     utt = synthesize_attack(LABELS, source_model, REFERENCE_POSE, scenario, seed=21)

@@ -10,9 +10,6 @@ from phonotdoa.tdoa import (
     DEFAULT_DEVICE,
     DeviceSpec,
     Method,
-    NOTE3,
-    NOTE5,
-    S5,
     estimate_tdoa,
     gcc_phat,
     max_lag_for_device,
@@ -20,6 +17,7 @@ from phonotdoa.tdoa import (
     normalized_cross_correlation,
 )
 
+from devices import NOTE3, NOTE5, S5
 from pure_shift import synthesize_pure_shift
 
 
