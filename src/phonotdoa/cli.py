@@ -5,6 +5,11 @@ go to stderr. Exit codes: 0 = success (for `verify`: LIVE), 1 = REPLAY
 verdict, 2 = error. All randomness flows from one seed: a scene's or
 experiment's own "seed" field, or --seed when the file has none. So
 identical invocations produce byte-identical stdout.
+
+Each setting has one source: `enroll` records geometry.REFERENCE_POSE
+and `pose` solves at it; `verify` scores with --method and --threshold
+over the defaults in `config`, and takes its distance from --distance-m
+or --beep-echo, never both.
 """
 
 from __future__ import annotations
@@ -56,24 +61,10 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _pose_from_args(args) -> DevicePose:
-    return DevicePose(
-        x=args.pose_x, l1=args.pose_l1, l2=args.pose_l2,
-        l=args.pose_l, alpha=0.0,
-    )
-
-
 def _device_from_args(args, fallback=DEFAULT_DEVICE) -> DeviceSpec:
     if args.device_spacing_m is None:
         return fallback
     return DeviceSpec(mic_spacing_m=args.device_spacing_m)
-
-
-def _add_pose_flags(p):
-    p.add_argument("--pose-x", type=float, default=REFERENCE_POSE.x)
-    p.add_argument("--pose-l1", type=float, default=REFERENCE_POSE.l1)
-    p.add_argument("--pose-l2", type=float, default=REFERENCE_POSE.l2)
-    p.add_argument("--pose-l", type=float, default=REFERENCE_POSE.l)
 
 
 def _add_device_flags(p):
@@ -200,14 +191,11 @@ def _measure_trial(spec: str, device: DeviceSpec):
 
 
 def cmd_enroll(args) -> int:
-    # the profile stores the device, so only enroll names it
-    device = DEFAULT_DEVICE
-    if args.device_spacing_m is not None:
-        device = DeviceSpec(mic_spacing_m=args.device_spacing_m, name=args.device_name)
-    pose = _pose_from_args(args)
+    device = _device_from_args(args)
     dynamics = [_measure_trial(spec, device) for spec in args.trial]
     profile = enroll_from_dynamics(
-        args.user, ProfileMode(args.mode), dynamics, pose, device, args.passphrase_id
+        args.user, ProfileMode(args.mode), dynamics, REFERENCE_POSE, device,
+        args.passphrase_id,
     )
     save_profile(profile, args.out)
     _emit(
@@ -225,10 +213,7 @@ def cmd_enroll(args) -> int:
 # --- verify ---
 
 def cmd_verify(args) -> int:
-    config = load_config(
-        args.config,
-        overrides={"method": args.method, "threshold": args.threshold},
-    )
+    config = load_config(method=args.method, threshold=args.threshold)
     log.info("effective config: %s", json.dumps(config.as_dict(), sort_keys=True))
     profile = load_profile(args.profile)
     with WavReader(args.recording) as recording:
@@ -244,13 +229,11 @@ def cmd_verify(args) -> int:
         )
 
     # pose release: move the enrolled templates to the verification pose
-    new_x = None
+    new_x = args.distance_m
     if args.beep_echo is not None:
         echo_rec = load_wav(args.beep_echo)
         new_x = estimate_face_distance(echo_rec, make_beep(echo_rec.sample_rate))
         log.info("beep-echo distance estimate: %.4f m", new_x)
-    if args.distance_m is not None:
-        new_x = args.distance_m
     templates = profile.templates_at(
         dynamic.labels, args.passphrase_id, math.radians(args.angle_deg or 0.0),
         new_x - profile.enrollment_pose.x if new_x is not None else 0.0,
@@ -304,17 +287,18 @@ def cmd_tdoa(args) -> int:
 # --- pose ---
 
 def cmd_pose(args) -> int:
-    pose = _pose_from_args(args)
     check_sample_rate(args.sample_rate)
     result = {
         "tdoa1": args.tdoa,
         "sample_rate": args.sample_rate,
-        "x_solved": solve_source_distance(args.tdoa, pose.l1, pose.l2, args.sample_rate),
+        "x_solved": solve_source_distance(
+            args.tdoa, REFERENCE_POSE.l1, REFERENCE_POSE.l2, args.sample_rate
+        ),
     }
     if args.angle_deg is not None or args.delta_x_m is not None:
         result["tdoa2"] = transform_tdoa(
             args.tdoa,
-            pose,
+            REFERENCE_POSE,
             alpha=math.radians(args.angle_deg or 0.0),
             delta_x=args.delta_x_m or 0.0,
             sample_rate=args.sample_rate,
@@ -347,10 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text_dependent")
     p.add_argument("--trial", action="append", required=True,
                    metavar="WAV:ALIGNMENT", help="repeatable, >= 3 times")
-    _add_pose_flags(p)
     _add_device_flags(p)
-    p.add_argument("--device-name", default="generic",
-                   help="stored in the profile with --device-spacing-m")
     p.set_defaults(run=cmd_enroll)
 
     p = sub.add_parser("verify", help="live/replay decision for a recording")
@@ -363,11 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--angle-deg", type=float, default=None,
                    help="handset tilt at verification time")
-    p.add_argument("--distance-m", type=float, default=None,
-                   help="mouth-to-handset distance at verification time")
-    p.add_argument("--beep-echo", default=None,
-                   help="beep-echo WAV to estimate the distance from")
-    p.add_argument("--config", default=None)
+    distance = p.add_mutually_exclusive_group()
+    distance.add_argument("--distance-m", type=float, default=None,
+                          help="mouth-to-handset distance at verification time")
+    distance.add_argument("--beep-echo", default=None,
+                          help="beep-echo WAV to estimate the distance from")
     _add_device_flags(p)
     p.set_defaults(run=cmd_verify)
 
@@ -389,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-rate", type=int, default=192000)
     p.add_argument("--angle-deg", type=float, default=None)
     p.add_argument("--delta-x-m", type=float, default=None)
-    _add_pose_flags(p)
     p.set_defaults(run=cmd_pose)
 
     return parser

@@ -1,9 +1,11 @@
+import argparse
 import gc
 import io
 import json
 import contextlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +21,7 @@ from phonotdoa import cli
 from phonotdoa.audio_io import StereoRecording, write_wav
 from phonotdoa.cli import build_parser, main
 from phonotdoa.geometry import REFERENCE_POSE
+from phonotdoa.profiles import load_profile
 from phonotdoa.segmentation import PhonemeSegment, save_alignment
 from phonotdoa.simulator import synthesize_live
 from phonotdoa.tdoa import DEFAULT_DEVICE
@@ -235,58 +238,81 @@ def test_verify_non_finite_pose_is_typed_error(pipeline, flag, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidPoseError"
 
 
-@pytest.mark.parametrize("doc", [
-    {"scoring": {"method": "foo"}},
-    {"scoring": {"threshold": "abc"}},
-    {"scoring": {"threshold": math.nan}},
-    {"scoring": {"threshold": True}},
-    {"scoring": []},
-    {"geometry": "x"},
-    {"geometry": {"c": "nan"}},
-    {"geometry": {"c": math.inf}},
-    {"geometry": {"c": 0.0}},
-    {"geometry": {"pivot": "top"}},
-    {"weights": {}},
-    [1],
-], ids=repr)
-def test_bad_config_file_is_typed_error(pipeline, tmp_path, doc, capsys):
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_non_finite_threshold_is_config_error(pipeline, value, capsys):
     _, profile, live_dir, _ = pipeline
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
-    code, _ = run_cli(
+    code, out = run_cli(
         "verify", live_dir / "recording.wav", live_dir / "alignment.json",
-        "--profile", profile, "--config", config,
+        "--profile", profile, f"--threshold={value}",
     )
-    assert code == 2
+    assert (code, out) == (2, "")
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
-def test_verify_config_cannot_set_speed_of_sound(pipeline, tmp_path, capsys):
-    # every command uses geometry.SPEED_OF_SOUND; a config that still
-    # holds the removed geometry section is refused, even at 340 m/s
+def test_verify_distance_and_beep_echo_are_exclusive(pipeline, tmp_path, capsys):
+    # one source for the verification distance: argparse refuses the pair
+    # before any file is opened, so a missing echo file is never read
     _, profile, live_dir, _ = pipeline
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"geometry": {"c": 340.0}}))
-    code, out = run_cli(
-        "verify", live_dir / "recording.wav", live_dir / "alignment.json",
-        "--profile", profile, "--config", config,
-    )
-    assert (code, out) == (2, "")
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
-    assert "unknown config section 'geometry'" in err["message"]
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "verify", str(live_dir / "recording.wav"), str(live_dir / "alignment.json"),
+            "--profile", str(profile), "--distance-m", "0.03",
+            "--beep-echo", str(tmp_path / "missing.wav"),
+        ])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
     ["enroll", "--out", "p.json", "--user", "u", "--trial", "r.wav:a.json", "--method", "cc"],
     ["pose", "--tdoa", "63", "--config", "config.json"],
-], ids=["enroll_method", "pose_config"])
+    ["verify", "r.wav", "a.json", "--profile", "p.json", "--config", "config.json"],
+    ["enroll", "--out", "p.json", "--user", "u", "--trial", "r.wav:a.json", "--pose-x", "0.05"],
+    ["pose", "--tdoa", "63", "--pose-l", "0.12"],
+    ["enroll", "--out", "p.json", "--user", "u", "--trial", "r.wav:a.json",
+     "--device-name", "phone"],
+], ids=["enroll_method", "pose_config", "verify_config", "enroll_pose_x", "pose_pose_l",
+        "enroll_device_name"])
 def test_removed_flags_are_unrecognized(argv, capsys):
-    # enrollment always measures with GCC-PHAT, and pose reads no config
+    # enrollment always measures with GCC-PHAT at REFERENCE_POSE and stores
+    # the device "generic" beside --device-spacing-m; no command reads a
+    # config file
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def test_enroll_records_reference_pose_and_generic_device(pipeline, tmp_path):
+    # enroll builds its device as verify and tdoa do, so --device-spacing-m
+    # stores the name "generic"; the pose is always REFERENCE_POSE
+    tmp = pipeline[0]
+    args = ["enroll", "--out", tmp_path / "p.json", "--user", "u", "--device-spacing-m", "0.15"]
+    for s in (1, 2, 3):
+        args += ["--trial", f"{tmp}/t{s}/recording.wav:{tmp}/t{s}/alignment.json"]
+    assert run_cli(*args)[0] == 0
+    assert json.loads((tmp_path / "p.json").read_text())["device"] == {
+        "name": "generic", "mic_spacing_m": 0.15,
+    }
+    assert load_profile(tmp_path / "p.json").enrollment_pose == REFERENCE_POSE
+
+
+def test_every_cli_option_is_in_readme():
+    # each settable value is documented, so an added flag shows up here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = build_parser()
+    parsers = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    options = {opt for p in parsers for a in p._actions for opt in a.option_strings}
+    missing = sorted(
+        opt for opt in options - {"-h", "--help"}
+        if not re.search(re.escape(opt) + r"(?![\w-])", readme)
+    )
+    assert missing == []
 
 
 def _with(doc, **fields):
@@ -307,7 +333,6 @@ def _template_field(**fields):
 
 # file kind -> bytes built from the valid profile and alignment docs
 MALFORMED_INPUTS = {
-    "config_not_utf8": ("config", lambda p, a: b'{"scoring": {}}\xff', "ConfigError"),
     "profile_not_utf8": ("profile", lambda p, a: b"\xff" + _with(p), "SchemaError"),
     "profile_top_level_list": ("profile", lambda p, a: b"[1, 2]", "SchemaError"),
     "profile_pose_list": ("profile", lambda p, a: _with(p, pose=[1]), "SchemaError"),
@@ -364,10 +389,9 @@ def test_verify_malformed_input_file_is_typed_error(pipeline, tmp_path, case, ca
         make(json.loads(profile.read_text()), json.loads(files["alignment"].read_text()))
     )
     files[kind] = bad
-    args = ["verify", live_dir / "recording.wav", files["alignment"], "--profile", files["profile"]]
-    if kind == "config":
-        args += ["--config", bad]
-    code, out = run_cli(*args)
+    code, out = run_cli(
+        "verify", live_dir / "recording.wav", files["alignment"], "--profile", files["profile"],
+    )
     assert (code, out) == (2, "")
     assert json.loads(capsys.readouterr().err)["error"] == error
 
