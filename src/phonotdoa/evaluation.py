@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +33,7 @@ from .simulator import (
     synthesize_live,
 )
 from .sourcemodel import load_source_model
-from .tdoa import DEFAULT_DEVICE, DeviceSpec, TdoaDynamic, measure_dynamic
+from .tdoa import DEFAULT_DEVICE, DeviceSpec, TdoaDynamic, fork_map, measure_dynamic
 
 
 @dataclass(frozen=True)
@@ -425,23 +424,7 @@ def run_experiment(config: ExperimentConfig, workers=None) -> dict:
     model = load_source_model()
     poses = [(0.0, 0.0)] + [tuple(p) for p in config.pose_changes]
     jobs, passphrases = _plan(config, model, poses)
-    if workers is None:
-        workers = len(os.sched_getaffinity(0))
-    workers = min(workers, len(jobs))
-    measure = functools.partial(_measure, config)
-    if workers == 1:
-        dynamics = list(map(measure, jobs))
-    else:
-        # imported here: the pool's 15 modules would add about 20 ms to
-        # every CLI call, and only a corpus run forks
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork: workers start from this process's imported modules, which
-        # costs milliseconds where a fresh interpreter costs a second
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            dynamics = list(pool.map(measure, jobs))
+    dynamics = fork_map(functools.partial(_measure, config), jobs, workers)
 
     weighted = config.mode == ProfileMode.TEXT_INDEPENDENT
     # (alpha, delta_x) the templates move by for each verification pose

@@ -19,6 +19,12 @@ recording for each segment's window(start, end), which a StereoRecording
 answers with views of its rows and an open audio_io.WavReader by
 decoding those frames from the file, so measuring a file holds one
 segment's samples at a time.
+
+fork_map is the package's one process pool: run_experiment maps its
+renders over it, and `enroll` one share of its trials' segments per
+worker. Workers are bare forks that take job indices from one pipe and
+send pickled results back through another, so the parent loads neither
+multiprocessing nor concurrent.futures.
 """
 
 from __future__ import annotations
@@ -26,6 +32,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
+import pickle
+import select
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,7 +229,8 @@ def gcc_phat(a, b, max_lag: int) -> np.ndarray:
         )
         # the variance check covers the whole window: the rows plus the
         # samples past the last full sub-window. einsum, not np.dot: a
-        # BLAS dot starts threads that made forked corpus workers 5x slower
+        # BLAS dot starts threads that made fork_map's workers (corpus
+        # renders, enroll segments) 5x slower
         tail = x[n_seg * seg :] - mean
         _check_variance(
             x, np.einsum("ij,ij->", filled, filled) + np.einsum("i,i->", tail, tail)
@@ -311,3 +322,106 @@ def measure_dynamic(
         sample_rate=recording.sample_rate,
         device=device,
     )
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: fork_map's default worker count."""
+    return len(os.sched_getaffinity(0))
+
+
+def fork_map(fn, jobs: list, workers=None) -> list:
+    """[fn(job) for job in jobs], in order, computed in `workers` forked
+    processes (default: usable_cpus(), at most one per job), each taking
+    the next job when it finishes one; with one worker, in this process.
+    A job's exception is raised here with its own class."""
+    if workers is None:
+        workers = usable_cpus()
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return list(map(fn, jobs))
+    # a fork copies unflushed output; flush it once, here
+    sys.stdout.flush()
+    sys.stderr.flush()
+    results = [None] * len(jobs)
+    queue = iter(range(len(jobs)))
+    children = {}  # result pipe -> (pid, job pipe's write end)
+    try:
+        for _ in range(workers):
+            job_read, job_write = os.pipe()
+            result_read, result_write = os.pipe()
+            # fork: a worker starts from this process's imported modules in
+            # milliseconds, where a fresh interpreter takes about a second
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (job_read, job_write, result_read, result_write):
+                    os.close(fd)
+                raise
+            if pid == 0:
+                for pipe, (_, write_end) in children.items():
+                    pipe.close()
+                    os.close(write_end)
+                os.close(job_write)
+                os.close(result_read)
+                _run_worker(fn, jobs, job_read, result_write)
+            os.close(job_read)
+            os.close(result_write)
+            children[os.fdopen(result_read, "rb")] = (pid, job_write)
+        busy = {pipe for pipe, (_, job_write) in children.items() if _send(job_write, queue)}
+        while busy:
+            for pipe in select.select(list(busy), [], [])[0]:
+                pid, job_write = children[pipe]
+                try:
+                    k, ok, value = pickle.load(pipe)
+                except EOFError:
+                    raise ChildProcessError(f"worker process {pid} exited without a result") from None
+                if not ok:
+                    raise value
+                results[k] = value
+                if not _send(job_write, queue):
+                    busy.discard(pipe)
+        return results
+    finally:
+        # a closed job pipe tells its worker to exit
+        for pipe, (_, job_write) in children.items():
+            os.close(job_write)
+            pipe.close()
+        for pid, _ in children.values():
+            os.waitpid(pid, 0)
+
+
+def _send(job_write: int, queue) -> bool:
+    """Hand the next job's index to a worker; False when none is left."""
+    k = next(queue, None)
+    if k is not None:
+        os.write(job_write, k.to_bytes(4, "little"))
+    return k is not None
+
+
+def _run_worker(fn, jobs: list, job_read: int, result_write: int) -> None:
+    """In a forked worker: for each job index read from `job_read`, write
+    (index, True, result) or (index, False, exception), pickled, to
+    `result_write`; at the end of the indices, or after an exception,
+    exit without returning to the caller's code."""
+    code = 1
+    try:
+        with os.fdopen(result_write, "wb") as pipe:
+            while index := os.read(job_read, 4):
+                k = int.from_bytes(index, "little")
+                try:
+                    message = (k, True, fn(jobs[k]))
+                    data = pickle.dumps(message)
+                except Exception as exc:
+                    message = (k, False, exc)
+                    data = pickle.dumps(message)
+                pipe.write(data)
+                pipe.flush()
+                if not message[1]:
+                    break
+        code = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)

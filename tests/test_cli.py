@@ -18,13 +18,12 @@ import pytest
 
 import phonotdoa
 from phonotdoa import cli
-from phonotdoa.audio_io import StereoRecording, write_wav
+from phonotdoa.audio_io import StereoRecording, load_wav, write_wav
 from phonotdoa.cli import build_parser, main
 from phonotdoa.geometry import REFERENCE_POSE
 from phonotdoa.profiles import load_profile
 from phonotdoa.segmentation import PhonemeSegment, save_alignment
 from phonotdoa.simulator import synthesize_live
-from phonotdoa.tdoa import DEFAULT_DEVICE
 
 LABELS = ["IY", "S", "K", "AA", "T", "OW", "N", "EH"]
 
@@ -214,8 +213,8 @@ def test_pose_nan_angle_exits_2_under_optimize():
 
 def test_import_loads_no_scipy():
     # every CLI call is a fresh process: scipy.signal, needed only for
-    # beep-echo ranging, and the process pool, needed only by a corpus
-    # run, must not load with the package
+    # beep-echo ranging, must not load with the package, and
+    # multiprocessing and concurrent.futures, which it never uses, at all
     proc = _run_python("-c", (
         "import phonotdoa, phonotdoa.cli; import sys; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
@@ -461,22 +460,208 @@ def test_unusual_rate_warns_once_per_recording(tmp_path):
     assert record[0].filename == cli.__file__
 
 
-def test_measure_trial_holds_one_segment_at_a_time(tmp_path, source_model):
+def test_measure_trial_holds_one_segment_at_a_time(tmp_path, source_model, monkeypatch):
     # a 44-phoneme, 192 kHz, 24-bit trial is about 8 MB of PCM and 22 MB
-    # decoded; measuring it from the file holds one segment's samples
+    # decoded; enrolling from it in one process holds one segment's samples
     utt = synthesize_live(sorted(source_model.labels), source_model, REFERENCE_POSE, 192000, 9)
     write_wav(utt.recording, tmp_path / "r.wav", bit_depth=24)
     save_alignment(utt.segments, 192000, tmp_path / "a.json")
     spec = f"{tmp_path}/r.wav:{tmp_path}/a.json"
     del utt
+    forks = _count_forks(monkeypatch, cpus=1)
     tracemalloc.start()
     try:
-        dynamic = cli._measure_trial(spec, DEFAULT_DEVICE)
+        code, out = run_cli(
+            "enroll", "--out", tmp_path / "p.json", "--user", "u",
+            "--mode", "text_independent", *["--trial", spec] * 3,
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(dynamic) == 44
+    assert (code, forks) == (0, [])
+    assert json.loads(out)["n_phoneme_templates"] == 44
     assert peak <= 4 << 20
+
+
+def _count_forks(monkeypatch, cpus, segments_per_worker=1):
+    """Let this process see `cpus` CPUs and let enroll fork a worker for
+    every `segments_per_worker` segments; return a list that gains one
+    entry per fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(cli, "SEGMENTS_PER_WORKER", segments_per_worker)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_worker_left():
+    # waitpid raises once this process has no child, running or exited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+def _trial_flags(*specs):
+    return [arg for spec in specs for arg in ("--trial", spec)]
+
+
+def _td_trials(pipeline):
+    tmp = pipeline[0]
+    return [f"{tmp}/t{s}/recording.wav:{tmp}/t{s}/alignment.json" for s in (1, 2, 3)]
+
+
+@pytest.fixture(scope="module")
+def ti_trials(tmp_path_factory, source_model):
+    """Three simulated trials, each speaking the whole inventory."""
+    tmp = tmp_path_factory.mktemp("ti")
+    trials = []
+    for seed in (11, 12, 13):
+        scene = _scene(tmp, f"ti{seed}.json", labels=sorted(source_model.labels), seed=seed)
+        out = tmp / f"ti{seed}"
+        assert run_cli("simulate", scene, out)[0] == 0
+        trials.append(f"{out}/recording.wav:{out}/alignment.json")
+    return trials
+
+
+@pytest.mark.parametrize("mode", ["text_dependent", "text_independent"])
+def test_enroll_independent_of_worker_count(pipeline, ti_trials, tmp_path, mode, monkeypatch):
+    # enroll measures its segments in forked workers, one per CPU here
+    trials = _td_trials(pipeline) if mode == "text_dependent" else ti_trials
+    profile = tmp_path / "p.json"
+    outputs = []
+    for cpus in (1, 2):
+        forks = _count_forks(monkeypatch, cpus)
+        code, out = run_cli(
+            "enroll", "--out", profile, "--user", "u", "--mode", mode, *_trial_flags(*trials),
+        )
+        _assert_no_worker_left()
+        assert len(forks) == (0 if cpus == 1 else 2)
+        outputs.append((code, out, profile.read_bytes()))
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "mode, cpus, workers",
+    [("text_dependent", 2, 0), ("text_independent", 2, 2), ("text_independent", 64, 5)],
+)
+def test_enroll_worker_count_follows_segment_count(pipeline, ti_trials, tmp_path, mode, cpus, workers,
+                                               monkeypatch):
+    # 3 trials of 8 segments are measured in this process; 3 of 44 (132
+    # segments) fork min(CPUs, 132 // 24) workers
+    trials = _td_trials(pipeline) if mode == "text_dependent" else ti_trials
+    forks = _count_forks(monkeypatch, cpus, segments_per_worker=cli.SEGMENTS_PER_WORKER)
+    code, _ = run_cli(
+        "enroll", "--out", tmp_path / "p.json", "--user", "u", "--mode", mode,
+        *_trial_flags(*trials),
+    )
+    assert (code, len(forks)) == (0, workers)
+    _assert_no_worker_left()
+
+
+def test_enroll_loads_no_pool_modules(ti_trials, tmp_path):
+    # the workers are bare forks: enroll imports neither multiprocessing
+    # nor concurrent.futures, even when it forks
+    argv = ["enroll", "--out", str(tmp_path / "p.json"), "--user", "u",
+            "--mode", "text_independent", *_trial_flags(*ti_trials)]
+    proc = _run_python("-c", (
+        "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+        "import phonotdoa.cli as cli; "
+        "forks = []; fork = os.fork; os.fork = lambda: forks.append(1) or fork(); "
+        f"assert cli.main({argv!r}) == 0 and len(forks) == 2; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("case", ["wav_header", "alignment_version"])
+def test_enroll_malformed_trial_fails_before_any_fork(pipeline, tmp_path, case, monkeypatch, capsys):
+    # every trial is opened and its alignment loaded, in trial order,
+    # before any worker starts
+    t1, t2, t3 = _td_trials(pipeline)
+    wav, alignment = t2.rsplit(":", 1)
+    if case == "wav_header":
+        wav = tmp_path / "bad.wav"
+        wav.write_bytes(b"not a wav file at all")
+        expected = {
+            "error": "FormatError",
+            "message": f"{wav}: not a readable WAV file: Error('file does not start with RIFF id')",
+        }
+    else:
+        doc = json.loads(Path(alignment).read_text())
+        alignment = tmp_path / "bad.json"
+        alignment.write_text(json.dumps({**doc, "version": 2}))
+        expected = {
+            "error": "SchemaError",
+            "message": f"{alignment}: expected alignment schema version 1, got 2",
+        }
+    forks = _count_forks(monkeypatch, cpus=2)
+    code, out = run_cli(
+        "enroll", "--out", tmp_path / "p.json", "--user", "u",
+        *_trial_flags(t1, f"{wav}:{alignment}", t3),
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(capsys.readouterr().err) == expected
+    assert forks == []
+    _assert_no_worker_left()
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_enroll_worker_error_surfaces_with_its_class(pipeline, tmp_path, monkeypatch, capsys):
+    # the last segment of the last trial is silent: the second worker
+    # measures it, and its error reaches stderr as the serial one would
+    t1, t2, t3 = _td_trials(pipeline)
+    wav, alignment = t3.rsplit(":", 1)
+    rec = load_wav(wav)
+    last = max(json.loads(Path(alignment).read_text())["segments"], key=lambda s: s["start"])
+    top, bottom = rec.top.copy(), rec.bottom.copy()
+    top[last["start"]:last["end"]] = bottom[last["start"]:last["end"]] = 0.0
+    write_wav(StereoRecording(rec.sample_rate, top, bottom), tmp_path / "s.wav", bit_depth=24)
+    forks = _count_forks(monkeypatch, cpus=2)
+    code, out = run_cli(
+        "enroll", "--out", tmp_path / "p.json", "--user", "u",
+        *_trial_flags(t1, t2, f"{tmp_path / 's.wav'}:{alignment}"),
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DegenerateSignalError", "message": "zero-variance correlation window",
+    }
+    assert len(forks) == 2
+    _assert_no_worker_left()
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_enroll_warns_about_an_unusual_rate_once_per_trial(tmp_path, monkeypatch):
+    # workers reopen the files they measure; only the parent warns
+    trials = []
+    for seed in (1, 2, 3):
+        out = tmp_path / f"t{seed}"
+        with pytest.warns(UserWarning, match="sample rate 44100 Hz"):
+            scene = _scene(tmp_path, f"s{seed}.json", seed=seed, sample_rate=44100)
+            assert run_cli("simulate", scene, out)[0] == 0
+        trials.append(f"{out}/recording.wav:{out}/alignment.json")
+    shown = tmp_path / "warnings.txt"
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        # forked workers inherit this hook, so their warnings land here too
+        with open(shown, "a") as f:
+            f.write(f"{os.getpid()} {filename} {str(message)[:26]}\n")
+
+    forks = _count_forks(monkeypatch, cpus=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        code, _ = run_cli("enroll", "--out", tmp_path / "p.json", "--user", "u", *_trial_flags(*trials))
+    assert code == 0 and len(forks) == 2
+    _assert_no_worker_left()
+    line = f"{os.getpid()} {cli.__file__} sample rate 44100 Hz is ac"
+    assert shown.read_text().splitlines() == [line] * 3
 
 
 def test_verify_unknown_passphrase_id_is_typed_error(pipeline, capsys):
@@ -740,23 +925,10 @@ def test_evaluate_malformed_experiment_is_typed_error(tmp_path, fields, flags, c
     assert not (tmp_path / "rep").exists()
 
 
-def test_enroll_text_independent_via_cli(tmp_path, source_model):
+def test_enroll_text_independent_via_cli(tmp_path, ti_trials):
     # three long utterances covering the inventory
-    labels = sorted(source_model.labels)
-    trials = []
-    for seed in (11, 12, 13):
-        scene = tmp_path / f"ti{seed}.json"
-        scene.write_text(
-            json.dumps({"kind": "live", "labels": labels, "seed": seed})
-        )
-        out = tmp_path / f"ti{seed}"
-        code, _ = run_cli("simulate", scene, out)
-        assert code == 0
-        trials.append(f"{out}/recording.wav:{out}/alignment.json")
     profile = tmp_path / "ti.json"
     args = ["enroll", "--out", profile, "--user", "u2", "--mode", "text_independent"]
-    for t in trials:
-        args += ["--trial", t]
-    code, out = run_cli(*args)
+    code, out = run_cli(*args, *_trial_flags(*ti_trials))
     assert code == 0
     assert json.loads(out)["n_phoneme_templates"] == 44

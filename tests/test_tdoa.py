@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from phonotdoa.tdoa import (
     DeviceSpec,
     Method,
     estimate_tdoa,
+    fork_map,
     gcc_phat,
     max_lag_for_device,
     measure_dynamic,
@@ -247,3 +251,41 @@ def test_cc_shift_property(lag, seed):
     b = _shifted(a, lag)
     corr = normalized_cross_correlation(a, b, 40)
     assert np.argmax(corr) - 40 == lag
+
+
+def _assert_no_worker_left():
+    # waitpid raises once this process has no child, running or exited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_keeps_job_order():
+    results = fork_map(lambda job: (job, os.getpid()), list(range(7)), workers=3)
+    assert [job for job, _ in results] == list(range(7))
+    pids = {pid for _, pid in results}
+    assert len(pids) == 3 and os.getpid() not in pids
+    _assert_no_worker_left()
+
+
+def test_fork_map_hands_out_jobs_as_workers_finish():
+    # while one worker is held up by job 0, the other clears the queue
+    def job(k):
+        if k == 0:
+            time.sleep(0.5)
+        return os.getpid()
+
+    pids = fork_map(job, list(range(6)), workers=2)
+    assert pids[0] not in pids[1:]
+    _assert_no_worker_left()
+
+
+def test_fork_map_worker_exiting_without_a_result_is_child_process_error():
+    def job(k):
+        if k == 1:
+            os._exit(3)
+        return k
+
+    with pytest.raises(ChildProcessError, match="exited without a result"):
+        fork_map(job, [0, 1, 2, 3], workers=2)
+    _assert_no_worker_left()
+
