@@ -11,11 +11,12 @@ and `pose` solves at it; `verify` scores with --method and --threshold
 over the defaults in `config`, and takes its distance from --distance-m
 or --beep-echo, never both.
 
-`enroll` checks every trial's WAV header and alignment in this process,
-then measures the segments in forked workers (tdoa.fork_map), one per
-CPU but at most one per SEGMENTS_PER_WORKER segments, each holding one
-segment's samples at a time; `verify` and `tdoa` measure their few
-segments in this process.
+`enroll` checks every trial's WAV header and alignment, and that the
+trials can make a profile, in this process. It then splits the segments
+into one share per CPU but at most one per SEGMENTS_PER_WORKER segments
+(tdoa.fork_map): this process measures the first share and a forked
+worker each other one, each holding one segment's samples at a time.
+`verify` and `tdoa` measure their few segments in this process.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from .geometry import (
     transform_tdoa,
 )
 from .profiles import (
-    ProfileMode, enroll_from_dynamics, load_profile, normalize_dynamic, save_profile,
+    ProfileMode, check_trials, enroll_from_dynamics, load_profile, normalize_dynamic,
+    save_profile,
 )
 from .scoring import ScoringMethod, Verdict, decide, score_dynamic
 from .segmentation import load_alignment, save_alignment
@@ -199,10 +201,10 @@ def _open_trial(spec: str) -> tuple:
         return wav_path, recording.sample_rate, load_alignment(align_path, recording)
 
 
-# enroll forks at most one worker per this many segments: on a 2-vCPU
-# Xeon, two workers tie with one process from 24 to 45 segments (3 trials
-# of 8 to 15) and win from about 60
-SEGMENTS_PER_WORKER = 24
+# enroll splits its segments into at most one share per this many: on a
+# 2-vCPU Xeon, this process and one forked worker tie with this process
+# alone at 24 segments (3 trials of 8), win from 27 and lose below 24
+SEGMENTS_PER_WORKER = 13
 
 
 def _measure_shares(device: DeviceSpec, shares: list) -> list:
@@ -220,10 +222,13 @@ def _measure_shares(device: DeviceSpec, shares: list) -> list:
 
 def cmd_enroll(args) -> int:
     device = _device_from_args(args)
+    mode = ProfileMode(args.mode)
     trials = [_open_trial(spec) for spec in args.trial]
+    # refuse a trial set no profile can be built from before measuring it
+    check_trials(mode, [(rate, [s.label for s in segments]) for _, rate, segments in trials])
     n_segments = sum(len(segments) for _, _, segments in trials)
     workers = max(1, min(usable_cpus(), n_segments // SEGMENTS_PER_WORKER))
-    # one job per worker: job k is the k-th contiguous share of every trial
+    # one job per share: job k is the k-th contiguous part of every trial
     jobs = [
         [(path, segments[k * len(segments) // workers : (k + 1) * len(segments) // workers])
          for path, _, segments in trials]
@@ -235,8 +240,7 @@ def cmd_enroll(args) -> int:
         for parts, (_, rate, _) in zip(zip(*shares), trials)
     ]
     profile = enroll_from_dynamics(
-        args.user, ProfileMode(args.mode), dynamics, REFERENCE_POSE, device,
-        args.passphrase_id,
+        args.user, mode, dynamics, REFERENCE_POSE, device, args.passphrase_id,
     )
     save_profile(profile, args.out)
     _emit(

@@ -12,6 +12,7 @@ re-enrollment.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -164,6 +165,45 @@ def enroll_text_independent(
     )
 
 
+def check_trials(mode: ProfileMode, trials) -> int:
+    """The common sample rate of enrollment trials given as (sample rate,
+    phoneme labels) pairs, or None for no trial. A set no profile can be
+    built from raises SchemaError, so it can be refused before any delay
+    is measured.
+
+    Every trial must share the sample rate. Text-dependent: >= 3 trials
+    sharing the exact phoneme label sequence. Text-independent: every
+    inventory phoneme, and no other label, >= 3 times over all trials.
+    """
+    trials = [(rate, tuple(labels)) for rate, labels in trials]
+    rates = {rate for rate, _ in trials}
+    if len(rates) > 1:
+        raise SchemaError("trials differ in sample rate")
+    if mode == ProfileMode.TEXT_DEPENDENT:
+        if len(trials) < MIN_TRIALS:
+            raise SchemaError(
+                f"need at least {MIN_TRIALS} trials, got {len(trials)}"
+            )
+        first = trials[0][1]
+        for _, labels in trials:
+            if labels != first:
+                raise SchemaError(f"trial labels {labels} != {first}")
+    else:
+        counts = Counter(label for _, labels in trials for label in labels)
+        missing = sorted(set(INVENTORY.symbols) - set(counts))
+        if missing:
+            raise SchemaError(f"missing phonemes: {', '.join(missing)}")
+        short = sorted(label for label, n in counts.items() if n < MIN_TRIALS)
+        if short:
+            raise SchemaError(
+                f"phonemes with fewer than {MIN_TRIALS} samples: {', '.join(short)}"
+            )
+        unknown = sorted(label for label in counts if label not in INVENTORY)
+        if unknown:
+            raise SchemaError(f"unknown phoneme label {unknown[0]!r}")
+    return rates.pop() if rates else None
+
+
 def enroll_from_dynamics(
     user_id: str,
     mode: ProfileMode,
@@ -172,32 +212,20 @@ def enroll_from_dynamics(
     device: DeviceSpec,
     passphrase_id: str = None,
 ) -> UserProfile:
-    """Build a profile from the measured delay dynamics of enrollment trials.
+    """Build a profile from the measured delay dynamics of enrollment trials,
+    which must pass check_trials.
 
-    Text-dependent: >= 3 trials sharing the exact phoneme label sequence;
-    per position the template stores mean and std over trials.
-    Text-independent: per phoneme, mean and std over every measurement
-    of it in any trial; each inventory phoneme needs >= 3 measurements.
-    All trials must share the sample rate.
+    Text-dependent: per position the template stores mean and std over
+    trials. Text-independent: per phoneme, mean and std over every
+    measurement of it in any trial.
     """
     dynamics = list(dynamics)
-    rates = {d.sample_rate for d in dynamics}
-    if len(rates) > 1:
-        raise SchemaError("trials differ in sample rate")
-    rate = rates.pop() if rates else None
+    rate = check_trials(mode, [(d.sample_rate, d.labels) for d in dynamics])
     if mode == ProfileMode.TEXT_DEPENDENT:
-        if len(dynamics) < MIN_TRIALS:
-            raise SchemaError(
-                f"need at least {MIN_TRIALS} trials, got {len(dynamics)}"
-            )
-        labels = dynamics[0].labels
-        for d in dynamics:
-            if d.labels != labels:
-                raise SchemaError(f"trial labels {d.labels} != {labels}")
         stacked = np.stack([d.delays for d in dynamics])  # trials x positions
         templates = [
             _template_from_delays(label, stacked[:, i])
-            for i, label in enumerate(labels)
+            for i, label in enumerate(dynamics[0].labels)
         ]
         return UserProfile(
             user_id=user_id,
@@ -212,17 +240,6 @@ def enroll_from_dynamics(
     for d in dynamics:
         for m in d.measurements:
             delays.setdefault(m.label, []).append(m.delay_samples)
-    missing = sorted(set(INVENTORY.symbols) - set(delays))
-    if missing:
-        raise SchemaError(f"missing phonemes: {', '.join(missing)}")
-    short = sorted(label for label, ds in delays.items() if len(ds) < MIN_TRIALS)
-    if short:
-        raise SchemaError(
-            f"phonemes with fewer than {MIN_TRIALS} samples: {', '.join(short)}"
-        )
-    unknown = sorted(label for label in delays if label not in INVENTORY)
-    if unknown:
-        raise SchemaError(f"unknown phoneme label {unknown[0]!r}")
     return UserProfile(
         user_id=user_id,
         mode=mode,

@@ -22,9 +22,11 @@ segment's samples at a time.
 
 fork_map is the package's one process pool: run_experiment maps its
 renders over it, and `enroll` one share of its trials' segments per
-worker. Workers are bare forks that take job indices from one pipe and
+process. Workers are bare forks that take job indices from one pipe and
 send pickled results back through another, so the parent loads neither
-multiprocessing nor concurrent.futures.
+multiprocessing nor concurrent.futures. With one job per process, as
+`enroll` has, the caller computes the first job itself instead of
+waiting on a worker of its own.
 """
 
 from __future__ import annotations
@@ -330,23 +332,28 @@ def usable_cpus() -> int:
 
 
 def fork_map(fn, jobs: list, workers=None) -> list:
-    """[fn(job) for job in jobs], in order, computed in `workers` forked
-    processes (default: usable_cpus(), at most one per job), each taking
-    the next job when it finishes one; with one worker, in this process.
-    A job's exception is raised here with its own class."""
+    """[fn(job) for job in jobs], in order, computed in `workers` processes
+    (default: usable_cpus(), at most one per job); with one worker, in
+    this process. With more jobs than workers, each of `workers` forked
+    processes takes the next job when it finishes one. With one job per
+    worker, job 0 is computed in this process and each other job in a
+    forked process of its own. A job's exception is raised here with its
+    own class."""
     if workers is None:
         workers = usable_cpus()
     workers = min(workers, len(jobs))
     if workers <= 1:
         return list(map(fn, jobs))
+    # with nothing left to hand out, this process would only wait
+    own = int(workers == len(jobs))
     # a fork copies unflushed output; flush it once, here
     sys.stdout.flush()
     sys.stderr.flush()
     results = [None] * len(jobs)
-    queue = iter(range(len(jobs)))
+    queue = iter(range(own, len(jobs)))
     children = {}  # result pipe -> (pid, job pipe's write end)
     try:
-        for _ in range(workers):
+        for _ in range(workers - own):
             job_read, job_write = os.pipe()
             result_read, result_write = os.pipe()
             # fork: a worker starts from this process's imported modules in
@@ -368,6 +375,8 @@ def fork_map(fn, jobs: list, workers=None) -> list:
             os.close(result_write)
             children[os.fdopen(result_read, "rb")] = (pid, job_write)
         busy = {pipe for pipe, (_, job_write) in children.items() if _send(job_write, queue)}
+        if own:
+            results[0] = fn(jobs[0])
         while busy:
             for pipe in select.select(list(busy), [], [])[0]:
                 pid, job_write = children[pipe]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import phonotdoa
-from phonotdoa import cli
+from phonotdoa import cli, tdoa
 from phonotdoa.audio_io import StereoRecording, load_wav, write_wav
 from phonotdoa.cli import build_parser, main
 from phonotdoa.geometry import REFERENCE_POSE
@@ -500,6 +500,20 @@ def _count_forks(monkeypatch, cpus, segments_per_worker=1):
     return forks
 
 
+def _count_shares(monkeypatch):
+    """Return a list that gains, per fork_map call of enroll, the number
+    of shares it splits the segments into."""
+    shares = []
+    real_fork_map = cli.fork_map
+
+    def fork_map(fn, jobs, workers=None):
+        shares.append(len(jobs))
+        return real_fork_map(fn, jobs, workers)
+
+    monkeypatch.setattr(cli, "fork_map", fork_map)
+    return shares
+
+
 def _assert_no_worker_left():
     # waitpid raises once this process has no child, running or exited
     with pytest.raises(ChildProcessError):
@@ -529,50 +543,53 @@ def ti_trials(tmp_path_factory, source_model):
 
 @pytest.mark.parametrize("mode", ["text_dependent", "text_independent"])
 def test_enroll_independent_of_worker_count(pipeline, ti_trials, tmp_path, mode, monkeypatch):
-    # enroll measures its segments in forked workers, one per CPU here
+    # enroll measures one share of its segments per CPU here: the first
+    # in this process, the others in forked workers
     trials = _td_trials(pipeline) if mode == "text_dependent" else ti_trials
     profile = tmp_path / "p.json"
     outputs = []
     for cpus in (1, 2):
         forks = _count_forks(monkeypatch, cpus)
+        shares = _count_shares(monkeypatch)
         code, out = run_cli(
             "enroll", "--out", profile, "--user", "u", "--mode", mode, *_trial_flags(*trials),
         )
         _assert_no_worker_left()
-        assert len(forks) == (0 if cpus == 1 else 2)
+        assert (shares, len(forks)) == ([cpus], cpus - 1)
         outputs.append((code, out, profile.read_bytes()))
     assert outputs[0][0] == 0
     assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
-    "mode, cpus, workers",
-    [("text_dependent", 2, 0), ("text_independent", 2, 2), ("text_independent", 64, 5)],
+    "mode, cpus, shares",
+    [("text_dependent", 2, 1), ("text_independent", 2, 2), ("text_independent", 64, 10)],
 )
-def test_enroll_worker_count_follows_segment_count(pipeline, ti_trials, tmp_path, mode, cpus, workers,
+def test_enroll_worker_count_follows_segment_count(pipeline, ti_trials, tmp_path, mode, cpus, shares,
                                                monkeypatch):
     # 3 trials of 8 segments are measured in this process; 3 of 44 (132
-    # segments) fork min(CPUs, 132 // 24) workers
+    # segments) in min(CPUs, 132 // 13) shares, all but the first forked
     trials = _td_trials(pipeline) if mode == "text_dependent" else ti_trials
     forks = _count_forks(monkeypatch, cpus, segments_per_worker=cli.SEGMENTS_PER_WORKER)
+    counted = _count_shares(monkeypatch)
     code, _ = run_cli(
         "enroll", "--out", tmp_path / "p.json", "--user", "u", "--mode", mode,
         *_trial_flags(*trials),
     )
-    assert (code, len(forks)) == (0, workers)
+    assert (code, counted, len(forks)) == (0, [shares], shares - 1)
     _assert_no_worker_left()
 
 
 def test_enroll_loads_no_pool_modules(ti_trials, tmp_path):
     # the workers are bare forks: enroll imports neither multiprocessing
-    # nor concurrent.futures, even when it forks
+    # nor concurrent.futures, even when it forks (2 shares, 1 fork here)
     argv = ["enroll", "--out", str(tmp_path / "p.json"), "--user", "u",
             "--mode", "text_independent", *_trial_flags(*ti_trials)]
     proc = _run_python("-c", (
         "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
         "import phonotdoa.cli as cli; "
         "forks = []; fork = os.fork; os.fork = lambda: forks.append(1) or fork(); "
-        f"assert cli.main({argv!r}) == 0 and len(forks) == 2; "
+        f"assert cli.main({argv!r}) == 0 and len(forks) == 1; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
         "('multiprocessing', 'concurrent')))"
     ))
@@ -613,9 +630,44 @@ def test_enroll_malformed_trial_fails_before_any_fork(pipeline, tmp_path, case, 
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("case", ["two_trials", "labels_differ", "rates_differ", "ti_two_trials"])
+def test_enroll_refuses_a_bad_trial_set_before_measuring(pipeline, ti_trials, tmp_path, case,
+                                                         monkeypatch, capsys):
+    t1, t2, _ = _td_trials(pipeline)
+    mode, trials = "text_dependent", [t1, t2]
+    if case == "two_trials":
+        expected = "need at least 3 trials, got 2"
+    elif case == "ti_two_trials":
+        mode, trials = "text_independent", ti_trials[:2]
+        short = ", ".join(sorted(phonotdoa.INVENTORY.symbols))
+        expected = f"phonemes with fewer than 3 samples: {short}"
+    else:
+        other = {"labels_differ": {"labels": LABELS[::-1]}, "rates_differ": {"sample_rate": 96000}}
+        out = tmp_path / "t3"
+        assert run_cli("simulate", _scene(tmp_path, seed=3, **other[case]), out)[0] == 0
+        trials.append(f"{out}/recording.wav:{out}/alignment.json")
+        expected = {
+            "labels_differ": f"trial labels {tuple(LABELS[::-1])} != {tuple(LABELS)}",
+            "rates_differ": "trials differ in sample rate",
+        }[case]
+    forks = _count_forks(monkeypatch, cpus=2)
+    estimates = []
+    monkeypatch.setattr(tdoa, "estimate_tdoa", lambda *a, **k: estimates.append(1))
+    code, out = run_cli(
+        "enroll", "--out", tmp_path / "p.json", "--user", "u", "--mode", mode,
+        *_trial_flags(*trials),
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(capsys.readouterr().err) == {"error": "SchemaError", "message": expected}
+    assert (forks, estimates) == ([], [])
+    _assert_no_worker_left()
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_enroll_worker_error_surfaces_with_its_class(pipeline, tmp_path, monkeypatch, capsys):
-    # the last segment of the last trial is silent: the second worker
-    # measures it, and its error reaches stderr as the serial one would
+    # the last segment of the last trial is silent: the forked worker of
+    # the second share measures it, and its error reaches stderr as the
+    # serial one would
     t1, t2, t3 = _td_trials(pipeline)
     wav, alignment = t3.rsplit(":", 1)
     rec = load_wav(wav)
@@ -624,6 +676,7 @@ def test_enroll_worker_error_surfaces_with_its_class(pipeline, tmp_path, monkeyp
     top[last["start"]:last["end"]] = bottom[last["start"]:last["end"]] = 0.0
     write_wav(StereoRecording(rec.sample_rate, top, bottom), tmp_path / "s.wav", bit_depth=24)
     forks = _count_forks(monkeypatch, cpus=2)
+    shares = _count_shares(monkeypatch)
     code, out = run_cli(
         "enroll", "--out", tmp_path / "p.json", "--user", "u",
         *_trial_flags(t1, t2, f"{tmp_path / 's.wav'}:{alignment}"),
@@ -632,13 +685,13 @@ def test_enroll_worker_error_surfaces_with_its_class(pipeline, tmp_path, monkeyp
     assert json.loads(capsys.readouterr().err) == {
         "error": "DegenerateSignalError", "message": "zero-variance correlation window",
     }
-    assert len(forks) == 2
+    assert (shares, len(forks)) == ([2], 1)
     _assert_no_worker_left()
     assert not (tmp_path / "p.json").exists()
 
 
 def test_enroll_warns_about_an_unusual_rate_once_per_trial(tmp_path, monkeypatch):
-    # workers reopen the files they measure; only the parent warns
+    # every share reopens the files it measures; only _open_trial warns
     trials = []
     for seed in (1, 2, 3):
         out = tmp_path / f"t{seed}"
@@ -654,11 +707,12 @@ def test_enroll_warns_about_an_unusual_rate_once_per_trial(tmp_path, monkeypatch
             f.write(f"{os.getpid()} {filename} {str(message)[:26]}\n")
 
     forks = _count_forks(monkeypatch, cpus=2)
+    shares = _count_shares(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = show
         code, _ = run_cli("enroll", "--out", tmp_path / "p.json", "--user", "u", *_trial_flags(*trials))
-    assert code == 0 and len(forks) == 2
+    assert (code, shares, len(forks)) == (0, [2], 1)
     _assert_no_worker_left()
     line = f"{os.getpid()} {cli.__file__} sample rate 44100 Hz is ac"
     assert shown.read_text().splitlines() == [line] * 3

@@ -289,3 +289,39 @@ def test_fork_map_worker_exiting_without_a_result_is_child_process_error():
         fork_map(job, [0, 1, 2, 3], workers=2)
     _assert_no_worker_left()
 
+
+class ShareError(Exception):
+    pass
+
+
+def test_fork_map_with_one_job_per_worker_computes_job_0_here():
+    # the caller has no job left to hand out, so it computes the first
+    results = fork_map(lambda job: (job, os.getpid()), [0, 1, 2], workers=3)
+    assert [job for job, _ in results] == [0, 1, 2]
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid()
+    assert len(set(pids[1:])) == 2 and os.getpid() not in pids[1:]
+    _assert_no_worker_left()
+
+
+def test_fork_map_error_in_the_callers_job_keeps_its_class():
+    def job(k):
+        if k == 0:
+            raise ShareError("share 0")
+        time.sleep(0.2)  # the worker is still busy when the caller fails
+        return k
+
+    with pytest.raises(ShareError, match="share 0"):
+        fork_map(job, [0, 1], workers=2)
+    _assert_no_worker_left()
+
+
+def test_fork_map_with_one_job_per_worker_worker_exiting_is_child_process_error():
+    def job(k):
+        if k == 1:
+            os._exit(3)
+        return k
+
+    with pytest.raises(ChildProcessError, match="exited without a result"):
+        fork_map(job, [0, 1], workers=2)
+    _assert_no_worker_left()
