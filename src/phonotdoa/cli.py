@@ -9,7 +9,9 @@ identical invocations produce byte-identical stdout.
 Each setting has one source: `enroll` records geometry.REFERENCE_POSE
 and `pose` solves at it; `verify` scores with --method and --threshold
 over the defaults in `config`, and takes its distance from --distance-m
-or --beep-echo, never both.
+or --beep-echo, never both. `verify` loads, measures and ranges here and
+leaves the rest to UserProfile.score, the path run_experiment scores
+through too.
 
 `enroll` checks every trial's WAV header and alignment, and that the
 trials can make a profile, in this process. It then splits the segments
@@ -47,11 +49,8 @@ from .geometry import (
     solve_source_distance,
     transform_tdoa,
 )
-from .profiles import (
-    ProfileMode, check_trials, enroll_from_dynamics, load_profile, normalize_dynamic,
-    save_profile,
-)
-from .scoring import ScoringMethod, Verdict, decide, score_dynamic
+from .profiles import ProfileMode, check_trials, enroll_from_dynamics, load_profile, save_profile
+from .scoring import ScoringMethod, Verdict, decide
 from .segmentation import load_alignment, save_alignment
 from .simulator import (
     AttackKind,
@@ -182,21 +181,16 @@ def cmd_simulate(args) -> int:
 
 # --- enroll ---
 
-def _parse_trial(spec: str) -> tuple:
+def _open_trial(spec: str) -> tuple:
+    """(WAV path, sample rate, segments) of one trial. The WAV header and
+    the alignment are checked here, in trial order, before any segment
+    is measured."""
     try:
         wav_path, align_path = spec.rsplit(":", 1)
     except ValueError:
         raise ConfigError(
             f"trial {spec!r} must be recording.wav:alignment.json"
         ) from None
-    return wav_path, align_path
-
-
-def _open_trial(spec: str) -> tuple:
-    """(WAV path, sample rate, segments) of one trial. The WAV header and
-    the alignment are checked here, in trial order, before any segment
-    is measured."""
-    wav_path, align_path = _parse_trial(spec)
     with WavReader(wav_path) as recording:
         return wav_path, recording.sample_rate, load_alignment(align_path, recording)
 
@@ -239,9 +233,7 @@ def cmd_enroll(args) -> int:
         TdoaDynamic(sum(parts, ()), rate, device)
         for parts, (_, rate, _) in zip(zip(*shares), trials)
     ]
-    profile = enroll_from_dynamics(
-        args.user, mode, dynamics, REFERENCE_POSE, device, args.passphrase_id,
-    )
+    profile = enroll_from_dynamics(args.user, mode, dynamics, REFERENCE_POSE, args.passphrase_id)
     save_profile(profile, args.out)
     _emit(
         {
@@ -263,29 +255,20 @@ def cmd_verify(args) -> int:
     profile = load_profile(args.profile)
     with WavReader(args.recording) as recording:
         segments = load_alignment(args.alignment, recording)
-        device = _device_from_args(args, fallback=profile.device)
-        dynamic = measure_dynamic(recording, segments, device=device)
-    if (
-        device.mic_spacing_m != profile.device.mic_spacing_m
-        or dynamic.sample_rate != profile.sample_rate
-    ):
-        dynamic = normalize_dynamic(
-            dynamic, device, profile.device, to_sample_rate=profile.sample_rate
+        dynamic = measure_dynamic(
+            recording, segments, device=_device_from_args(args, fallback=profile.device)
         )
 
-    # pose release: move the enrolled templates to the verification pose
+    # pose release: the templates move to the verification pose
     new_x = args.distance_m
     if args.beep_echo is not None:
         echo_rec = load_wav(args.beep_echo)
         new_x = estimate_face_distance(echo_rec, make_beep(echo_rec.sample_rate))
         log.info("beep-echo distance estimate: %.4f m", new_x)
-    templates = profile.templates_at(
-        dynamic.labels, args.passphrase_id, math.radians(args.angle_deg or 0.0),
+    sim = profile.score(
+        dynamic, args.passphrase_id, math.radians(args.angle_deg or 0.0),
         new_x - profile.enrollment_pose.x if new_x is not None else 0.0,
-    )
-    sim = score_dynamic(
-        dynamic, templates, method=ScoringMethod(config.method),
-        weighted=profile.mode == ProfileMode.TEXT_INDEPENDENT,
+        ScoringMethod(config.method),
     )
     decision = decide(sim, config.threshold)
     _emit(decision.to_json_dict())

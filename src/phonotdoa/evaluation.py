@@ -4,6 +4,10 @@ experiments.
 The decision rule everywhere is fail-closed: accept iff score is
 strictly above the threshold. ROC and EER follow the same rule, so
 accuracy at the EER threshold lines up with 1 - EER on balanced sets.
+
+An experiment renders and measures every utterance on the reference
+handset (geometry.REFERENCE_POSE, tdoa.DEFAULT_DEVICE) and scores each
+row through UserProfile.score, as `verify` does.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import FIELD_ERRORS, check_sample_rate, json_real, write_json
+from .audio_io import FIELD_ERRORS, check_sample_rate, write_json
 from .errors import ConfigError
 from .geometry import REFERENCE_POSE
 from .phonemes import INVENTORY
 from .profiles import MIN_TRIALS, ProfileMode, enroll_from_dynamics
-from .scoring import ScoringMethod, score_dynamic
+from .scoring import ScoringMethod
 from .simulator import (
     MIN_REPLACE_DISTANCE_M,
     SNR_RANGE_DB,
@@ -33,7 +37,7 @@ from .simulator import (
     synthesize_live,
 )
 from .sourcemodel import load_source_model
-from .tdoa import DEFAULT_DEVICE, DeviceSpec, TdoaDynamic, fork_map, measure_dynamic
+from .tdoa import TdoaDynamic, fork_map, measure_dynamic
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,6 @@ class ExperimentConfig:
     transform: bool = True
     per_user_variation: bool = True
     oral_only: bool = False
-    device: DeviceSpec = DEFAULT_DEVICE
     threshold: float = None
 
     @classmethod
@@ -144,12 +147,6 @@ class ExperimentConfig:
         try:
             if "mode" in known:
                 known["mode"] = ProfileMode(known["mode"])
-            if "device" in known:
-                dev = known["device"]
-                known["device"] = DeviceSpec(
-                    mic_spacing_m=json_real(dev["mic_spacing_m"]),
-                    name=str(dev.get("name", "generic")),
-                )
             for key in ("length_bands", "pose_changes"):
                 if key in known:
                     known[key] = tuple(tuple(v) for v in known[key])
@@ -185,7 +182,6 @@ class ExperimentConfig:
             "attack counts must be >= 0",
         )
         _require(isinstance(self.mode, ProfileMode), "mode must be a profile mode")
-        _require(isinstance(self.device, DeviceSpec), "device must be a device spec")
         for name in ("transform", "per_user_variation", "oral_only"):
             _require(isinstance(getattr(self, name), bool), f"{name} must be true or false")
         lo, hi = SNR_RANGE_DB
@@ -310,7 +306,7 @@ def _measure(config: ExperimentConfig, job) -> TdoaDynamic:
             labels, user_model, pose, scenario, config.sample_rate, seed,
             config.noise_snr_db, duration_range=config.duration_range,
         )
-    return measure_dynamic(utt.recording, utt.segments, device=config.device)
+    return measure_dynamic(utt.recording, utt.segments)
 
 
 def _plan(config: ExperimentConfig, model, poses) -> tuple:
@@ -318,7 +314,7 @@ def _plan(config: ExperimentConfig, model, poses) -> tuple:
     stream, in a fixed order, and lay the renders out as a flat job list.
 
     Returns (jobs, passphrases), with (user_id, passphrase_id, band,
-    labels, enroll, rows) per passphrase. enroll lists the job indexes of
+    enroll, rows) per passphrase. enroll lists the job indexes of
     the enrollment trials: the passphrase's own for text-dependent
     profiles, the user's for text-independent ones. rows lists (kind,
     pose index, job index) in report order.
@@ -398,7 +394,7 @@ def _plan(config: ExperimentConfig, model, poses) -> tuple:
                              job(labels, user_model, ver_pose, scenario))
                         )
             passphrases.append(
-                (f"user{user_idx:02d}", f"pp{pp_idx:02d}", band, labels, enroll, rows)
+                (f"user{user_idx:02d}", f"pp{pp_idx:02d}", band, enroll, rows)
             )
     return jobs, passphrases
 
@@ -426,25 +422,15 @@ def run_experiment(config: ExperimentConfig, workers=None) -> dict:
     jobs, passphrases = _plan(config, model, poses)
     dynamics = fork_map(functools.partial(_measure, config), jobs, workers)
 
-    weighted = config.mode == ProfileMode.TEXT_INDEPENDENT
-    # (alpha, delta_x) the templates move by for each verification pose
-    moves = [
-        (math.radians(alpha_deg), delta_x) if config.transform else (0.0, 0.0)
-        for alpha_deg, delta_x in poses
-    ]
     rows = []
-    for user_id, passphrase_id, band, labels, enroll, pp_rows in passphrases:
+    for user_id, passphrase_id, band, enroll, pp_rows in passphrases:
         profile = enroll_from_dynamics(
-            user_id, config.mode, [dynamics[j] for j in enroll],
-            REFERENCE_POSE, config.device, passphrase_id,
+            user_id, config.mode, [dynamics[j] for j in enroll], REFERENCE_POSE, passphrase_id,
         )
-        templates = [
-            profile.templates_at(labels, passphrase_id, alpha, delta_x)
-            for alpha, delta_x in moves
-        ]
         for kind, pose_idx, j in pp_rows:
-            sim = score_dynamic(dynamics[j], templates[pose_idx], weighted=weighted)
             alpha_deg, delta_x = poses[pose_idx]
+            move = (math.radians(alpha_deg), delta_x) if config.transform else (0.0, 0.0)
+            sim = profile.score(dynamics[j], passphrase_id, *move)
             rows.append(
                 {
                     "kind": kind,

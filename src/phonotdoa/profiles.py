@@ -1,12 +1,15 @@
-"""User delay profiles: enrollment, device normalization, persistence.
+"""User delay profiles: enrollment, scoring against them, device
+normalization, persistence.
 
 Text-dependent profiles store one template sequence per enrolled
 passphrase (mean/std per position over >= 3 trials). Text-independent
 profiles store one template per inventory phoneme and assemble passphrase
 templates on demand. Enrollment measures every delay with GCC-PHAT, as
-verification does. Raw per-trial delays are kept alongside the
-statistics so they can always be recomputed or re-weighted without
-re-enrollment.
+verification does, and records the device the trials were measured on.
+UserProfile.score is the one path from a measured dynamic to a score,
+shared by `verify` and run_experiment. Raw per-trial delays are kept
+alongside the statistics so they can always be recomputed or re-weighted
+without re-enrollment.
 """
 
 from __future__ import annotations
@@ -24,14 +27,11 @@ from .audio_io import (
 from .errors import NoSolutionError, SchemaError
 from .geometry import DevicePose, transform_tdoa
 from .phonemes import INVENTORY
+from .scoring import ScoringMethod, SimilarityScore, score_dynamic
 from .tdoa import DeviceSpec, TdoaDynamic, estimate_tdoa, measure_dynamic
 
 PROFILE_SCHEMA_VERSION = 1
 MIN_TRIALS = 3
-
-# Templates enrolled from identical trials would have zero std and an
-# infinite score density; scoring floors the std at this value.
-STD_FLOOR_SAMPLES = 0.5
 
 
 class ProfileMode(enum.Enum):
@@ -77,14 +77,6 @@ class UserProfile:
     passphrase_templates: dict = field(default_factory=dict)
     phoneme_templates: dict = field(default_factory=dict)
 
-    def templates_for(self, passphrase_id: str) -> list:
-        try:
-            return list(self.passphrase_templates[passphrase_id])
-        except KeyError:
-            raise SchemaError(
-                f"profile has no passphrase {passphrase_id!r}"
-            ) from None
-
     def templates_at(
         self, labels, passphrase_id: str = None, alpha: float = 0.0, delta_x: float = 0.0
     ) -> list:
@@ -109,7 +101,12 @@ class UserProfile:
                         f"profile holds {len(ids)} passphrases; pass --passphrase-id"
                     )
                 passphrase_id = ids[0]
-            templates = self.templates_for(passphrase_id)
+            try:
+                templates = list(self.passphrase_templates[passphrase_id])
+            except KeyError:
+                raise SchemaError(
+                    f"profile has no passphrase {passphrase_id!r}"
+                ) from None
         if alpha == 0.0 and delta_x == 0.0:
             return templates
         moved = []
@@ -123,6 +120,34 @@ class UserProfile:
                 mean = t.mean_delay
             moved.append(replace(t, mean_delay=mean))
         return moved
+
+    def score(
+        self,
+        dynamic: TdoaDynamic,
+        passphrase_id: str = None,
+        alpha: float = 0.0,
+        delta_x: float = 0.0,
+        method: ScoringMethod = ScoringMethod.COMBINED,
+    ) -> SimilarityScore:
+        """Every score of a measured dynamic against this profile, the
+        templates moved by alpha and delta_x as in templates_at.
+
+        A dynamic measured on another mic spacing (dynamic.device) or at
+        another sample rate is first rescaled onto the profile's with
+        normalize_dynamic. A text-independent profile scores with the
+        stability weights.
+        """
+        if (
+            dynamic.device.mic_spacing_m != self.device.mic_spacing_m
+            or dynamic.sample_rate != self.sample_rate
+        ):
+            dynamic = normalize_dynamic(
+                dynamic, dynamic.device, self.device, to_sample_rate=self.sample_rate
+            )
+        templates = self.templates_at(dynamic.labels, passphrase_id, alpha, delta_x)
+        return score_dynamic(
+            dynamic, templates, method, weighted=self.mode == ProfileMode.TEXT_INDEPENDENT,
+        )
 
 
 def enroll_text_dependent(
@@ -138,7 +163,7 @@ def enroll_text_dependent(
         for recording, segments in trials
     ]
     return enroll_from_dynamics(
-        user_id, ProfileMode.TEXT_DEPENDENT, dynamics, pose, device, passphrase_id
+        user_id, ProfileMode.TEXT_DEPENDENT, dynamics, pose, passphrase_id
     )
 
 
@@ -160,9 +185,7 @@ def enroll_text_independent(
                 )
             m = estimate_tdoa(recording, segment, device=device)
             dynamics.append(TdoaDynamic((m,), recording.sample_rate, device))
-    return enroll_from_dynamics(
-        user_id, ProfileMode.TEXT_INDEPENDENT, dynamics, pose, device
-    )
+    return enroll_from_dynamics(user_id, ProfileMode.TEXT_INDEPENDENT, dynamics, pose)
 
 
 def check_trials(mode: ProfileMode, trials) -> int:
@@ -209,47 +232,42 @@ def enroll_from_dynamics(
     mode: ProfileMode,
     dynamics,
     pose: DevicePose,
-    device: DeviceSpec,
     passphrase_id: str = None,
 ) -> UserProfile:
     """Build a profile from the measured delay dynamics of enrollment trials,
-    which must pass check_trials.
+    which must pass check_trials and share one device, the one the profile
+    records.
 
     Text-dependent: per position the template stores mean and std over
     trials. Text-independent: per phoneme, mean and std over every
     measurement of it in any trial.
     """
     dynamics = list(dynamics)
+    if len({d.device for d in dynamics}) > 1:
+        raise SchemaError("trials differ in device")
     rate = check_trials(mode, [(d.sample_rate, d.labels) for d in dynamics])
+    passphrases, phonemes = {}, {}
     if mode == ProfileMode.TEXT_DEPENDENT:
         stacked = np.stack([d.delays for d in dynamics])  # trials x positions
-        templates = [
+        passphrases[passphrase_id] = [
             _template_from_delays(label, stacked[:, i])
             for i, label in enumerate(dynamics[0].labels)
         ]
-        return UserProfile(
-            user_id=user_id,
-            mode=mode,
-            device=device,
-            enrollment_pose=pose,
-            sample_rate=rate,
-            passphrase_templates={passphrase_id: templates},
-        )
-
-    delays = {}
-    for d in dynamics:
-        for m in d.measurements:
-            delays.setdefault(m.label, []).append(m.delay_samples)
+    else:
+        delays = {}
+        for d in dynamics:
+            for m in d.measurements:
+                delays.setdefault(m.label, []).append(m.delay_samples)
+        for label in sorted(delays):
+            phonemes[label] = _template_from_delays(label, delays[label])
     return UserProfile(
         user_id=user_id,
         mode=mode,
-        device=device,
+        device=dynamics[0].device,
         enrollment_pose=pose,
         sample_rate=rate,
-        phoneme_templates={
-            label: _template_from_delays(label, delays[label])
-            for label in sorted(delays)
-        },
+        passphrase_templates=passphrases,
+        phoneme_templates=phonemes,
     )
 
 
@@ -373,4 +391,9 @@ def load_profile(path) -> UserProfile:
         raise SchemaError(
             f"{path}: sample rate {rate} outside [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}] Hz"
         )
+    # transform_tdoa solves with the bottom mic at -l2 and no enrollment
+    # tilt; any other pose would move templates to wrong delays
+    pose = profile.enrollment_pose
+    if pose.alpha != 0.0 or abs(pose.l1 + pose.l2 - pose.l) > 1e-9:
+        raise SchemaError(f"{path}: enrollment pose {pose} is not vertical with l = l1 + l2")
     return profile

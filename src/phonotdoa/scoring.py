@@ -25,10 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .profiles import STD_FLOOR_SAMPLES
 from .tdoa import TdoaDynamic
 
 MIN_SEQUENCE_LENGTH = 3
+
+# Templates enrolled from identical trials would have zero std and an
+# infinite score density; scoring floors the std at this value.
+STD_FLOOR_SAMPLES = 0.5
 
 # weighting for the stability-aware correlation: w = 1/(std + eps)
 WEIGHT_EPSILON = 0.1  # samples

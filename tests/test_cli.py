@@ -18,12 +18,15 @@ import pytest
 
 import phonotdoa
 from phonotdoa import cli, tdoa
-from phonotdoa.audio_io import StereoRecording, load_wav, write_wav
+from phonotdoa.audio_io import StereoRecording, WavReader, load_wav, write_wav
 from phonotdoa.cli import build_parser, main
+from phonotdoa.config import DEFAULT_THRESHOLD
 from phonotdoa.geometry import REFERENCE_POSE
-from phonotdoa.profiles import load_profile
-from phonotdoa.segmentation import PhonemeSegment, save_alignment
+from phonotdoa.profiles import load_profile, normalize_dynamic
+from phonotdoa.scoring import Verdict, decide, score_dynamic
+from phonotdoa.segmentation import PhonemeSegment, load_alignment, save_alignment
 from phonotdoa.simulator import synthesize_live
+from phonotdoa.tdoa import DeviceSpec, measure_dynamic
 
 LABELS = ["IY", "S", "K", "AA", "T", "OW", "N", "EH"]
 
@@ -134,6 +137,31 @@ def test_cli_determinism_verify(pipeline):
     _, out1 = run_cli(*args)
     _, out2 = run_cli(*args)
     assert out1 == out2
+
+
+def test_verify_rescales_other_rate_and_spacing_as_composed_by_hand(pipeline, tmp_path):
+    # a 96 kHz recording measured on an S5-spaced handset against the
+    # 192 kHz reference-handset profile: the rescale, the template move
+    # and the score must match the library steps run one by one
+    _, profile_path, _, _ = pipeline
+    out = tmp_path / "live96"
+    assert run_cli("simulate", _scene(tmp_path, seed=77, sample_rate=96000), out)[0] == 0
+    code, stdout = run_cli(
+        "verify", out / "recording.wav", out / "alignment.json", "--profile", profile_path,
+        "--device-spacing-m", "0.141", "--angle-deg", "10",
+    )
+    profile = load_profile(profile_path)
+    s5 = DeviceSpec(mic_spacing_m=0.141)
+    with WavReader(out / "recording.wav") as recording:
+        assert (recording.sample_rate, profile.sample_rate) == (96000, 192000)
+        dynamic = measure_dynamic(
+            recording, load_alignment(out / "alignment.json", recording), device=s5
+        )
+    dynamic = normalize_dynamic(dynamic, s5, profile.device, to_sample_rate=profile.sample_rate)
+    templates = profile.templates_at(dynamic.labels, alpha=math.radians(10))
+    decision = decide(score_dynamic(dynamic, templates), DEFAULT_THRESHOLD)
+    assert stdout == json.dumps(decision.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert code == (0 if decision.verdict == Verdict.LIVE else 1)
 
 
 def test_cli_determinism_simulate(pipeline, tmp_path):
@@ -962,9 +990,11 @@ def test_evaluate_command(tmp_path):
     ({}, ["--seed", "-3"]),
     ({"noise_snr_db": -10000}, []),
     ({"device": {"mic_spacing_m": "0.15"}}, []),
+    # every utterance renders on the reference handset, so no device is settable
+    ({"device": {"mic_spacing_m": 0.141}}, []),
 ], ids=[
     "rate_text", "band_one_value", "users_fraction", "seed_negative",
-    "seed_flag_negative", "snr_very_negative", "device_spacing_text",
+    "seed_flag_negative", "snr_very_negative", "device_spacing_text", "device_key",
 ])
 def test_evaluate_malformed_experiment_is_typed_error(tmp_path, fields, flags, capsys):
     exp = tmp_path / "exp.json"

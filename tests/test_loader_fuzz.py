@@ -340,6 +340,21 @@ def test_load_profile_rate_out_of_range_rejected(tmp_path, rate, match):
         load_profile(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    # templates enrolled at 30 degrees would move exactly as vertical ones
+    ("alpha", math.radians(30)),
+    # the transform puts the bottom mic at -l2: with l2 = 0.02 a 40-sample
+    # template moved back 5 cm lands 0.55 samples from the consistent pose's
+    ("l2", 0.02),
+], ids=["alpha_30deg", "l2_off"])
+def test_load_profile_inconsistent_enrollment_pose_rejected(tmp_path, field, value):
+    doc = _profile_doc(tmp_path)
+    doc["pose"][field] = value
+    path = _write(tmp_path / "p.json", doc)
+    with pytest.raises(SchemaError, match=r"not vertical with l = l1 \+ l2"):
+        load_profile(path)
+
+
 @pytest.mark.parametrize("count", [3.0, 3.7, True, "3"])
 def test_load_profile_non_integer_trial_count_rejected(tmp_path, count):
     doc = _profile_doc(tmp_path)
@@ -352,7 +367,7 @@ def test_load_profile_non_integer_trial_count_rejected(tmp_path, count):
 def test_load_profile_round_trips_the_fuzz_base(tmp_path):
     # the mutations above start from a profile that loads
     path = _write(tmp_path / "p.json", _profile_doc(tmp_path))
-    assert load_profile(path).templates_for("pp0")[2].label == "K"
+    assert load_profile(path).passphrase_templates["pp0"][2].label == "K"
 
 
 # --- CLI scoring settings ---

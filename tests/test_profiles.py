@@ -12,6 +12,7 @@ from phonotdoa.profiles import (
     PhonemeTemplate,
     ProfileMode,
     assemble_template,
+    enroll_from_dynamics,
     enroll_text_dependent,
     enroll_text_independent,
     load_profile,
@@ -47,13 +48,13 @@ def test_identical_trials_zero_std(source_model):
     utt = synthesize_live(LABELS, source_model, REFERENCE_POSE, seed=5)
     trials = [(utt.recording, utt.segments)] * 3
     profile = enroll_text_dependent("u1", "pp0", trials, REFERENCE_POSE, DEVICE)
-    for t in profile.templates_for("pp0"):
+    for t in profile.passphrase_templates["pp0"]:
         assert t.std_delay == 0.0
         assert t.trial_count == 3
 
 
 def test_enrollment_stats_match_recomputation(enrolled):
-    for t in enrolled.templates_for("pp0"):
+    for t in enrolled.passphrase_templates["pp0"]:
         assert len(t.delays) == 3
         assert t.mean_delay == pytest.approx(np.mean(t.delays))
         assert t.std_delay == pytest.approx(np.std(t.delays, ddof=1))
@@ -70,7 +71,7 @@ def test_unit_jitter_reproduced_in_stds(source_model):
     labels = sorted(unit_model.labels)
     trials = _trials(unit_model, labels=labels, seed0=300)
     profile = enroll_text_dependent("u1", "pp0", trials, REFERENCE_POSE, DEVICE)
-    stds = [t.std_delay for t in profile.templates_for("pp0")]
+    stds = [t.std_delay for t in profile.passphrase_templates["pp0"]]
     assert 0.6 <= np.mean(stds) <= 1.2
 
 
@@ -204,8 +205,8 @@ def test_profile_roundtrip(enrolled, tmp_path):
     assert back.device == enrolled.device
     assert back.enrollment_pose == enrolled.enrollment_pose
     assert back.sample_rate == enrolled.sample_rate
-    a = enrolled.templates_for("pp0")
-    b = back.templates_for("pp0")
+    a = enrolled.passphrase_templates["pp0"]
+    b = back.passphrase_templates["pp0"]
     assert a == b
 
 
@@ -234,3 +235,14 @@ def test_template_validation():
         PhonemeTemplate(label="AA", mean_delay=0.0, std_delay=-1.0, trial_count=3)
     with pytest.raises(SchemaError, match="trial_count must be at least 1"):
         PhonemeTemplate(label="AA", mean_delay=0.0, std_delay=0.0, trial_count=0)
+
+
+def test_enroll_records_the_trials_device_and_refuses_two():
+    s5 = DeviceSpec(0.141, "s5")
+    labels = ["AA", "S", "K"]
+    dynamics = [_dynamic([40.0, 50.0, 60.0], labels, device=s5) for _ in range(3)]
+    profile = enroll_from_dynamics("u1", ProfileMode.TEXT_DEPENDENT, dynamics, REFERENCE_POSE, "pp0")
+    assert profile.device == s5
+    dynamics[1] = _dynamic([40.0, 50.0, 60.0], labels)
+    with pytest.raises(SchemaError, match="trials differ in device"):
+        enroll_from_dynamics("u1", ProfileMode.TEXT_DEPENDENT, dynamics, REFERENCE_POSE, "pp0")
