@@ -303,6 +303,13 @@ def json_real(value) -> float:
     return float(value)
 
 
+def json_str(value) -> str:
+    """A field that must be a JSON string; str() would read null as "None"."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):

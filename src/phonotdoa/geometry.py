@@ -180,16 +180,24 @@ def transform_tdoa(
     """Predict the delay after moving the handset back by delta_x and
     tilting it by alpha about its top mic, keeping the source fixed.
 
-    Solves the enrolled delay for the source distance x, then evaluates
-    the forward model at the moved pose, so the transform and the
-    simulator share one geometry. The moved pose is validated by
-    DevicePose (x + delta_x > 0, |alpha| < pi/2, all finite).
+    Solves the enrolled delay for the source distance x on the mouth
+    axis, or, where no distance fits (a nasal), for the source height dz
+    on the vertical line through the mouth. It then evaluates the
+    forward model at the moved pose, so the transform and the simulator
+    share one geometry. Raises NoSolutionError when neither line fits.
+    The moved pose is validated by DevicePose (x + delta_x > 0,
+    |alpha| < pi/2, all finite).
     """
-    x = solve_source_distance(tdoa_samples, pose.l1, pose.l2, sample_rate)
+    try:
+        x = solve_source_distance(tdoa_samples, pose.l1, pose.l2, sample_rate)
+        source = (0.0, 0.0)
+    except NoSolutionError:
+        delta_d = tdoa_samples * SPEED_OF_SOUND / sample_rate
+        x, source = pose.x, (0.0, solve_on_line(delta_d, pose.l1, pose.l1 - pose.l, h=pose.x))
     if alpha == 0.0 and delta_x == 0.0:
         return tdoa_samples  # no pose change (solve above validated the input)
     moved = pose.with_(x=x + delta_x, alpha=alpha)
-    return pose_to_tdoa(moved, sample_rate=sample_rate)
+    return pose_to_tdoa(moved, source, sample_rate=sample_rate)
 
 
 def make_beep(sample_rate: int) -> np.ndarray:

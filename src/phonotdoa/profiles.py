@@ -2,27 +2,27 @@
 normalization, persistence.
 
 Text-dependent profiles store one template sequence per enrolled
-passphrase (mean/std per position over >= 3 trials). Text-independent
+passphrase (the delays of >= 3 trials per position). Text-independent
 profiles store one template per inventory phoneme and assemble passphrase
 templates on demand. Enrollment measures every delay with GCC-PHAT, as
 verification does, and records the device the trials were measured on.
 UserProfile.score is the one path from a measured dynamic to a score,
-shared by `verify` and run_experiment. Raw per-trial delays are kept
-alongside the statistics so they can always be recomputed or re-weighted
-without re-enrollment.
+shared by `verify` and run_experiment. A profile file holds each
+template's delays only; load_profile checks them as enrollment checks
+its trials and rebuilds each template's mean and std.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .audio_io import (
-    FIELD_ERRORS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, json_int, json_real, read_json,
-    write_json,
+    FIELD_ERRORS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, json_int, json_real, json_str,
+    read_json, write_json,
 )
 from .errors import NoSolutionError, SchemaError
 from .geometry import DevicePose, transform_tdoa
@@ -30,7 +30,7 @@ from .phonemes import INVENTORY
 from .scoring import ScoringMethod, SimilarityScore, score_dynamic
 from .tdoa import DeviceSpec, TdoaDynamic, estimate_tdoa, measure_dynamic
 
-PROFILE_SCHEMA_VERSION = 1
+PROFILE_SCHEMA_VERSION = 2
 MIN_TRIALS = 3
 
 
@@ -44,25 +44,20 @@ class PhonemeTemplate:
     label: str
     mean_delay: float
     std_delay: float
-    trial_count: int
     delays: tuple = ()  # raw per-trial values
 
     def __post_init__(self):
         if self.std_delay < 0:
             raise SchemaError("std_delay must be non-negative")
-        if self.trial_count < 1:
-            raise SchemaError("trial_count must be at least 1")
         object.__setattr__(self, "delays", tuple(float(d) for d in self.delays))
 
 
 def _template_from_delays(label: str, delays) -> PhonemeTemplate:
     arr = np.asarray(delays, dtype=float)
-    std = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0
     return PhonemeTemplate(
         label=label,
         mean_delay=float(np.mean(arr)),
-        std_delay=std,
-        trial_count=len(arr),
+        std_delay=float(np.std(arr, ddof=1)),
         delays=tuple(arr),
     )
 
@@ -87,9 +82,9 @@ class UserProfile:
         A text-independent profile gives its inventory templates in label
         order; a text-dependent one the named passphrase's, or the only
         passphrase's when none is named. With no pose change the templates
-        are returned as they are. A template whose delay admits no on-axis
-        source (e.g. a nasal, whose source sits high above the mouth)
-        keeps its mean.
+        are returned as they are. A template whose delay fits a source
+        neither on the mouth axis nor on the vertical line through the
+        mouth, where nasals sit (transform_tdoa), keeps its mean.
         """
         if self.mode == ProfileMode.TEXT_INDEPENDENT:
             templates = assemble_template(self, labels)
@@ -238,9 +233,9 @@ def enroll_from_dynamics(
     which must pass check_trials and share one device, the one the profile
     records.
 
-    Text-dependent: per position the template stores mean and std over
-    trials. Text-independent: per phoneme, mean and std over every
-    measurement of it in any trial.
+    Text-dependent: per position the template holds the delays of every
+    trial. Text-independent: per phoneme, every measurement of it in any
+    trial. Each template also holds the mean and std of its delays.
     """
     dynamics = list(dynamics)
     if len({d.device for d in dynamics}) > 1:
@@ -307,28 +302,34 @@ def normalize_dynamic(
 # --- persistence ---
 
 
-def _pose_to_json(pose: DevicePose) -> dict:
-    return {"x": pose.x, "l1": pose.l1, "l2": pose.l2, "l": pose.l, "alpha": pose.alpha}
-
-
 def _template_to_json(t: PhonemeTemplate) -> dict:
-    return {
-        "label": t.label,
-        "mean_delay": t.mean_delay,
-        "std_delay": t.std_delay,
-        "trial_count": t.trial_count,
-        "delays": list(t.delays),
-    }
+    return {"label": t.label, "delays": list(t.delays)}
 
 
-def _template_from_json(doc: dict) -> PhonemeTemplate:
-    return PhonemeTemplate(
-        label=str(doc["label"]),
-        mean_delay=json_real(doc["mean_delay"]),
-        std_delay=json_real(doc["std_delay"]),
-        trial_count=json_int(doc["trial_count"]),
-        delays=tuple(json_real(d) for d in doc.get("delays", ())),
-    )
+def _template_from_json(doc: dict) -> tuple:
+    """The (label, delays) of a stored template, which holds nothing else."""
+    if set(doc) != {"label", "delays"}:
+        raise ValueError(f"template keys {sorted(doc)} are not label and delays")
+    return json_str(doc["label"]), [json_real(d) for d in doc["delays"]]
+
+
+def _check_stored(mode: ProfileMode, rate: int, passphrases: dict, phonemes: dict) -> None:
+    """Refuse stored (label, delays) templates that enrollment would not
+    have written: they must pass check_trials as the trials they came
+    from, and only the profile's mode may hold templates."""
+    td = mode == ProfileMode.TEXT_DEPENDENT
+    if (phonemes if td else passphrases) or not (passphrases if td else phonemes):
+        kind = "passphrases" if td else "phoneme templates"
+        raise SchemaError(f"a {mode.value} profile must hold {kind} and nothing else")
+    for pid, positions in passphrases.items():
+        counts = {len(delays) for _, delays in positions}
+        if len(counts) != 1:
+            raise SchemaError(f"passphrase {pid!r} holds delay counts {sorted(counts)}, not one")
+        check_trials(mode, [(rate, [label for label, _ in positions])] * counts.pop())
+    if any(key != label for key, (label, _) in phonemes.items()):
+        raise SchemaError("a phoneme template is filed under another label")
+    if not td:
+        check_trials(mode, [(rate, [label] * len(d)) for label, d in phonemes.values()])
 
 
 def save_profile(profile: UserProfile, path) -> None:
@@ -337,24 +338,20 @@ def save_profile(profile: UserProfile, path) -> None:
         "user_id": profile.user_id,
         "mode": profile.mode.value,
         "sample_rate": profile.sample_rate,
-        "device": {
-            "name": profile.device.name,
-            "mic_spacing_m": profile.device.mic_spacing_m,
-        },
-        "pose": _pose_to_json(profile.enrollment_pose),
+        "device": {"name": profile.device.name, "mic_spacing_m": profile.device.mic_spacing_m},
+        "pose": asdict(profile.enrollment_pose),
         "passphrases": {
             pid: [_template_to_json(t) for t in templates]
             for pid, templates in profile.passphrase_templates.items()
         },
-        "phonemes": {
-            label: _template_to_json(t)
-            for label, t in profile.phoneme_templates.items()
-        },
+        "phonemes": {label: _template_to_json(t) for label, t in profile.phoneme_templates.items()},
     }
     write_json(path, doc)
 
 
 def load_profile(path) -> UserProfile:
+    """Read a profile file, refuse it unless its delays pass _check_stored,
+    and rebuild every template from its delays as enrollment does."""
     doc = read_json(path, SchemaError)
     if doc.get("version") != PROFILE_SCHEMA_VERSION:
         raise SchemaError(
@@ -362,29 +359,21 @@ def load_profile(path) -> UserProfile:
             f"{PROFILE_SCHEMA_VERSION}, got {doc.get('version')!r}"
         )
     try:
-        device = DeviceSpec(
-            mic_spacing_m=json_real(doc["device"]["mic_spacing_m"]),
-            name=str(doc["device"].get("name", "generic")),
-        )
+        spec = doc["device"]
+        device = DeviceSpec(json_real(spec["mic_spacing_m"]), json_str(spec.get("name", "generic")))
         pose = DevicePose(**{k: json_real(v) for k, v in doc["pose"].items()})
-        profile = UserProfile(
-            user_id=str(doc["user_id"]),
-            mode=ProfileMode(doc["mode"]),
-            device=device,
-            enrollment_pose=pose,
-            sample_rate=json_int(doc["sample_rate"]),
-            passphrase_templates={
-                pid: [_template_from_json(t) for t in templates]
-                for pid, templates in doc.get("passphrases", {}).items()
-            },
-            phoneme_templates={
-                label: _template_from_json(t)
-                for label, t in doc.get("phonemes", {}).items()
-            },
-        )
+        user_id = json_str(doc["user_id"])
+        mode = ProfileMode(doc["mode"])
+        rate = json_int(doc["sample_rate"])
+        passphrases = {
+            pid: [_template_from_json(t) for t in templates]
+            for pid, templates in doc.get("passphrases", {}).items()
+        }
+        phonemes = {
+            label: _template_from_json(t) for label, t in doc.get("phonemes", {}).items()
+        }
     except FIELD_ERRORS as exc:
         raise SchemaError(f"{path}: malformed profile: {exc!r}") from exc
-    rate = profile.sample_rate
     if rate <= 0:
         raise SchemaError(f"{path}: sample rate {rate} not positive")
     if not MIN_SAMPLE_RATE <= rate <= MAX_SAMPLE_RATE:
@@ -393,7 +382,17 @@ def load_profile(path) -> UserProfile:
         )
     # transform_tdoa solves with the bottom mic at -l2 and no enrollment
     # tilt; any other pose would move templates to wrong delays
-    pose = profile.enrollment_pose
     if pose.alpha != 0.0 or abs(pose.l1 + pose.l2 - pose.l) > 1e-9:
         raise SchemaError(f"{path}: enrollment pose {pose} is not vertical with l = l1 + l2")
-    return profile
+    try:
+        _check_stored(mode, rate, passphrases, phonemes)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    return UserProfile(
+        user_id, mode, device, pose, rate,
+        passphrase_templates={
+            pid: [_template_from_delays(*t) for t in templates]
+            for pid, templates in passphrases.items()
+        },
+        phoneme_templates={label: _template_from_delays(*t) for label, t in phonemes.items()},
+    )

@@ -22,6 +22,7 @@ from phonotdoa.audio_io import StereoRecording, WavReader, load_wav, write_wav
 from phonotdoa.cli import build_parser, main
 from phonotdoa.config import DEFAULT_THRESHOLD
 from phonotdoa.geometry import REFERENCE_POSE
+from phonotdoa.phonemes import INVENTORY
 from phonotdoa.profiles import load_profile, normalize_dynamic
 from phonotdoa.scoring import Verdict, decide, score_dynamic
 from phonotdoa.segmentation import PhonemeSegment, load_alignment, save_alignment
@@ -358,6 +359,36 @@ def _template_field(**fields):
     return make
 
 
+def _delay_counts(*counts):
+    """The profile with the first positions of its passphrase holding
+    counts delays, cut from or repeating the enrolled three."""
+    def make(profile):
+        positions = profile["passphrases"]["passphrase0"]
+        edited = [{**t, "delays": (t["delays"] * 2)[:n]} for t, n in zip(positions, counts)]
+        return {**profile, "passphrases": {"passphrase0": edited + positions[len(counts):]}}
+    return make
+
+
+def _text_independent(profile, drop=()):
+    """A hand-written text-independent profile: three delays per
+    inventory phoneme except those in drop."""
+    phonemes = {
+        label: {"label": label, "delays": [40.0, 41.0, 42.5]}
+        for label in sorted(INVENTORY.symbols) if label not in drop
+    }
+    return {**profile, "mode": "text_independent", "passphrases": {}, "phonemes": phonemes}
+
+
+def _version_1(profile):
+    # the version-1 layout: statistics stored beside the delays
+    positions = [
+        {**t, "mean_delay": float(np.mean(t["delays"])),
+         "std_delay": float(np.std(t["delays"], ddof=1)), "trial_count": len(t["delays"])}
+        for t in profile["passphrases"]["passphrase0"]
+    ]
+    return {**profile, "version": 1, "passphrases": {"passphrase0": positions}}
+
+
 # file kind -> bytes built from the valid profile and alignment docs
 MALFORMED_INPUTS = {
     "profile_not_utf8": ("profile", lambda p, a: b"\xff" + _with(p), "SchemaError"),
@@ -387,9 +418,10 @@ MALFORMED_INPUTS = {
         "SchemaError",
     ),
     "profile_no_passphrases": ("profile", lambda p, a: _with(p, passphrases={}), "SchemaError"),
-    # real-valued fields must be JSON numbers, not parsed strings or booleans
+    # a version-2 template holds its delays and no statistic, however typed
     "template_mean_text": ("profile", _template_field(mean_delay="3.0"), "SchemaError"),
     "template_std_bool": ("profile", _template_field(std_delay=True), "SchemaError"),
+    # real-valued fields must be JSON numbers, not parsed strings or booleans
     "device_spacing_text": (
         "profile", lambda p, a: _with(p, device={**p["device"], "mic_spacing_m": "0.15"}),
         "SchemaError",
@@ -402,6 +434,17 @@ MALFORMED_INPUTS = {
     ),
     "template_delays_text_bool": (
         "profile", _template_field(delays=["1.5", True, 2]), "SchemaError",
+    ),
+    # stored delays that enroll would not have written
+    "profile_version_1": ("profile", lambda p, a: _with(_version_1(p)), "SchemaError"),
+    "profile_two_delays": (
+        "profile", lambda p, a: _with(_delay_counts(*[2] * len(LABELS))(p)), "SchemaError",
+    ),
+    "profile_unequal_delay_counts": (
+        "profile", lambda p, a: _with(_delay_counts(4)(p)), "SchemaError",
+    ),
+    "profile_text_independent_missing_phoneme": (
+        "profile", lambda p, a: _with(_text_independent(p, drop=("M",))), "SchemaError",
     ),
 }
 
@@ -421,6 +464,18 @@ def test_verify_malformed_input_file_is_typed_error(pipeline, tmp_path, case, ca
     )
     assert (code, out) == (2, "")
     assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def test_verify_scores_against_a_hand_written_text_independent_profile(pipeline, tmp_path):
+    # the control of the missing-phoneme input above: the whole inventory loads
+    _, profile, live_dir, _ = pipeline
+    ti = tmp_path / "ti.json"
+    ti.write_text(json.dumps(_text_independent(json.loads(profile.read_text()))))
+    code, out = run_cli(
+        "verify", live_dir / "recording.wav", live_dir / "alignment.json", "--profile", ti,
+    )
+    assert code in (0, 1)
+    assert json.loads(out)["verdict"] in ("live", "replay")
 
 
 def _truncate_after_last_segment(wav, alignment, out):

@@ -64,6 +64,8 @@ def _json_values(non_finite: bool):
 JSON_VALUES = _json_values(non_finite=True)
 NON_OBJECTS = _json_values(non_finite=False).filter(lambda v: not isinstance(v, dict))
 WRONG_VERSIONS = _json_values(non_finite=False).filter(lambda v: v != 1)
+WRONG_PROFILE_VERSIONS = _json_values(non_finite=False).filter(lambda v: v != 2)
+NON_STRINGS = _json_values(non_finite=False).filter(lambda v: not isinstance(v, str))
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
@@ -239,7 +241,7 @@ def test_load_alignment_wrong_version_rejected(tmp_path, version):
 
 def _profile_doc(tmp_path):
     templates = [
-        PhonemeTemplate(label, 50.0 + i, 1.0, 3, (49.0 + i, 50.0 + i, 51.0 + i))
+        PhonemeTemplate(label, 50.0 + i, 1.0, (49.0 + i, 50.0 + i, 51.0 + i))
         for i, label in enumerate(["AA", "S", "K"])
     ]
     profile = UserProfile(
@@ -271,7 +273,8 @@ def test_load_profile_arbitrary_field_fails_closed(tmp_path, field, value):
 
 @FUZZ
 @given(
-    key=st.sampled_from(["label", "mean_delay", "std_delay", "trial_count", "delays"]),
+    # a version-2 template holds label and delays; the rest are stray keys
+    key=st.sampled_from(["label", "delays", "mean_delay", "trial_count"]),
     value=JSON_VALUES,
 )
 def test_load_profile_arbitrary_template_field_fails_closed(tmp_path, key, value):
@@ -283,13 +286,13 @@ def test_load_profile_arbitrary_template_field_fails_closed(tmp_path, key, value
 
 @FUZZ
 @given(
-    where=st.sampled_from(["mean_delay", "std_delay", "sample_rate", "pose.x", "device.mic_spacing_m"]),
+    where=st.sampled_from(["delays", "sample_rate", "pose.x", "device.mic_spacing_m"]),
     value=NON_FINITE,
 )
 def test_load_profile_non_finite_rejected(tmp_path, where, value):
     doc = _profile_doc(tmp_path)
-    if where in ("mean_delay", "std_delay"):
-        doc["passphrases"]["pp0"][0][where] = value
+    if where == "delays":
+        doc["passphrases"]["pp0"][0]["delays"][1] = value
     elif "." in where:
         section, key = where.split(".")
         doc[section][key] = value
@@ -309,7 +312,25 @@ def test_load_profile_non_object_rejected(tmp_path, doc):
 
 
 @FUZZ
-@given(version=WRONG_VERSIONS)
+@given(where=st.sampled_from(["user_id", "device.name", "label"]), value=NON_STRINGS)
+@example(where="user_id", value=None)  # str() once read these as "None"
+@example(where="label", value=None)
+def test_load_profile_non_string_rejected(tmp_path, where, value):
+    doc = _profile_doc(tmp_path)
+    if where == "label":
+        doc["passphrases"]["pp0"][0]["label"] = value
+    elif where == "device.name":
+        doc["device"]["name"] = value
+    else:
+        doc[where] = value
+    path = _write(tmp_path / "p.json", doc)
+    with pytest.raises(SchemaError, match="expected a string"):
+        load_profile(path)
+
+
+@FUZZ
+@given(version=WRONG_PROFILE_VERSIONS)
+@example(version=1)  # a version-1 file also stores mean, std and trial count
 def test_load_profile_wrong_version_rejected(tmp_path, version):
     doc = _profile_doc(tmp_path)
     doc["version"] = version
@@ -352,15 +373,6 @@ def test_load_profile_inconsistent_enrollment_pose_rejected(tmp_path, field, val
     doc["pose"][field] = value
     path = _write(tmp_path / "p.json", doc)
     with pytest.raises(SchemaError, match=r"not vertical with l = l1 \+ l2"):
-        load_profile(path)
-
-
-@pytest.mark.parametrize("count", [3.0, 3.7, True, "3"])
-def test_load_profile_non_integer_trial_count_rejected(tmp_path, count):
-    doc = _profile_doc(tmp_path)
-    doc["passphrases"]["pp0"][1]["trial_count"] = count
-    path = _write(tmp_path / "p.json", doc)
-    with pytest.raises(SchemaError, match="expected an integer"):
         load_profile(path)
 
 

@@ -50,7 +50,7 @@ def test_identical_trials_zero_std(source_model):
     profile = enroll_text_dependent("u1", "pp0", trials, REFERENCE_POSE, DEVICE)
     for t in profile.passphrase_templates["pp0"]:
         assert t.std_delay == 0.0
-        assert t.trial_count == 3
+        assert len(t.delays) == 3
 
 
 def test_enrollment_stats_match_recomputation(enrolled):
@@ -207,7 +207,10 @@ def test_profile_roundtrip(enrolled, tmp_path):
     assert back.sample_rate == enrolled.sample_rate
     a = enrolled.passphrase_templates["pp0"]
     b = back.passphrase_templates["pp0"]
-    assert a == b
+    assert a == b  # statistics rebuilt from the stored delays, bit for bit
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2 and doc["phonemes"] == {}
+    assert [set(t) for t in doc["passphrases"]["pp0"]] == [{"label", "delays"}] * len(LABELS)
 
 
 def test_profile_roundtrip_text_independent(ti_profile, tmp_path):
@@ -218,6 +221,7 @@ def test_profile_roundtrip_text_independent(ti_profile, tmp_path):
     assert back.phoneme_templates == ti_profile.phoneme_templates
     doc = json.loads(path.read_text())
     assert len(doc["phonemes"]) == 44
+    assert all(set(t) == {"label", "delays"} for t in doc["phonemes"].values())
 
 
 def test_profile_version_zero_rejected(enrolled, tmp_path):
@@ -226,15 +230,69 @@ def test_profile_version_zero_rejected(enrolled, tmp_path):
     doc = json.loads(path.read_text())
     doc["version"] = 0
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match="expected profile schema version 1, got 0"):
+    with pytest.raises(SchemaError, match="expected profile schema version 2, got 0"):
+        load_profile(path)
+
+
+def _td_positions(doc, *counts):
+    # the passphrase's positions cut to the given numbers of delays
+    positions = doc["passphrases"]["pp0"]
+    for t, n in zip(positions, counts):
+        t["delays"] = t["delays"][:n]
+
+
+def _ti_set(doc, key, **fields):
+    # the template filed under key, added if absent, with fields replaced
+    template = doc["phonemes"].get(key, {"label": key, "delays": [1.0] * 3})
+    doc["phonemes"][key] = {**template, **fields}
+
+
+STORED_SETS = {
+    # text-dependent, from the enrolled passphrase
+    "td_two_trials": (
+        "td", lambda d: _td_positions(d, *[2] * len(LABELS)), "need at least 3 trials, got 2",
+    ),
+    "td_unequal_counts": ("td", lambda d: _td_positions(d, 2), r"delay counts \[2, 3\], not one"),
+    "td_with_phonemes": (
+        "td", lambda d: d.update(phonemes={"AA": {"label": "AA", "delays": [1.0, 2.0, 3.0]}}),
+        "text_dependent profile must hold passphrases and nothing else",
+    ),
+    "td_no_passphrases": (
+        "td", lambda d: d.update(passphrases={}), "must hold passphrases and nothing else",
+    ),
+    "stray_statistic": (
+        "td", lambda d: d["passphrases"]["pp0"][0].update(mean_delay=1e6), "not label and delays",
+    ),
+    # text-independent, from the enrolled inventory
+    "ti_with_passphrases": (
+        "ti", lambda d: d.update(passphrases={"pp0": []}),
+        "text_independent profile must hold phoneme templates and nothing else",
+    ),
+    "ti_missing_phoneme": ("ti", lambda d: d["phonemes"].pop("M"), "missing phonemes: M$"),
+    "ti_two_samples": (
+        "ti", lambda d: _ti_set(d, "K", delays=[1.0, 2.0]), "fewer than 3 samples: K$",
+    ),
+    "ti_unknown_label": ("ti", lambda d: _ti_set(d, "XX"), "unknown phoneme label 'XX'"),
+    "ti_misfiled": ("ti", lambda d: _ti_set(d, "AA", label="IY"), "filed under another label"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORED_SETS))
+def test_load_refuses_stored_delays_enroll_would_refuse(enrolled, ti_profile, tmp_path, case):
+    # a profile loads only from delays that enrollment could have written
+    which, edit, message = STORED_SETS[case]
+    path = tmp_path / "p.json"
+    save_profile(enrolled if which == "td" else ti_profile, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=message):
         load_profile(path)
 
 
 def test_template_validation():
     with pytest.raises(SchemaError, match="std_delay must be non-negative"):
-        PhonemeTemplate(label="AA", mean_delay=0.0, std_delay=-1.0, trial_count=3)
-    with pytest.raises(SchemaError, match="trial_count must be at least 1"):
-        PhonemeTemplate(label="AA", mean_delay=0.0, std_delay=0.0, trial_count=0)
+        PhonemeTemplate(label="AA", mean_delay=0.0, std_delay=-1.0)
 
 
 def test_enroll_records_the_trials_device_and_refuses_two():

@@ -30,7 +30,7 @@ def _dynamic(delays, labels):
 def _templates(means, labels, stds=None):
     stds = stds if stds is not None else [1.0] * len(means)
     return [
-        PhonemeTemplate(label=l, mean_delay=float(m), std_delay=float(s), trial_count=3)
+        PhonemeTemplate(label=l, mean_delay=float(m), std_delay=float(s))
         for l, m, s in zip(labels, means, stds)
     ]
 
