@@ -14,6 +14,7 @@ window(start, end) with the (top, bottom) samples of those frames.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import wave
@@ -308,6 +309,30 @@ def json_str(value) -> str:
     if type(value) is not str:
         raise TypeError(f"expected a string, got {value!r}")
     return value
+
+
+def json_list(value, read) -> tuple:
+    """A field that must be a JSON array, read item by item with `read`.
+    tuple() would split a string or take an object's keys, so anything
+    but a list (or a tuple from a library caller) raises TypeError."""
+    if type(value) not in (list, tuple):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(read(v) for v in value)
+
+
+def json_pair(value, read) -> tuple:
+    """A field that must be a JSON array of two `read` values."""
+    a, b = json_list(value, read)
+    return a, b
+
+
+def check_version(path, doc: dict, kind: str, expected: int, error) -> None:
+    """Refuse a file whose "version" is not the JSON integer `expected`:
+    `!=` alone would pass true as 1 and 2.0 as 2."""
+    with contextlib.suppress(TypeError):
+        if json_int(doc.get("version")) == expected:
+            return
+    raise error(f"{path}: expected {kind} schema version {expected}, got {doc.get('version')!r}")
 
 
 def _finite(text: str) -> float:

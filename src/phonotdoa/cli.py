@@ -19,6 +19,11 @@ into one share per CPU but at most one per SEGMENTS_PER_WORKER segments
 (tdoa.fork_map): this process measures the first share and a forked
 worker each other one, each holding one segment's samples at a time.
 `verify` and `tdoa` measure their few segments in this process.
+
+No file format is parsed here. Scene files load in
+simulator.load_scene, experiment configs in ExperimentConfig.from_dict,
+profiles in profiles.load_profile, alignments in
+segmentation.load_alignment and WAV files in audio_io.
 """
 
 from __future__ import annotations
@@ -30,20 +35,17 @@ import logging
 import math
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .audio_io import (
-    FIELD_ERRORS, WavReader, check_sample_rate, json_int, json_real, load_wav, read_json,
-    write_json, write_wav,
-)
+from .audio_io import WavReader, check_sample_rate, load_wav, read_json, write_json, write_wav
 from .config import load_config
-from .errors import ConfigError, PhonotdoaError
+from .errors import ConfigError, NoSolutionError, PhonotdoaError
 from .evaluation import ExperimentConfig, run_experiment, write_report
 from .geometry import (
     REFERENCE_POSE,
     SPEED_OF_SOUND,
-    DevicePose,
     estimate_face_distance,
     make_beep,
     solve_source_distance,
@@ -52,13 +54,7 @@ from .geometry import (
 from .profiles import ProfileMode, check_trials, enroll_from_dynamics, load_profile, save_profile
 from .scoring import ScoringMethod, Verdict, decide
 from .segmentation import load_alignment, save_alignment
-from .simulator import (
-    AttackKind,
-    AttackScenario,
-    synthesize_attack,
-    synthesize_beep_scene,
-    synthesize_live,
-)
+from .simulator import load_scene, synthesize_attack, synthesize_beep_scene, synthesize_live
 from .sourcemodel import load_source_model
 from .tdoa import (
     DEFAULT_DEVICE, DeviceSpec, Method, TdoaDynamic, fork_map, measure_dynamic, usable_cpus,
@@ -84,98 +80,39 @@ def _add_device_flags(p):
 # --- simulate ---
 
 def cmd_simulate(args) -> int:
-    scene = read_json(args.scene, ConfigError)
-    try:
-        kind = scene["kind"]
-        fs = json_int(scene.get("sample_rate", 192000))
-        seed = json_int(scene.get("seed", args.seed))
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        if kind == "beep":
-            face = json_real(scene["face_distance_m"])
-        else:
-            labels = scene.get("labels")
-            if type(labels) is not list or not labels or any(type(x) is not str for x in labels):
-                raise ConfigError(f"scene 'labels' must be a non-empty list of strings: {labels!r}")
-            pose_doc = scene.get("pose")
-            pose = (
-                DevicePose(**{k: json_real(v) for k, v in pose_doc.items()})
-                if pose_doc else REFERENCE_POSE
-            )
-            snr = json_real(scene.get("noise_snr_db", 30.0))
-            if kind == "live":
-                echo = scene.get("echo")
-                if echo is not None:
-                    lag, amp = echo
-                    echo = (json_int(lag), json_real(amp))
-                jitter_scale = json_real(scene.get("jitter_scale", 1.0))
-            else:
-                scenario = AttackScenario(
-                    kind=AttackKind(kind),
-                    source_offset=tuple(
-                        json_real(v) for v in scene.get("source_offset", (0.0, 0.0))
-                    ),
-                    trajectory=tuple(
-                        tuple(json_real(v) for v in p) for p in scene.get("trajectory", ())
-                    ),
-                    recorder_distance_m=json_real(scene.get("recorder_distance_m", 0.0)),
-                )
-    except FIELD_ERRORS as exc:
-        raise ConfigError(f"{args.scene}: malformed scene: {exc!r}") from exc
+    scene = load_scene(args.scene, args.seed)
+    fs = scene.sample_rate
     out = Path(args.out)
-    model = load_source_model()
-
-    if kind == "beep":
-        recording = synthesize_beep_scene(face, fs, seed)
-        out.mkdir(parents=True, exist_ok=True)
-        write_wav(recording, out / "recording.wav", bit_depth=24)
-        truth = {
-            "version": 1,
-            "kind": kind,
-            "sample_rate": fs,
-            "face_distance_m": face,
-            "echo_delay_samples": 2.0 * face / SPEED_OF_SOUND * fs,
-        }
-        write_json(out / "ground_truth.json", truth)
-        _emit({"out": str(out), "kind": kind, "files": ["recording.wav", "ground_truth.json"]})
-        return 0
-
-    if kind == "live":
-        utt = synthesize_live(
-            labels, model, pose, fs, seed, snr, echo=echo, jitter_scale=jitter_scale,
-        )
+    truth = {"version": 1, "kind": scene.kind, "sample_rate": fs}
+    summary = {"out": str(out), "kind": scene.kind, "files": ["recording.wav", "ground_truth.json"]}
+    if scene.kind == "beep":
+        recording = synthesize_beep_scene(scene.face_distance_m, fs, scene.seed)
+        truth["face_distance_m"] = scene.face_distance_m
+        truth["echo_delay_samples"] = 2.0 * scene.face_distance_m / SPEED_OF_SOUND * fs
     else:
-        utt = synthesize_attack(labels, model, pose, scenario, fs, seed, snr)
+        model = load_source_model()
+        if scene.kind == "live":
+            utt = synthesize_live(
+                scene.labels, model, scene.pose, fs, scene.seed, scene.noise_snr_db,
+                echo=scene.echo, jitter_scale=scene.jitter_scale,
+            )
+        else:
+            utt = synthesize_attack(
+                scene.labels, model, scene.pose, scene.scenario, fs, scene.seed,
+                scene.noise_snr_db,
+            )
+        recording = utt.recording
+        truth["phonemes"] = [asdict(g) for g in utt.ground_truth]
+        summary["n_phonemes"] = len(utt.segments)
+        summary["files"].insert(1, "alignment.json")
 
     # only a successful render leaves an output directory behind
     out.mkdir(parents=True, exist_ok=True)
-    write_wav(utt.recording, out / "recording.wav", bit_depth=24)
-    save_alignment(utt.segments, fs, out / "alignment.json")
-    truth = {
-        "version": 1,
-        "kind": kind,
-        "sample_rate": fs,
-        "phonemes": [
-            {
-                "label": g.label,
-                "delay_samples": g.delay_samples,
-                "source_dy": g.source_dy,
-                "source_dz": g.source_dz,
-                "start": g.start,
-                "end": g.end,
-            }
-            for g in utt.ground_truth
-        ],
-    }
+    write_wav(recording, out / "recording.wav", bit_depth=24)
+    if scene.kind != "beep":
+        save_alignment(utt.segments, fs, out / "alignment.json")
     write_json(out / "ground_truth.json", truth)
-    _emit(
-        {
-            "out": str(out),
-            "kind": kind,
-            "n_phonemes": len(utt.segments),
-            "files": ["recording.wav", "alignment.json", "ground_truth.json"],
-        }
-    )
+    _emit(summary)
     return 0
 
 
@@ -316,14 +253,16 @@ def cmd_tdoa(args) -> int:
 
 def cmd_pose(args) -> int:
     check_sample_rate(args.sample_rate)
-    result = {
-        "tdoa1": args.tdoa,
-        "sample_rate": args.sample_rate,
-        "x_solved": solve_source_distance(
-            args.tdoa, REFERENCE_POSE.l1, REFERENCE_POSE.l2, args.sample_rate
-        ),
-    }
-    if args.angle_deg is not None or args.delta_x_m is not None:
+    transform = args.angle_deg is not None or args.delta_x_m is not None
+    try:
+        x = solve_source_distance(args.tdoa, REFERENCE_POSE.l1, REFERENCE_POSE.l2, args.sample_rate)
+    except NoSolutionError:
+        # the transform still moves a delay that only the vertical line fits
+        if not transform:
+            raise
+        x = None
+    result = {"tdoa1": args.tdoa, "sample_rate": args.sample_rate, "x_solved": x}
+    if transform:
         result["tdoa2"] = transform_tdoa(
             args.tdoa,
             REFERENCE_POSE,

@@ -7,7 +7,9 @@ accuracy at the EER threshold lines up with 1 - EER on balanced sets.
 
 An experiment renders and measures every utterance on the reference
 handset (geometry.REFERENCE_POSE, tdoa.DEFAULT_DEVICE) and scores each
-row through UserProfile.score, as `verify` does.
+row through UserProfile.score, as `verify` does. Experiment config
+files are parsed here: ExperimentConfig reads each field with the
+audio_io JSON readers.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import FIELD_ERRORS, check_sample_rate, write_json
+from .audio_io import (
+    FIELD_ERRORS, check_sample_rate, json_int, json_list, json_pair, json_real, json_str,
+    write_json,
+)
 from .errors import ConfigError
 from .geometry import REFERENCE_POSE
 from .phonemes import INVENTORY
@@ -143,33 +147,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = dict(doc)
+        """The checked config of an experiment file's JSON object."""
         try:
-            if "mode" in known:
-                known["mode"] = ProfileMode(known["mode"])
-            for key in ("length_bands", "pose_changes"):
-                if key in known:
-                    known[key] = tuple(tuple(v) for v in known[key])
-            for key in (
-                "band_weights", "phonemes_per_word", "replace_distances",
-                "methods", "duration_range",
-            ):
-                if key in known:
-                    known[key] = tuple(known[key])
-            return cls(**known).validate()
-        except FIELD_ERRORS as exc:
+            return cls(**doc).validate()
+        except TypeError as exc:  # a key that is not a field
             raise ConfigError(f"bad experiment config: {exc!r}") from exc
 
     def validate(self):
-        """Check the type, shape and range of every field, so that a bad
-        config fails here with ConfigError before any render starts."""
-        counts = (
-            "seed", "sample_rate", "users", "passphrases_per_user",
-            "enroll_trials", "live_trials", "static_attacks",
-            "mobile_attacks", "replace_attacks",
-        )
-        for name in counts:
-            _require(_is_int(getattr(self, name)), f"{name} must be an integer")
+        """Read every field in place as its JSON type (a list becomes a
+        tuple, a number in a real field a float), then check its range,
+        so that a bad config fails here with ConfigError before any
+        render starts."""
+        for name, read in _FIELD_READERS.items():
+            try:
+                setattr(self, name, read(getattr(self, name)))
+            except FIELD_ERRORS as exc:
+                raise ConfigError(f"bad experiment config: {name}: {exc!r}") from exc
         _require(self.seed >= 0, "seed must be >= 0")
         check_sample_rate(self.sample_rate)
         _require(
@@ -181,55 +174,33 @@ class ExperimentConfig:
             min(self.static_attacks, self.mobile_attacks, self.replace_attacks) >= 0,
             "attack counts must be >= 0",
         )
-        _require(isinstance(self.mode, ProfileMode), "mode must be a profile mode")
-        for name in ("transform", "per_user_variation", "oral_only"):
-            _require(isinstance(getattr(self, name), bool), f"{name} must be true or false")
         lo, hi = SNR_RANGE_DB
-        _require(_is_real(self.noise_snr_db) and lo <= self.noise_snr_db <= hi,
-                 f"noise_snr_db must be a number in [{lo}, {hi}] dB")
+        _require(lo <= self.noise_snr_db <= hi, f"noise_snr_db must be in [{lo}, {hi}] dB")
         _require(
-            self.threshold is None or _is_real(self.threshold),
+            self.threshold is None or math.isfinite(self.threshold),
             "threshold must be a finite number or null",
         )
         _require(
-            _is_seq(self.length_bands) and len(self.length_bands) >= 1
-            and all(_is_range(band, _is_int, 1) for band in self.length_bands),
+            len(self.length_bands) >= 1 and all(1 <= a <= b for a, b in self.length_bands),
             "length_bands must be a non-empty list of [min, max] word counts, 1 <= min <= max",
         )
         _require(
-            _is_seq(self.band_weights)
-            and all(_is_real(w) and w >= 0 for w in self.band_weights)
-            and sum(self.band_weights) > 0,
-            "band_weights must be non-negative numbers with a positive sum",
+            all(w >= 0 for w in self.band_weights) and 0 < sum(self.band_weights) < math.inf,
+            "band_weights must be non-negative numbers with a positive finite sum",
         )
         if len(self.length_bands) != len(self.band_weights):
             raise ConfigError("length_bands and band_weights lengths differ")
+        a, b = self.phonemes_per_word
+        _require(1 <= a <= b, "phonemes_per_word must be [min, max] counts, 1 <= min <= max")
+        a, b = self.duration_range
         _require(
-            _is_range(self.phonemes_per_word, _is_int, 1),
-            "phonemes_per_word must be [min, max] counts, 1 <= min <= max",
-        )
-        _require(
-            _is_range(self.duration_range, _is_real, 0)
-            and 0 < self.duration_range[0] and self.duration_range[1] <= MAX_PHONEME_S,
+            0 < a <= b <= MAX_PHONEME_S,
             f"duration_range must be [min, max] seconds, 0 < min <= max <= {MAX_PHONEME_S}",
         )
         _require(
-            _is_seq(self.pose_changes)
-            and all(
-                _is_seq(p) and len(p) == 2 and all(_is_real(v) for v in p)
-                for p in self.pose_changes
-            ),
-            "pose_changes must be a list of [alpha_deg, delta_x_m] pairs",
+            all(d >= MIN_REPLACE_DISTANCE_M for d in self.replace_distances),
+            f"replace_distances must be >= {MIN_REPLACE_DISTANCE_M} m",
         )
-        _require(
-            _is_seq(self.replace_distances)
-            and all(
-                _is_real(d) and d >= MIN_REPLACE_DISTANCE_M
-                for d in self.replace_distances
-            ),
-            f"replace_distances must be numbers >= {MIN_REPLACE_DISTANCE_M} m",
-        )
-        _require(_is_seq(self.methods), "methods must be a list")
         for m in self.methods:
             try:
                 ScoringMethod(m)
@@ -249,28 +220,31 @@ def _require(ok: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _json_bool(value) -> bool:
+    if type(value) is not bool:
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
 
 
-def _is_real(value) -> bool:
-    """A finite number that converts to a float (NaN fails the comparison)."""
-    return (
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
-
-
-def _is_seq(value) -> bool:
-    return isinstance(value, (tuple, list))
-
-
-def _is_range(pair, is_value, least) -> bool:
-    """pair is [low, high] with least <= low <= high."""
-    return (
-        _is_seq(pair) and len(pair) == 2 and all(is_value(v) for v in pair)
-        and least <= pair[0] <= pair[1]
-    )
+# how ExperimentConfig.validate reads each field; a reader raises one of
+# FIELD_ERRORS on a value of the wrong JSON type or shape
+_FIELD_READERS = {
+    **dict.fromkeys((
+        "seed", "sample_rate", "users", "passphrases_per_user", "enroll_trials",
+        "live_trials", "static_attacks", "mobile_attacks", "replace_attacks",
+    ), json_int),
+    "mode": ProfileMode,
+    **dict.fromkeys(("transform", "per_user_variation", "oral_only"), _json_bool),
+    "noise_snr_db": json_real,
+    "threshold": lambda v: None if v is None else json_real(v),
+    "length_bands": lambda v: json_list(v, lambda band: json_pair(band, json_int)),
+    "band_weights": lambda v: json_list(v, json_real),
+    "phonemes_per_word": lambda v: json_pair(v, json_int),
+    "duration_range": lambda v: json_pair(v, json_real),
+    "pose_changes": lambda v: json_list(v, lambda p: json_pair(p, json_real)),
+    "replace_distances": lambda v: json_list(v, json_real),
+    "methods": lambda v: json_list(v, json_str),
+}
 
 
 def _band_label(band) -> str:
@@ -457,6 +431,16 @@ def _metric_block(live, attacks, threshold=None):
     }
 
 
+def _split(rows, name, **match) -> tuple:
+    """The live and the attack `name` scores of the rows that hold every
+    value in match."""
+    picked = [r for r in rows if all(r[k] == v for k, v in match.items())]
+    return (
+        [r[name] for r in picked if r["kind"] == "live"],
+        [r[name] for r in picked if r["kind"] != "live"],
+    )
+
+
 def _aggregate(config: ExperimentConfig, rows) -> dict:
     base_pose = "a0_dx0"
     report = {
@@ -474,8 +458,7 @@ def _aggregate(config: ExperimentConfig, rows) -> dict:
     }
 
     for name in config.methods:
-        live0 = [r[name] for r in rows if r["kind"] == "live" and r["pose"] == base_pose]
-        att0 = [r[name] for r in rows if r["kind"] != "live" and r["pose"] == base_pose]
+        live0, att0 = _split(rows, name, pose=base_pose)
         block = {"overall": None, "by_attack": {}, "by_band": {}, "by_pose": {}}
         if live0 and att0:
             overall = _metric_block(live0, att0, config.threshold)
@@ -484,32 +467,17 @@ def _aggregate(config: ExperimentConfig, rows) -> dict:
             roc_points = roc(LabeledScoreSet(live0, att0))
             block["roc"] = [[t, tar, far] for t, tar, far in roc_points]
             for kind in sorted({r["kind"] for r in rows if r["kind"] != "live"}):
-                att_k = [
-                    r[name] for r in rows
-                    if r["kind"] == kind and r["pose"] == base_pose
-                ]
+                _, att_k = _split(rows, name, kind=kind, pose=base_pose)
                 if att_k:
-                    block["by_attack"][kind] = _metric_block(
-                        live0, att_k, operating_threshold
-                    )
+                    block["by_attack"][kind] = _metric_block(live0, att_k, operating_threshold)
             for band in sorted({r["band"] for r in rows}):
-                live_b = [
-                    r[name] for r in rows
-                    if r["kind"] == "live" and r["band"] == band and r["pose"] == base_pose
-                ]
-                att_b = [
-                    r[name] for r in rows
-                    if r["kind"] != "live" and r["band"] == band and r["pose"] == base_pose
-                ]
+                live_b, att_b = _split(rows, name, band=band, pose=base_pose)
                 if live_b and att_b:
                     block["by_band"][band] = _metric_block(live_b, att_b)
             for pose in sorted({r["pose"] for r in rows}):
-                live_p = [r[name] for r in rows if r["kind"] == "live" and r["pose"] == pose]
-                att_p = [r[name] for r in rows if r["kind"] != "live" and r["pose"] == pose]
+                live_p, att_p = _split(rows, name, pose=pose)
                 if live_p and att_p:
-                    block["by_pose"][pose] = _metric_block(
-                        live_p, att_p, operating_threshold
-                    )
+                    block["by_pose"][pose] = _metric_block(live_p, att_p, operating_threshold)
         report["methods"][name] = block
     return report
 

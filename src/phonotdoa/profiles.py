@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .audio_io import (
-    FIELD_ERRORS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, json_int, json_real, json_str,
-    read_json, write_json,
+    FIELD_ERRORS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, check_version, json_int, json_real,
+    json_str, read_json, write_json,
 )
 from .errors import NoSolutionError, SchemaError
 from .geometry import DevicePose, transform_tdoa
@@ -353,11 +353,7 @@ def load_profile(path) -> UserProfile:
     """Read a profile file, refuse it unless its delays pass _check_stored,
     and rebuild every template from its delays as enrollment does."""
     doc = read_json(path, SchemaError)
-    if doc.get("version") != PROFILE_SCHEMA_VERSION:
-        raise SchemaError(
-            f"{path}: expected profile schema version "
-            f"{PROFILE_SCHEMA_VERSION}, got {doc.get('version')!r}"
-        )
+    check_version(path, doc, "profile", PROFILE_SCHEMA_VERSION, SchemaError)
     try:
         spec = doc["device"]
         device = DeviceSpec(json_real(spec["mic_spacing_m"]), json_str(spec.get("name", "generic")))

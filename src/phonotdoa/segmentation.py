@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .audio_io import (
-    FIELD_ERRORS, StereoRecording, WavReader, json_int, read_json, write_json,
+    FIELD_ERRORS, StereoRecording, WavReader, check_version, json_int, json_str, read_json,
+    write_json,
 )
 from .errors import SchemaError
 from .phonemes import INVENTORY
@@ -62,11 +63,7 @@ def load_alignment(path, recording: StereoRecording | WavReader) -> list:
              "segments": [{"phoneme": str, "start": int, "end": int}, ...]}
     """
     doc = read_json(path, SchemaError)
-    if doc.get("version") != ALIGNMENT_SCHEMA_VERSION:
-        raise SchemaError(
-            f"{path}: expected alignment schema version "
-            f"{ALIGNMENT_SCHEMA_VERSION}, got {doc.get('version')!r}"
-        )
+    check_version(path, doc, "alignment", ALIGNMENT_SCHEMA_VERSION, SchemaError)
     try:
         if json_int(doc["sample_rate"]) != recording.sample_rate:
             raise SchemaError(
@@ -75,7 +72,7 @@ def load_alignment(path, recording: StereoRecording | WavReader) -> list:
             )
         segments = [
             PhonemeSegment(
-                label=INVENTORY.validate(str(entry["phoneme"])),
+                label=INVENTORY.validate(json_str(entry["phoneme"])),
                 start=json_int(entry["start"]),
                 end=json_int(entry["end"]),
             )

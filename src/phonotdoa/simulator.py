@@ -13,19 +13,26 @@ depends on geometry and bandwidth, not on phonetic realism.
 All randomness flows from the integer seed through numpy's PCG64
 generator (the default_rng algorithm), so identical parameters give
 bit-identical recordings across runs and platforms.
+
+Scene files, the input of `phonotdoa simulate`, are parsed here, by
+load_scene.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio_io import StereoRecording, check_sample_rate
+from .audio_io import (
+    FIELD_ERRORS, StereoRecording, check_sample_rate, json_int, json_list, json_pair, json_real,
+    json_str, read_json,
+)
 from .errors import ConfigError, SchemaError
 from .geometry import (
+    REFERENCE_POSE,
     SPEED_OF_SOUND,
     DevicePose,
     make_beep,
@@ -54,6 +61,9 @@ _NOISE_BANDS = {
 }
 
 MIN_REPLACE_DISTANCE_M = 0.25
+# longest source-to-microphone path a render takes: each metre adds
+# fs / SPEED_OF_SOUND samples to every phoneme's FFT pad
+MAX_PATH_M = 10.0
 TRAJECTORY_POINTS = 64  # mobile-playback waypoints per circle_trajectory
 
 # beep scene: echo amplitudes against the bottom channel's 1.0 emission,
@@ -255,6 +265,8 @@ def _render(
         exc = _excitation(rng, label, n, fs, f0)
         d1 = math.hypot(ty - dy, tz - dz)
         d2 = math.hypot(by - dy, bz - dz)
+        if not (d1 <= MAX_PATH_M and d2 <= MAX_PATH_M):  # NaN fails too
+            raise ConfigError(f"{label} source over {MAX_PATH_M} m from a mic: {d1:.3g}, {d2:.3g}")
         pair = _delayed_pair(exc, d1 / SPEED_OF_SOUND * fs, d2 / SPEED_OF_SOUND * fs)
         pair *= ((1.0 / max(d1, 0.01),), (1.0 / max(d2, 0.01),))
         pieces.append((cursor, pair))
@@ -320,11 +332,13 @@ def synthesize_live(
     seeded articulation jitter, picked up by both mics at the pose.
 
     echo=(lag, amplitude) adds the whole render again lag >= 1 samples
-    later; jitter_scale >= 0 scales every phoneme's jitter std, and 0
-    draws no jitter. A lag below 1 or a negative jitter_scale raises
-    ConfigError."""
+    later, scaled by |amplitude| <= 1; jitter_scale >= 0 scales every
+    phoneme's jitter std, and 0 draws no jitter. Any other lag,
+    amplitude or jitter_scale raises ConfigError."""
     if echo is not None and not echo[0] >= 1:
         raise ConfigError(f"echo lag must be >= 1 sample, got {echo[0]}")
+    if echo is not None and not abs(echo[1]) <= 1:
+        raise ConfigError(f"echo amplitude must be in [-1, 1], got {echo[1]}")
     if not jitter_scale >= 0:
         raise ConfigError(f"jitter_scale must be >= 0, got {jitter_scale}")
     labels = list(labels)
@@ -434,3 +448,63 @@ def synthesize_beep_scene(
     scale = 0.9 / peak
     return StereoRecording(sample_rate=fs, top=top * scale, bottom=bottom * scale)
 
+
+# --- scene files ---
+
+
+@dataclass(frozen=True)
+class Scene:
+    """A checked scene file: what `phonotdoa simulate` renders. kind is
+    "beep", "live" or an AttackKind value. A beep scene uses only
+    face_distance_m, live speech echo and jitter_scale, an attack its
+    scenario."""
+
+    kind: str
+    sample_rate: int
+    seed: int
+    face_distance_m: float = 0.0
+    labels: tuple = ()
+    pose: DevicePose = REFERENCE_POSE
+    noise_snr_db: float = DEFAULT_SNR_DB
+    echo: tuple = None
+    jitter_scale: float = 1.0
+    scenario: AttackScenario = None
+
+
+def load_scene(path, default_seed: int = 0) -> Scene:
+    """Read a scene file, whose own "seed" wins over default_seed. A
+    field of the wrong JSON type or shape, an unknown kind, no labels or
+    a negative seed raises ConfigError; the renderers check the ranges."""
+    doc = read_json(path, ConfigError)
+    try:
+        kind = json_str(doc["kind"])
+        fs = json_int(doc.get("sample_rate", 192000))
+        seed = json_int(doc.get("seed", default_seed))
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        if kind == "beep":
+            return Scene(kind, fs, seed, face_distance_m=json_real(doc["face_distance_m"]))
+        labels = json_list(doc.get("labels"), json_str)
+        if not labels:
+            raise ConfigError(f"{path}: scene 'labels' must not be empty")
+        pose = doc.get("pose")
+        speech = Scene(
+            kind, fs, seed, labels=labels,
+            pose=REFERENCE_POSE if pose is None
+            else DevicePose(**{k: json_real(v) for k, v in pose.items()}),
+            noise_snr_db=json_real(doc.get("noise_snr_db", DEFAULT_SNR_DB)),
+        )
+        if kind == "live":
+            echo = doc.get("echo")
+            if echo is not None:
+                lag, amp = echo
+                echo = (json_int(lag), json_real(amp))
+            return replace(speech, echo=echo, jitter_scale=json_real(doc.get("jitter_scale", 1.0)))
+        return replace(speech, scenario=AttackScenario(
+            kind=AttackKind(kind),
+            source_offset=json_pair(doc.get("source_offset", (0.0, 0.0)), json_real),
+            trajectory=json_list(doc.get("trajectory", ()), lambda p: json_pair(p, json_real)),
+            recorder_distance_m=json_real(doc.get("recorder_distance_m", 0.0)),
+        ))
+    except FIELD_ERRORS as exc:
+        raise ConfigError(f"{path}: malformed scene: {exc!r}") from exc

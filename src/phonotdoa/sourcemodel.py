@@ -33,7 +33,7 @@ from importlib import resources
 
 import math
 
-from .audio_io import FIELD_ERRORS
+from .audio_io import FIELD_ERRORS, check_version
 from .errors import ConfigError, NoSolutionError, SchemaError
 from .geometry import REFERENCE_POSE, SPEED_OF_SOUND, pose_to_tdoa, solve_on_line
 
@@ -162,8 +162,7 @@ def load_source_model() -> VocalSourceModel:
     """Load the frozen coordinate table packaged as data/vocal_source_model.json."""
     ref = resources.files("phonotdoa").joinpath("data/vocal_source_model.json")
     doc = json.loads(ref.read_text())
-    if doc.get("version") != MODEL_SCHEMA_VERSION:
-        raise ConfigError(f"source model version {doc.get('version')!r} unsupported")
+    check_version(ref, doc, "source model", MODEL_SCHEMA_VERSION, ConfigError)
     try:
         sources = {
             label: PhonemeSource(

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import phonotdoa
-from phonotdoa import cli, tdoa
+from phonotdoa import cli, geometry, tdoa
 from phonotdoa.audio_io import StereoRecording, WavReader, load_wav, write_wav
 from phonotdoa.cli import build_parser, main
 from phonotdoa.config import DEFAULT_THRESHOLD
@@ -205,6 +205,21 @@ def test_pose_angle_zero_returns_input():
     code, out = run_cli("pose", "--tdoa", "62.996", "--angle-deg", "0")
     assert code == 0
     assert json.loads(out)["tdoa2"] == 62.996
+
+
+def test_pose_transforms_a_delay_only_the_vertical_line_fits(capsys):
+    # no mouth-axis distance fits -30 samples, yet the transform moves it
+    code, out = run_cli("pose", "--tdoa", "-30", "--angle-deg", "30")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["x_solved"] is None
+    assert doc["tdoa2"] == pytest.approx(
+        geometry.transform_tdoa(-30.0, REFERENCE_POSE, alpha=math.radians(30))
+    )
+    assert doc["tdoa2"] == pytest.approx(-44.80, abs=0.01)
+    # with nothing to transform, the solve is the answer, and it has none
+    assert run_cli("pose", "--tdoa", "-30") == (2, "")
+    assert json.loads(capsys.readouterr().err)["error"] == "NoSolutionError"
 
 
 @pytest.mark.parametrize("flag", ["--angle-deg", "--delta-x-m"])
@@ -398,6 +413,9 @@ MALFORMED_INPUTS = {
     "segment_string": ("alignment", _segments("abc"), "SchemaError"),
     "segment_null": ("alignment", _segments(None), "SchemaError"),
     "segment_no_phoneme": ("alignment", _segments({"start": 0, "end": 100}), "SchemaError"),
+    "segment_phoneme_null": (
+        "alignment", _segments({"phoneme": None, "start": 0, "end": 100}), "SchemaError",
+    ),
     "segment_start_text": (
         "alignment", _segments({"phoneme": "AA", "start": "x", "end": 100}), "SchemaError",
     ),
@@ -661,6 +679,14 @@ def test_enroll_worker_count_follows_segment_count(pipeline, ti_trials, tmp_path
     )
     assert (code, counted, len(forks)) == (0, [shares], shares - 1)
     _assert_no_worker_left()
+
+
+def test_cli_parses_no_file_format():
+    # every input file is parsed in its own module (scenes in simulator,
+    # experiment configs in evaluation, profiles, alignments): the CLI
+    # binds none of the JSON field readers
+    readers = {"json_int", "json_real", "json_str", "json_list", "json_pair", "FIELD_ERRORS"}
+    assert readers & set(vars(cli)) == set()
 
 
 def test_enroll_loads_no_pool_modules(ti_trials, tmp_path):

@@ -171,6 +171,26 @@ def test_config_validation():
     assert config.mode == ProfileMode.TEXT_INDEPENDENT
 
 
+@pytest.mark.parametrize("doc, match", [
+    ({"users": 1.5}, r"bad experiment config: users: TypeError\('expected an integer, got 1.5'\)"),
+    ({"oral_only": 1}, r"bad experiment config: oral_only: .*expected true or false"),
+    ({"length_bands": [[2, 3, 4]]}, r"bad experiment config: length_bands: ValueError"),
+    # the band draw divides by the sum: an infinite one once left numpy
+    # raising ValueError in _plan, after the config had loaded
+    ({"length_bands": [[2, 2], [3, 3]], "band_weights": [1e308, 1e308]}, "positive finite sum"),
+], ids=["users_fraction", "flag_number", "band_three_values", "weights_sum_overflows"])
+def test_config_refusal_names_the_field(doc, match):
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+def test_config_refuses_a_non_finite_threshold_from_a_library_caller(threshold):
+    # read_json refuses these in a file; a caller can still pass them
+    with pytest.raises(ConfigError, match="threshold must be a finite number or null"):
+        ExperimentConfig(threshold=threshold).validate()
+
+
 def test_config_rejects_rate_above_maximum():
     with pytest.raises(ConfigError, match=r"sample_rate must be in \[44100, 384000\] Hz"):
         ExperimentConfig.from_dict({"sample_rate": 384001})

@@ -1,6 +1,6 @@
 """Property tests: every file loader fails closed.
 
-Whatever bytes a WAV, alignment, profile or experiment file holds,
+Whatever bytes a WAV, alignment, profile, scene or experiment file holds,
 loading it either succeeds or raises a PhonotdoaError; a missing file
 raises FileNotFoundError. No other exception may escape, because the
 CLI maps exactly those to exit code 2. The scoring threshold, which
@@ -18,8 +18,11 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from phonotdoa.audio_io import StereoRecording, load_wav, read_json
+from phonotdoa.cli import main
 from phonotdoa.config import load_config
-from phonotdoa.errors import ConfigError, FormatError, PhonotdoaError, SchemaError
+from phonotdoa.errors import (
+    ConfigError, FormatError, InvalidPoseError, PhonotdoaError, SchemaError,
+)
 from phonotdoa import evaluation
 from phonotdoa.evaluation import ExperimentConfig
 from phonotdoa.geometry import REFERENCE_POSE
@@ -32,6 +35,7 @@ from phonotdoa.profiles import (
     save_profile,
 )
 from phonotdoa.segmentation import load_alignment
+from phonotdoa.simulator import load_scene
 from phonotdoa.sourcemodel import load_source_model
 from phonotdoa.tdoa import DeviceSpec
 
@@ -63,8 +67,11 @@ def _json_values(non_finite: bool):
 
 JSON_VALUES = _json_values(non_finite=True)
 NON_OBJECTS = _json_values(non_finite=False).filter(lambda v: not isinstance(v, dict))
-WRONG_VERSIONS = _json_values(non_finite=False).filter(lambda v: v != 1)
-WRONG_PROFILE_VERSIONS = _json_values(non_finite=False).filter(lambda v: v != 2)
+# a version is a JSON integer: true and 1.0 compare equal to 1 but are wrong
+WRONG_VERSIONS = _json_values(non_finite=False).filter(lambda v: type(v) is not int or v != 1)
+WRONG_PROFILE_VERSIONS = _json_values(non_finite=False).filter(
+    lambda v: type(v) is not int or v != 2
+)
 NON_STRINGS = _json_values(non_finite=False).filter(lambda v: not isinstance(v, str))
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -230,9 +237,22 @@ def test_load_alignment_non_object_rejected(tmp_path, doc):
 
 @FUZZ
 @given(version=WRONG_VERSIONS)
+@example(version=True)  # `!=` once passed these as version 1
+@example(version=1.0)
+@example(version=2.0)
 def test_load_alignment_wrong_version_rejected(tmp_path, version):
     path = _write(tmp_path / "a.json", _alignment([], version=version))
     with pytest.raises(SchemaError):
+        load_alignment(path, RECORDING)
+
+
+@FUZZ
+@given(value=NON_STRINGS)
+@example(value=None)  # str() once read these as the unknown labels 'None' and '5'
+@example(value=5)
+def test_load_alignment_non_string_phoneme_rejected(tmp_path, value):
+    path = _write(tmp_path / "a.json", _alignment([{"phoneme": value, "start": 0, "end": 100}]))
+    with pytest.raises(SchemaError, match="malformed alignment.*expected a string"):
         load_alignment(path, RECORDING)
 
 
@@ -331,6 +351,9 @@ def test_load_profile_non_string_rejected(tmp_path, where, value):
 @FUZZ
 @given(version=WRONG_PROFILE_VERSIONS)
 @example(version=1)  # a version-1 file also stores mean, std and trial count
+@example(version=2.0)  # `!=` once passed this as version 2
+@example(version=True)
+@example(version=1.0)
 def test_load_profile_wrong_version_rejected(tmp_path, version):
     doc = _profile_doc(tmp_path)
     doc["version"] = version
@@ -394,6 +417,70 @@ def test_load_config_arbitrary_threshold_is_finite_or_config_error(threshold):
     except ConfigError:
         return
     assert -math.inf < config.threshold < math.inf
+
+
+# --- scene ---
+
+SCENE_BASES = [
+    {"kind": "live", "labels": ["AA", "S", "K"], "sample_rate": 48000, "echo": [9, 0.3]},
+    {"kind": "static_playback", "labels": ["AA", "S", "K"], "sample_rate": 48000},
+    {"kind": "mobile_playback", "labels": ["AA", "S", "K"], "sample_rate": 48000,
+     "trajectory": [[0.05, 0.0], [0.0, 0.05]]},
+    {"kind": "replace", "labels": ["AA", "S", "K"], "sample_rate": 48000,
+     "recorder_distance_m": 0.3},
+    {"kind": "beep", "face_distance_m": 0.1, "sample_rate": 48000},
+]
+SCENE_FIELDS = st.sampled_from([
+    "kind", "labels", "sample_rate", "seed", "pose", "noise_snr_db", "echo", "jitter_scale",
+    "face_distance_m", "source_offset", "trajectory", "recorder_distance_m",
+])
+# values that load more often than arbitrary JSON does, and still probe
+# every range the renderers check
+SMALL_SCENE_VALUES = (
+    st.floats(min_value=-400.0, max_value=400.0)
+    | st.integers(min_value=-3, max_value=400_000)
+    | st.sampled_from(["live", "beep", "replace", "AA", "M"])
+    | st.lists(st.floats(min_value=-12.0, max_value=12.0) | st.integers(-2, 20), max_size=3)
+    | st.lists(st.lists(st.floats(min_value=-12.0, max_value=12.0), max_size=3), max_size=3)
+    | st.fixed_dictionaries({k: st.floats(-0.5, 12.0) for k in ("x", "l1", "l2", "l")})
+)
+
+
+def _scene_or_refused(path):
+    """load_scene(path), or None when it raises ConfigError, or the
+    InvalidPoseError that DevicePose raises for a pose out of range."""
+    try:
+        return load_scene(path)
+    except (ConfigError, InvalidPoseError):
+        return None
+
+
+@FUZZ
+@given(doc=st.dictionaries(SCENE_FIELDS | st.text(max_size=6), JSON_VALUES, max_size=5))
+def test_load_scene_arbitrary_object_fails_closed(tmp_path, doc):
+    _scene_or_refused(_write(tmp_path / "s.json", doc))
+
+
+@FUZZ
+@given(
+    base=st.sampled_from(SCENE_BASES),
+    field=SCENE_FIELDS,
+    value=JSON_VALUES | SMALL_SCENE_VALUES,
+)
+@pytest.mark.filterwarnings("ignore:sample rate")
+def test_load_scene_arbitrary_field_fails_closed_and_renders(tmp_path, base, field, value):
+    # a scene that loads renders, or the renderer refuses it with a typed
+    # error: main() lets any other exception through
+    path = _write(tmp_path / "s.json", {**base, field: value})
+    if _scene_or_refused(path) is not None:
+        assert main(["simulate", str(path), str(tmp_path / "out")]) in (0, 2)
+
+
+@pytest.mark.parametrize("base", SCENE_BASES, ids=lambda b: b["kind"])
+def test_scene_fuzz_bases_render(tmp_path, base):
+    path = _write(tmp_path / "s.json", base)
+    assert load_scene(path).kind == base["kind"]
+    assert main(["simulate", str(path), str(tmp_path / "out")]) == 0
 
 
 # --- experiment config ---

@@ -5,6 +5,7 @@ from phonotdoa.errors import ConfigError, SchemaError
 from phonotdoa.geometry import DevicePose, REFERENCE_POSE, pose_to_tdoa
 from phonotdoa.phonemes import INVENTORY, NASAL, AFFRICATE, STOP
 from phonotdoa.simulator import (
+    MAX_PATH_M,
     AttackKind,
     AttackScenario,
     circle_trajectory,
@@ -102,9 +103,13 @@ def test_echo_option_keeps_delay(source_model):
     ({"echo": (0, 0.5)}, "echo lag"),
     ({"echo": (-5, 0.5)}, "echo lag"),
     ({"echo": (0.5, 0.5)}, "echo lag"),
+    # a louder echo is unphysical, and 1e308 overflows the render
+    ({"echo": (50, -1.5)}, "echo amplitude"),
+    ({"echo": (50, 1e308)}, "echo amplitude"),
     ({"jitter_scale": -0.5}, "jitter_scale"),
     ({"jitter_scale": float("nan")}, "jitter_scale"),
-], ids=["echo_lag_zero", "echo_lag_negative", "echo_lag_fraction", "jitter_negative", "jitter_nan"])
+], ids=["echo_lag_zero", "echo_lag_negative", "echo_lag_fraction", "echo_amp_loud",
+        "echo_amp_huge", "jitter_negative", "jitter_nan"])
 def test_live_bad_echo_or_jitter_is_config_error(source_model, kwargs, match):
     # refused by the library, not silently rendered without echo or jitter
     with pytest.raises(ConfigError, match=match):
@@ -156,6 +161,18 @@ def test_replace_compresses_oral_range(source_model):
 def test_replace_below_minimum_distance_rejected():
     with pytest.raises(ConfigError, match="replace recorder distance 0.1 m below"):
         AttackScenario(kind=AttackKind.REPLACE, recorder_distance_m=0.10)
+
+
+@pytest.mark.parametrize("scenario", [
+    AttackScenario(kind=AttackKind.REPLACE, recorder_distance_m=1e6),
+    AttackScenario(kind=AttackKind.STATIC_PLAYBACK, source_offset=(0.0, 11.0)),
+    AttackScenario(kind=AttackKind.MOBILE_PLAYBACK, trajectory=((1e308, 0.0), (-1e308, 0.0))),
+], ids=["replace_far", "loudspeaker_far", "trajectory_overflows"])
+def test_render_refuses_a_path_beyond_max(source_model, scenario):
+    # every metre of path lengthens each phoneme's FFT pad: a recorder
+    # 1e6 m away would ask for gigabytes before any check
+    with pytest.raises(ConfigError, match=f"source over {MAX_PATH_M} m from a mic"):
+        synthesize_attack(["AA", "S", "K"], source_model, REFERENCE_POSE, scenario, seed=3)
 
 
 def test_mobile_needs_trajectory():
