@@ -7,11 +7,12 @@ experiment's own "seed" field, or --seed when the file has none. So
 identical invocations produce byte-identical stdout.
 
 Each setting has one source: `enroll` records geometry.REFERENCE_POSE
-and `pose` solves at it; `verify` scores with --method and --threshold
-over the defaults in `config`, and takes its distance from --distance-m
-or --beep-echo, never both. `verify` loads, measures and ranges here and
-leaves the rest to UserProfile.score, the path run_experiment scores
-through too.
+on the --device-spacing-m handset and `pose` solves at it; `verify`
+scores with --method and --threshold over the defaults in `config`,
+measures on the profile's handset unless --device-spacing-m names one,
+and takes its distance from --distance-m or --beep-echo, never both.
+`verify` loads, measures and ranges here and leaves the rest to
+UserProfile.score, the path run_experiment scores through too.
 
 `enroll` checks every trial's WAV header and alignment, and that the
 trials can make a profile, in this process. It then splits the segments
@@ -56,9 +57,7 @@ from .scoring import ScoringMethod, Verdict, decide
 from .segmentation import load_alignment, save_alignment
 from .simulator import load_scene, synthesize_attack, synthesize_beep_scene, synthesize_live
 from .sourcemodel import load_source_model
-from .tdoa import (
-    DEFAULT_DEVICE, DeviceSpec, Method, TdoaDynamic, fork_map, measure_dynamic, usable_cpus,
-)
+from .tdoa import DeviceSpec, Method, TdoaDynamic, fork_map, measure_dynamic, usable_cpus
 
 log = logging.getLogger("phonotdoa")
 
@@ -67,14 +66,9 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _device_from_args(args, fallback=DEFAULT_DEVICE) -> DeviceSpec:
-    if args.device_spacing_m is None:
-        return fallback
-    return DeviceSpec(mic_spacing_m=args.device_spacing_m)
-
-
-def _add_device_flags(p):
-    p.add_argument("--device-spacing-m", type=float, default=None)
+def _device_from_args(args, spacing: float = REFERENCE_POSE.l) -> DeviceSpec:
+    """The handset of --device-spacing-m, or of `spacing` without the flag."""
+    return DeviceSpec(spacing if args.device_spacing_m is None else args.device_spacing_m)
 
 
 # --- simulate ---
@@ -153,6 +147,7 @@ def _measure_shares(device: DeviceSpec, shares: list) -> list:
 
 def cmd_enroll(args) -> int:
     device = _device_from_args(args)
+    pose = REFERENCE_POSE.with_spacing(device.mic_spacing_m)
     mode = ProfileMode(args.mode)
     trials = [_open_trial(spec) for spec in args.trial]
     # refuse a trial set no profile can be built from before measuring it
@@ -170,7 +165,7 @@ def cmd_enroll(args) -> int:
         TdoaDynamic(sum(parts, ()), rate, device)
         for parts, (_, rate, _) in zip(zip(*shares), trials)
     ]
-    profile = enroll_from_dynamics(args.user, mode, dynamics, REFERENCE_POSE, args.passphrase_id)
+    profile = enroll_from_dynamics(args.user, mode, dynamics, pose, args.passphrase_id)
     save_profile(profile, args.out)
     _emit(
         {
@@ -193,7 +188,7 @@ def cmd_verify(args) -> int:
     with WavReader(args.recording) as recording:
         segments = load_alignment(args.alignment, recording)
         dynamic = measure_dynamic(
-            recording, segments, device=_device_from_args(args, fallback=profile.device)
+            recording, segments, device=_device_from_args(args, profile.enrollment_pose.l)
         )
 
     # pose release: the templates move to the verification pose
@@ -298,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text_dependent")
     p.add_argument("--trial", action="append", required=True,
                    metavar="WAV:ALIGNMENT", help="repeatable, >= 3 times")
-    _add_device_flags(p)
+    p.add_argument("--device-spacing-m", type=float, default=None)
     p.set_defaults(run=cmd_enroll)
 
     p = sub.add_parser("verify", help="live/replay decision for a recording")
@@ -316,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="mouth-to-handset distance at verification time")
     distance.add_argument("--beep-echo", default=None,
                           help="beep-echo WAV to estimate the distance from")
-    _add_device_flags(p)
+    p.add_argument("--device-spacing-m", type=float, default=None)
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("evaluate", help="run a simulated experiment config")
@@ -329,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("recording")
     p.add_argument("alignment")
     p.add_argument("--method", choices=[m.value for m in Method], default="gcc_phat")
-    _add_device_flags(p)
+    p.add_argument("--device-spacing-m", type=float, default=None)
     p.set_defaults(run=cmd_tdoa)
 
     p = sub.add_parser("pose", help="solve source distance / transform a delay")

@@ -26,12 +26,13 @@ from .audio_io import (
     FIELD_ERRORS, check_sample_rate, json_int, json_list, json_pair, json_real, json_str,
     write_json,
 )
-from .errors import ConfigError
-from .geometry import REFERENCE_POSE
+from .errors import ConfigError, InvalidPoseError
+from .geometry import REFERENCE_POSE, DevicePose, mic_positions
 from .phonemes import INVENTORY
 from .profiles import MIN_TRIALS, ProfileMode, enroll_from_dynamics
 from .scoring import ScoringMethod
 from .simulator import (
+    MAX_PATH_M,
     MIN_REPLACE_DISTANCE_M,
     SNR_RANGE_DB,
     AttackKind,
@@ -40,7 +41,7 @@ from .simulator import (
     synthesize_attack,
     synthesize_live,
 )
-from .sourcemodel import load_source_model
+from .sourcemodel import MAX_SOURCE_RADIUS, load_source_model
 from .tdoa import TdoaDynamic, fork_map, measure_dynamic
 
 
@@ -212,6 +213,18 @@ class ExperimentConfig:
         )
         if self.live_trials < 1 or total_attacks < 1:
             raise ConfigError("need at least one live trial and one attack")
+        # every handset pose a render takes: DevicePose must accept it, and
+        # no mic may sit out of MAX_PATH_M reach of a source near the mouth
+        try:
+            poses = [_verification_pose(a, dx) for a, dx in ((0.0, 0.0),) + self.pose_changes]
+            if self.replace_attacks:
+                poses += [p.with_(x=d) for p in poses for d in self.replace_distances]
+        except InvalidPoseError as exc:
+            raise ConfigError(f"bad experiment config: a render pose: {exc}") from exc
+        reach = MAX_PATH_M - MAX_SOURCE_RADIUS
+        for pose in poses:
+            far = max(math.hypot(*mic) for mic in mic_positions(pose))
+            _require(far <= reach, f"a pose puts a mic {far:.3g} m from the mouth, over {reach:g} m")
         return self
 
 
@@ -245,6 +258,13 @@ _FIELD_READERS = {
     "replace_distances": lambda v: json_list(v, json_real),
     "methods": lambda v: json_list(v, json_str),
 }
+
+
+def _verification_pose(alpha_deg: float, delta_x: float) -> DevicePose:
+    """REFERENCE_POSE tilted by alpha_deg and moved back by delta_x."""
+    if not (alpha_deg or delta_x):
+        return REFERENCE_POSE
+    return REFERENCE_POSE.with_(x=REFERENCE_POSE.x + delta_x, alpha=math.radians(alpha_deg))
 
 
 def _band_label(band) -> str:
@@ -299,11 +319,7 @@ def _plan(config: ExperimentConfig, model, poses) -> tuple:
         label for label in model.labels
         if not config.oral_only or INVENTORY.articulation_class(label) != "nasal"
     )
-    ver_poses = [
-        pose0.with_(x=pose0.x + delta_x, alpha=math.radians(alpha_deg))
-        if (alpha_deg or delta_x) else pose0
-        for alpha_deg, delta_x in poses
-    ]
+    ver_poses = [_verification_pose(alpha_deg, delta_x) for alpha_deg, delta_x in poses]
     jobs = []
     passphrases = []
 

@@ -71,6 +71,12 @@ class DevicePose:
     def with_(self, **kwargs) -> "DevicePose":
         return replace(self, **kwargs)
 
+    def with_spacing(self, l: float) -> "DevicePose":
+        """This pose on a handset of mic spacing l with the bottom mic held
+        in place, the one convention valid for every DeviceSpec spacing. At
+        its own l, the pose itself: 0.15 - 0.01 is not 0.14 in floats."""
+        return self if l == self.l else replace(self, l1=l - self.l2, l=l)
+
 
 # pose the simulator's source table is calibrated at: handset held
 # vertically 3 cm in front of the mouth, bottom mic 1 cm below it
@@ -176,9 +182,11 @@ def transform_tdoa(
     alpha: float = 0.0,
     delta_x: float = 0.0,
     sample_rate: int = 192000,
+    spacing: float = None,
 ) -> float:
-    """Predict the delay after moving the handset back by delta_x and
-    tilting it by alpha about its top mic, keeping the source fixed.
+    """Predict the delay after moving the handset back by delta_x, tilting
+    it by alpha about its top mic and changing it for one of mic spacing
+    `spacing` (DevicePose.with_spacing), keeping the source fixed.
 
     Solves the enrolled delay for the source distance x on the mouth
     axis, or, where no distance fits (a nasal), for the source height dz
@@ -186,7 +194,7 @@ def transform_tdoa(
     forward model at the moved pose, so the transform and the simulator
     share one geometry. Raises NoSolutionError when neither line fits.
     The moved pose is validated by DevicePose (x + delta_x > 0,
-    |alpha| < pi/2, all finite).
+    spacing >= l2, |alpha| < pi/2, all finite).
     """
     try:
         x = solve_source_distance(tdoa_samples, pose.l1, pose.l2, sample_rate)
@@ -194,10 +202,10 @@ def transform_tdoa(
     except NoSolutionError:
         delta_d = tdoa_samples * SPEED_OF_SOUND / sample_rate
         x, source = pose.x, (0.0, solve_on_line(delta_d, pose.l1, pose.l1 - pose.l, h=pose.x))
-    if alpha == 0.0 and delta_x == 0.0:
+    if alpha == 0.0 and delta_x == 0.0 and spacing in (None, pose.l):
         return tdoa_samples  # no pose change (solve above validated the input)
-    moved = pose.with_(x=x + delta_x, alpha=alpha)
-    return pose_to_tdoa(moved, source, sample_rate=sample_rate)
+    handset = pose if spacing is None else pose.with_spacing(spacing)
+    return pose_to_tdoa(handset.with_(x=x + delta_x, alpha=alpha), source, sample_rate=sample_rate)
 
 
 def make_beep(sample_rate: int) -> np.ndarray:

@@ -1,15 +1,15 @@
-"""User delay profiles: enrollment, scoring against them, device
-normalization, persistence.
+"""User delay profiles: enrollment, scoring against them, persistence.
 
 Text-dependent profiles store one template sequence per enrolled
 passphrase (the delays of >= 3 trials per position). Text-independent
 profiles store one template per inventory phoneme and assemble passphrase
 templates on demand. Enrollment measures every delay with GCC-PHAT, as
-verification does, and records the device the trials were measured on.
-UserProfile.score is the one path from a measured dynamic to a score,
-shared by `verify` and run_experiment. A profile file holds each
-template's delays only; load_profile checks them as enrollment checks
-its trials and rebuilds each template's mean and std.
+verification does, on the handset whose mic spacing is the enrollment
+pose's l. UserProfile.score, the one path from a measured dynamic to a
+score for `verify` and run_experiment, moves the templates to the pose
+and handset the dynamic was measured on: a device change is a pose
+change. A profile file holds each template's delays only; load_profile
+checks them as enrollment checks its trials and rebuilds mean and std.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .phonemes import INVENTORY
 from .scoring import ScoringMethod, SimilarityScore, score_dynamic
 from .tdoa import DeviceSpec, TdoaDynamic, estimate_tdoa, measure_dynamic
 
-PROFILE_SCHEMA_VERSION = 2
+PROFILE_SCHEMA_VERSION = 3
+PROFILE_KEYS = {"version", "user_id", "mode", "sample_rate", "pose", "passphrases", "phonemes"}
 MIN_TRIALS = 3
 
 
@@ -66,18 +67,19 @@ def _template_from_delays(label: str, delays) -> PhonemeTemplate:
 class UserProfile:
     user_id: str
     mode: ProfileMode
-    device: DeviceSpec
     enrollment_pose: DevicePose
     sample_rate: int
     passphrase_templates: dict = field(default_factory=dict)
     phoneme_templates: dict = field(default_factory=dict)
 
     def templates_at(
-        self, labels, passphrase_id: str = None, alpha: float = 0.0, delta_x: float = 0.0
+        self, labels, passphrase_id: str = None, alpha: float = 0.0, delta_x: float = 0.0,
+        spacing: float = None,
     ) -> list:
         """The templates to score an utterance of labels against, moved
-        from the enrollment pose to a handset tilted by alpha about its
-        top mic and moved back by delta_x, at the profile's sample rate.
+        from the enrollment pose to a handset of mic spacing `spacing`
+        (default: unchanged; DevicePose.with_spacing), tilted by alpha
+        about its top mic and moved back by delta_x, at the profile's rate.
 
         A text-independent profile gives its inventory templates in label
         order; a text-dependent one the named passphrase's, or the only
@@ -102,14 +104,14 @@ class UserProfile:
                 raise SchemaError(
                     f"profile has no passphrase {passphrase_id!r}"
                 ) from None
-        if alpha == 0.0 and delta_x == 0.0:
+        if alpha == 0.0 and delta_x == 0.0 and spacing in (None, self.enrollment_pose.l):
             return templates
         moved = []
         for t in templates:
             try:
                 mean = transform_tdoa(
                     t.mean_delay, self.enrollment_pose, alpha=alpha, delta_x=delta_x,
-                    sample_rate=self.sample_rate,
+                    sample_rate=self.sample_rate, spacing=spacing,
                 )
             except NoSolutionError:
                 mean = t.mean_delay
@@ -125,21 +127,17 @@ class UserProfile:
         method: ScoringMethod = ScoringMethod.COMBINED,
     ) -> SimilarityScore:
         """Every score of a measured dynamic against this profile, the
-        templates moved by alpha and delta_x as in templates_at.
+        templates moved as in templates_at by alpha, delta_x and onto the
+        mic spacing the dynamic was measured on (dynamic.device).
 
-        A dynamic measured on another mic spacing (dynamic.device) or at
-        another sample rate is first rescaled onto the profile's with
-        normalize_dynamic. A text-independent profile scores with the
-        stability weights.
+        A dynamic measured at another sample rate is first rescaled onto
+        the profile's, exactly, with normalize_dynamic. A text-independent
+        profile scores with the stability weights.
         """
-        if (
-            dynamic.device.mic_spacing_m != self.device.mic_spacing_m
-            or dynamic.sample_rate != self.sample_rate
-        ):
-            dynamic = normalize_dynamic(
-                dynamic, dynamic.device, self.device, to_sample_rate=self.sample_rate
-            )
-        templates = self.templates_at(dynamic.labels, passphrase_id, alpha, delta_x)
+        spacing = dynamic.device.mic_spacing_m
+        if dynamic.sample_rate != self.sample_rate:
+            dynamic = normalize_dynamic(dynamic, dynamic.device, dynamic.device, self.sample_rate)
+        templates = self.templates_at(dynamic.labels, passphrase_id, alpha, delta_x, spacing)
         return score_dynamic(
             dynamic, templates, method, weighted=self.mode == ProfileMode.TEXT_INDEPENDENT,
         )
@@ -230,16 +228,15 @@ def enroll_from_dynamics(
     passphrase_id: str = None,
 ) -> UserProfile:
     """Build a profile from the measured delay dynamics of enrollment trials,
-    which must pass check_trials and share one device, the one the profile
-    records.
+    which must pass check_trials and be measured on mic spacing pose.l.
 
     Text-dependent: per position the template holds the delays of every
     trial. Text-independent: per phoneme, every measurement of it in any
     trial. Each template also holds the mean and std of its delays.
     """
     dynamics = list(dynamics)
-    if len({d.device for d in dynamics}) > 1:
-        raise SchemaError("trials differ in device")
+    if any(d.device.mic_spacing_m != pose.l for d in dynamics):
+        raise SchemaError(f"trials not all measured on the pose's mic spacing {pose.l} m")
     rate = check_trials(mode, [(d.sample_rate, d.labels) for d in dynamics])
     passphrases, phonemes = {}, {}
     if mode == ProfileMode.TEXT_DEPENDENT:
@@ -258,7 +255,6 @@ def enroll_from_dynamics(
     return UserProfile(
         user_id=user_id,
         mode=mode,
-        device=dynamics[0].device,
         enrollment_pose=pose,
         sample_rate=rate,
         passphrase_templates=passphrases,
@@ -338,7 +334,6 @@ def save_profile(profile: UserProfile, path) -> None:
         "user_id": profile.user_id,
         "mode": profile.mode.value,
         "sample_rate": profile.sample_rate,
-        "device": {"name": profile.device.name, "mic_spacing_m": profile.device.mic_spacing_m},
         "pose": asdict(profile.enrollment_pose),
         "passphrases": {
             pid: [_template_to_json(t) for t in templates]
@@ -354,9 +349,9 @@ def load_profile(path) -> UserProfile:
     and rebuild every template from its delays as enrollment does."""
     doc = read_json(path, SchemaError)
     check_version(path, doc, "profile", PROFILE_SCHEMA_VERSION, SchemaError)
+    if not set(doc) <= PROFILE_KEYS:
+        raise SchemaError(f"{path}: unknown profile fields {sorted(set(doc) - PROFILE_KEYS)}")
     try:
-        spec = doc["device"]
-        device = DeviceSpec(json_real(spec["mic_spacing_m"]), json_str(spec.get("name", "generic")))
         pose = DevicePose(**{k: json_real(v) for k, v in doc["pose"].items()})
         user_id = json_str(doc["user_id"])
         mode = ProfileMode(doc["mode"])
@@ -380,12 +375,13 @@ def load_profile(path) -> UserProfile:
     # tilt; any other pose would move templates to wrong delays
     if pose.alpha != 0.0 or abs(pose.l1 + pose.l2 - pose.l) > 1e-9:
         raise SchemaError(f"{path}: enrollment pose {pose} is not vertical with l = l1 + l2")
+    DeviceSpec(pose.l)  # verify measures on this spacing: InvalidPoseError out of range
     try:
         _check_stored(mode, rate, passphrases, phonemes)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     return UserProfile(
-        user_id, mode, device, pose, rate,
+        user_id, mode, pose, rate,
         passphrase_templates={
             pid: [_template_from_delays(*t) for t in templates]
             for pid, templates in passphrases.items()

@@ -471,13 +471,31 @@ class Scene:
     scenario: AttackScenario = None
 
 
+_COMMON_KEYS = {"kind", "sample_rate", "seed"}
+_SPEECH_KEYS = _COMMON_KEYS | {"labels", "pose", "noise_snr_db"}
+# the fields each kind of scene reads
+SCENE_KEYS = {
+    "beep": _COMMON_KEYS | {"face_distance_m"},
+    "live": _SPEECH_KEYS | {"echo", "jitter_scale"},
+    "static_playback": _SPEECH_KEYS | {"source_offset"},
+    "mobile_playback": _SPEECH_KEYS | {"trajectory"},
+    "replace": _SPEECH_KEYS | {"recorder_distance_m"},
+}
+
+
 def load_scene(path, default_seed: int = 0) -> Scene:
     """Read a scene file, whose own "seed" wins over default_seed. A
-    field of the wrong JSON type or shape, an unknown kind, no labels or
-    a negative seed raises ConfigError; the renderers check the ranges."""
+    field of the wrong JSON type or shape, a field its kind does not
+    read, an unknown kind, no labels or a negative seed raises
+    ConfigError; the renderers check the ranges."""
     doc = read_json(path, ConfigError)
     try:
         kind = json_str(doc["kind"])
+        if kind not in SCENE_KEYS:
+            raise ConfigError(f"{path}: unknown scene kind {kind!r}")
+        stray = sorted(set(doc) - SCENE_KEYS[kind])
+        if stray:
+            raise ConfigError(f"{path}: a {kind} scene has no field {stray[0]!r}")
         fs = json_int(doc.get("sample_rate", 192000))
         seed = json_int(doc.get("seed", default_seed))
         if seed < 0:

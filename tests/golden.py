@@ -5,12 +5,13 @@ byte can show that it did.
 build_artifacts(workdir) runs phonotdoa.cli.main in workdir with
 relative paths, so no output names the directory:
 - simulate: a live scene with an echo and a jitter scale, a live scene
-  at a moved pose, static, mobile, replace and beep scenes, and the
-  enrollment trials;
+  at a moved pose, a live scene on an S5-spaced handset, static, mobile,
+  replace and beep scenes, and the enrollment trials;
 - enroll: a text-dependent and a text-independent profile;
 - verify: stdout and exit code for live and attack, at the reference
   pose and with --angle-deg 45 --distance-m 0.13, on a passphrase that
-  holds the nasals M and N;
+  holds the nasals M and N, and for the S5 live scene with
+  --device-spacing-m 0.141;
 - tdoa: the CSV with each method;
 - evaluate: every output file and stdout of a text-dependent config
   with pose changes and replace attacks and of a text-independent
@@ -34,11 +35,13 @@ import os
 import platform
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from phonotdoa.cli import main
+from phonotdoa.geometry import REFERENCE_POSE
 from phonotdoa.phonemes import INVENTORY
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -47,6 +50,7 @@ PASSPHRASE = ["IY", "M", "S", "K", "AA", "T", "OW", "N", "EH"]
 INVENTORY_ORDER = sorted(INVENTORY.symbols)
 MOVED_POSE = {"x": 0.13, "l1": 0.14, "l2": 0.01, "l": 0.15, "alpha": math.radians(45)}
 MOVED_FLAGS = ["--angle-deg", "45", "--distance-m", "0.13"]
+S5_SPACING = 0.141
 
 SCENES = {
     "td1": {"kind": "live", "labels": PASSPHRASE, "seed": 1},
@@ -55,6 +59,8 @@ SCENES = {
     "live": {"kind": "live", "labels": PASSPHRASE, "seed": 21,
              "echo": [96, 0.3], "jitter_scale": 1.7},
     "live_moved": {"kind": "live", "labels": PASSPHRASE, "seed": 22, "pose": MOVED_POSE},
+    "live_s5": {"kind": "live", "labels": PASSPHRASE, "seed": 27,
+                "pose": asdict(REFERENCE_POSE.with_spacing(S5_SPACING))},
     "static": {"kind": "static_playback", "labels": PASSPHRASE, "seed": 23,
                "source_offset": [0.0, -0.02]},
     "mobile": {"kind": "mobile_playback", "labels": PASSPHRASE, "seed": 24,
@@ -133,6 +139,7 @@ def build_artifacts(workdir) -> dict:
             "attack": ("static", []),
             "live_moved": ("live_moved", MOVED_FLAGS),
             "attack_moved": ("static", MOVED_FLAGS),
+            "live_s5": ("live_s5", ["--device-spacing-m", repr(S5_SPACING)]),
         }
         for case, (scene, flags) in cases.items():
             artifacts[f"verify/{case}/stdout"] = _run(

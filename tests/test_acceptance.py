@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from phonotdoa.cli import main as cli_main
+from phonotdoa.config import DEFAULT_THRESHOLD
 from phonotdoa.evaluation import (
     ExperimentConfig,
     LabeledScoreSet,
@@ -25,8 +26,10 @@ from phonotdoa.evaluation import (
 )
 from phonotdoa.geometry import REFERENCE_POSE, pose_to_tdoa, transform_tdoa
 from phonotdoa.phonemes import AFFRICATE, INVENTORY, NASAL, STOP
-from phonotdoa.profiles import PhonemeTemplate, normalize_dynamic
-from phonotdoa.scoring import score_dynamic
+from phonotdoa.profiles import (
+    PhonemeTemplate, ProfileMode, enroll_from_dynamics, normalize_dynamic,
+)
+from phonotdoa.scoring import Verdict, decide, score_dynamic
 from phonotdoa.simulator import (
     AttackKind,
     AttackScenario,
@@ -43,11 +46,13 @@ from phonotdoa.tdoa import (
     normalized_cross_correlation,
 )
 
+from devices import NOTE3, NOTE5, S5
 from pure_shift import synthesize_pure_shift
 
 FS = 192000
 MAX_LAG = 94  # covers |delay| <= 86 with margin
 DEVICE = DeviceSpec(0.15, "reference")
+SHORT = DeviceSpec(0.10, "short")  # spacing below the reference top mic's 0.14 m
 
 
 def report(criterion, ok, detail):
@@ -294,33 +299,85 @@ def test_c6_transform_matches_simulator(source_model):
         l for l in sorted(source_model.labels)
         if INVENTORY.articulation_class(l) != NASAL
     ][:14] + ["M", "N", "NG"]
-    worst = 0.0
-    for alpha_deg in (30.0, 45.0, 60.0):
-        for dx in (0.05, 0.10, 0.15):
-            pose = REFERENCE_POSE.with_(
-                x=REFERENCE_POSE.x + dx, alpha=math.radians(alpha_deg)
+    cases = [(a, dx, DEVICE) for a in (30.0, 45.0, 60.0) for dx in (0.05, 0.10, 0.15)]
+    # a device change is a pose change: the reference x and alpha on three
+    # measured handsets and a 0.10 m one, each with its bottom mic in place
+    cases += [(0.0, 0.0, device) for device in (NOTE3, NOTE5, S5, SHORT)]
+    worst = {}
+    for alpha_deg, dx, device in cases:
+        pose = REFERENCE_POSE.with_spacing(device.mic_spacing_m).with_(
+            x=REFERENCE_POSE.x + dx, alpha=math.radians(alpha_deg)
+        )
+        utt = synthesize_live(
+            labels, source_model, pose, FS, seed=606, jitter_scale=0.0,
+            duration_range=(0.06, 0.08),
+        )
+        dyn = measure_dynamic(utt.recording, utt.segments, device=device)
+        key = "pose" if device is DEVICE else "handset"
+        for label, m in zip(labels, dyn.measurements):
+            predicted = transform_tdoa(
+                source_model.reference_delay(label),
+                REFERENCE_POSE,
+                alpha=math.radians(alpha_deg),
+                delta_x=dx,
+                sample_rate=FS,
+                spacing=device.mic_spacing_m,
             )
-            utt = synthesize_live(
-                labels, source_model, pose, FS, seed=606, jitter_scale=0.0,
-                duration_range=(0.06, 0.08),
-            )
-            dyn = measure_dynamic(utt.recording, utt.segments, device=DEVICE)
-            for label, m in zip(labels, dyn.measurements):
-                predicted = transform_tdoa(
-                    source_model.reference_delay(label),
-                    REFERENCE_POSE,
-                    alpha=math.radians(alpha_deg),
-                    delta_x=dx,
-                    sample_rate=FS,
-                )
-                worst = max(worst, abs(predicted - m.delay_samples))
+            worst[key] = max(worst.get(key, 0.0), abs(predicted - m.delay_samples))
     report(
         6,
-        worst <= 2.0,
-        f"pose transform vs simulator over 3 angles x 3 distances: worst "
-        f"|error| {worst:.2f} samples (need <=2)",
+        max(worst.values()) <= 2.0,
+        f"pose transform vs simulator: worst |error| {worst['pose']:.2f} samples over "
+        f"3 angles x 3 distances, {worst['handset']:.2f} over 4 handsets (need <=2)",
     )
-    assert worst <= 2.0
+    assert max(worst.values()) <= 2.0
+
+
+@pytest.mark.parametrize("device", [S5, SHORT], ids=["s5", "short"])
+def test_c6_verify_across_handsets(source_model, device):
+    # enroll on the reference handset, then score live and static-playback
+    # renders made on another handset, as `verify --device-spacing-m` does:
+    # the templates move to the verification handset through the forward
+    # model (rescaling the delays by the spacing ratio instead reads 0.50
+    # on the 0.10 m handset)
+    rng = np.random.default_rng(626)
+    pose = REFERENCE_POSE.with_spacing(device.mic_spacing_m)
+    labels_pool = sorted(source_model.labels)
+    correct = total = 0
+    for user in range(2):
+        model = source_model.perturbed(rng)
+        for _ in range(2):
+            labels = rng.choice(labels_pool, size=12).tolist()
+            trials = [
+                synthesize_live(labels, model, REFERENCE_POSE, FS, int(rng.integers(2**31)),
+                                duration_range=(0.06, 0.08))
+                for _ in range(3)
+            ]
+            profile = enroll_from_dynamics(
+                f"user{user}", ProfileMode.TEXT_DEPENDENT,
+                [measure_dynamic(t.recording, t.segments, device=DEVICE) for t in trials],
+                REFERENCE_POSE, "pp",
+            )
+            for live in (True,) * 3 + (False,) * 3:
+                seed = int(rng.integers(2**31))
+                if live:
+                    utt = synthesize_live(labels, model, pose, FS, seed,
+                                          duration_range=(0.06, 0.08))
+                else:
+                    scenario = AttackScenario(
+                        kind=AttackKind.STATIC_PLAYBACK,
+                        source_offset=(rng.uniform(-0.03, 0.01), rng.uniform(-0.04, 0.03)),
+                    )
+                    utt = synthesize_attack(labels, model, pose, scenario, FS, seed,
+                                            duration_range=(0.06, 0.08))
+                dynamic = measure_dynamic(utt.recording, utt.segments, device=device)
+                verdict = decide(profile.score(dynamic), DEFAULT_THRESHOLD).verdict
+                correct += (verdict == Verdict.LIVE) == live
+                total += 1
+    acc = correct / total
+    report(6, acc >= 0.85, f"verify on a {device.mic_spacing_m} m handset: accuracy "
+           f"{acc:.3f} over {total} utterances (need >=0.85)")
+    assert acc >= 0.85
 
 
 def _pose_experiment(transform, oral_only=True):

@@ -140,10 +140,13 @@ def test_cli_determinism_verify(pipeline):
     assert out1 == out2
 
 
-def test_verify_rescales_other_rate_and_spacing_as_composed_by_hand(pipeline, tmp_path):
+def test_verify_rescales_other_rate_and_moves_to_other_spacing_as_composed_by_hand(
+    pipeline, tmp_path
+):
     # a 96 kHz recording measured on an S5-spaced handset against the
-    # 192 kHz reference-handset profile: the rescale, the template move
-    # and the score must match the library steps run one by one
+    # 192 kHz reference-handset profile: the rate rescale, the template
+    # move to the tilted S5 handset and the score must match the library
+    # steps run one by one
     _, profile_path, _, _ = pipeline
     out = tmp_path / "live96"
     assert run_cli("simulate", _scene(tmp_path, seed=77, sample_rate=96000), out)[0] == 0
@@ -158,8 +161,8 @@ def test_verify_rescales_other_rate_and_spacing_as_composed_by_hand(pipeline, tm
         dynamic = measure_dynamic(
             recording, load_alignment(out / "alignment.json", recording), device=s5
         )
-    dynamic = normalize_dynamic(dynamic, s5, profile.device, to_sample_rate=profile.sample_rate)
-    templates = profile.templates_at(dynamic.labels, alpha=math.radians(10))
+    dynamic = normalize_dynamic(dynamic, s5, s5, to_sample_rate=profile.sample_rate)
+    templates = profile.templates_at(dynamic.labels, alpha=math.radians(10), spacing=0.141)
     decision = decide(score_dynamic(dynamic, templates), DEFAULT_THRESHOLD)
     assert stdout == json.dumps(decision.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert code == (0 if decision.verdict == Verdict.LIVE else 1)
@@ -319,27 +322,36 @@ def test_verify_distance_and_beep_echo_are_exclusive(pipeline, tmp_path, capsys)
 ], ids=["enroll_method", "pose_config", "verify_config", "enroll_pose_x", "pose_pose_l",
         "enroll_device_name"])
 def test_removed_flags_are_unrecognized(argv, capsys):
-    # enrollment always measures with GCC-PHAT at REFERENCE_POSE and stores
-    # the device "generic" beside --device-spacing-m; no command reads a
-    # config file
+    # enrollment always measures with GCC-PHAT and records REFERENCE_POSE
+    # on the handset of --device-spacing-m; no command reads a config file
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
-def test_enroll_records_reference_pose_and_generic_device(pipeline, tmp_path):
-    # enroll builds its device as verify and tdoa do, so --device-spacing-m
-    # stores the name "generic"; the pose is always REFERENCE_POSE
+def test_enroll_records_the_device_spacing_as_the_pose_l(pipeline, tmp_path):
+    # enroll builds its device as verify and tdoa do, and records the
+    # spacing only as the pose's l: REFERENCE_POSE on that handset, its
+    # bottom mic in place
     tmp = pipeline[0]
     args = ["enroll", "--out", tmp_path / "p.json", "--user", "u", "--device-spacing-m", "0.15"]
     for s in (1, 2, 3):
         args += ["--trial", f"{tmp}/t{s}/recording.wav:{tmp}/t{s}/alignment.json"]
     assert run_cli(*args)[0] == 0
-    assert json.loads((tmp_path / "p.json").read_text())["device"] == {
-        "name": "generic", "mic_spacing_m": 0.15,
-    }
+    assert "device" not in json.loads((tmp_path / "p.json").read_text())
     assert load_profile(tmp_path / "p.json").enrollment_pose == REFERENCE_POSE
+    args[args.index("0.15")] = "0.141"
+    assert run_cli(*args)[0] == 0
+    pose = load_profile(tmp_path / "p.json").enrollment_pose
+    assert pose == REFERENCE_POSE.with_spacing(0.141)
+    assert (pose.l, pose.l2) == (0.141, REFERENCE_POSE.l2)
+    # verify measures on the profile's spacing unless the flag names one
+    live = pipeline[2]
+    verify = ["verify", live / "recording.wav", live / "alignment.json",
+              "--profile", tmp_path / "p.json"]
+    assert run_cli(*verify) == run_cli(*verify, "--device-spacing-m", "0.141")
+    assert run_cli(*verify) != run_cli(*verify, "--device-spacing-m", "0.15")
 
 
 def test_every_cli_option_is_in_readme():
@@ -440,9 +452,9 @@ MALFORMED_INPUTS = {
     "template_mean_text": ("profile", _template_field(mean_delay="3.0"), "SchemaError"),
     "template_std_bool": ("profile", _template_field(std_delay=True), "SchemaError"),
     # real-valued fields must be JSON numbers, not parsed strings or booleans
+    # the mic spacing, stored as the pose's l
     "device_spacing_text": (
-        "profile", lambda p, a: _with(p, device={**p["device"], "mic_spacing_m": "0.15"}),
-        "SchemaError",
+        "profile", lambda p, a: _with(p, pose={**p["pose"], "l": "0.15"}), "SchemaError",
     ),
     "pose_field_text": (
         "profile", lambda p, a: _with(p, pose={**p["pose"], "x": "0.03"}), "SchemaError",
@@ -881,6 +893,10 @@ def test_verify_unknown_passphrase_id_is_typed_error(pipeline, capsys):
     {"kind": "live", "labels": ["AA", "S", "K"], "echo": [0, 0.3]},
     {"kind": "live", "labels": ["AA", "S", "K"], "echo": [5, 0.3, 9]},
     {"kind": "live", "labels": ["AA", "S", "K"], "jitter_scale": -1},
+    # a field the kind does not read, such as a misspelt one, is refused:
+    # this scene once rendered at the default 30 dB
+    {"kind": "live", "labels": ["AA"], "noise_snr": 5},
+    {"kind": "static_playback", "labels": ["AA"], "recorder_distance_m": 0.3},
 ], ids=[
     "pose_missing_fields", "beep_no_distance", "offset_one_value", "rate_text",
     "seed_negative", "snr_very_negative", "attack_snr_very_negative",
@@ -892,6 +908,7 @@ def test_verify_unknown_passphrase_id_is_typed_error(pipeline, capsys):
     "offset_text_bool", "trajectory_text_bool", "pose_bool",
     "labels_number", "labels_nested", "labels_string",
     "echo_lag_negative", "echo_lag_zero", "echo_three_values", "jitter_negative",
+    "misspelt_key", "key_of_another_kind",
 ])
 def test_simulate_malformed_scene_is_typed_error(tmp_path, scene, capsys):
     path = tmp_path / "scene.json"

@@ -184,6 +184,21 @@ def test_config_refusal_names_the_field(doc, match):
         ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("doc, match", [
+    # pose changes DevicePose refuses: the handset through the mouth, and
+    # tilted flat
+    ({"pose_changes": [[0, -0.05]]}, r"render pose: x must be positive"),
+    ({"pose_changes": [[90, 0]]}, r"render pose: \|alpha\| must be below pi/2"),
+    # a mic beyond MAX_PATH_M - MAX_SOURCE_RADIUS of the mouth: these once
+    # failed only after the enrollment renders had run
+    ({"pose_changes": [[0, 20]]}, r"mic 20 m from the mouth, over 9.9 m"),
+    ({"replace_distances": [20], "replace_attacks": 1}, r"mic 20 m from the mouth, over 9.9 m"),
+], ids=["pose_behind_mouth", "pose_flat", "pose_far", "replace_far"])
+def test_config_refuses_a_pose_no_render_takes(doc, match):
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict(doc)
+
+
 @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
 def test_config_refuses_a_non_finite_threshold_from_a_library_caller(threshold):
     # read_json refuses these in a file; a caller can still pass them

@@ -242,6 +242,35 @@ def test_transform_outside_mic_geometry_is_typed_error():
         transform_tdoa(tdoa, REFERENCE_POSE, alpha=math.nan, sample_rate=FS)
 
 
+def test_with_spacing_holds_the_bottom_mic():
+    # at its own l the pose itself: 0.15 - 0.01 is 0.13999999999999999
+    assert REFERENCE_POSE.with_spacing(0.15) is REFERENCE_POSE
+    for spacing in (0.05, 0.10, 0.141, 0.30):
+        pose = REFERENCE_POSE.with_spacing(spacing)
+        assert (pose.x, pose.l2, pose.l, pose.alpha) == (0.03, 0.01, spacing, 0.0)
+        assert pose.l1 == spacing - 0.01
+        assert mic_positions(pose)[1] == pytest.approx(mic_positions(REFERENCE_POSE)[1], abs=1e-15)
+
+
+@pytest.mark.parametrize("spacing", [0.05, 0.10, 0.141, 0.151, 0.153, 0.30])
+def test_spacing_transform_matches_the_forward_model(source_model, spacing):
+    # every inventory source, solved at the reference pose and re-evaluated
+    # on another handset, lands where the forward model puts it
+    handset = REFERENCE_POSE.with_spacing(spacing)
+    for label in source_model.labels:
+        src = source_model.source(label)
+        moved = transform_tdoa(
+            source_model.reference_delay(label), REFERENCE_POSE, sample_rate=FS, spacing=spacing
+        )
+        assert moved == pytest.approx(pose_to_tdoa(handset, (src.dy, src.dz), FS), abs=0.005)
+
+
+def test_spacing_transform_identity_at_the_pose_l():
+    assert transform_tdoa(40.0, REFERENCE_POSE, sample_rate=FS, spacing=0.15) == 40.0
+    with pytest.raises(InvalidPoseError):  # the top mic below the mouth
+        transform_tdoa(40.0, REFERENCE_POSE, sample_rate=FS, spacing=0.005)
+
+
 def test_make_beep_shape():
     beep = make_beep(192000)
     assert len(beep) == 9600  # 50 ms at 192 kHz

@@ -37,7 +37,6 @@ from phonotdoa.profiles import (
 from phonotdoa.segmentation import load_alignment
 from phonotdoa.simulator import load_scene
 from phonotdoa.sourcemodel import load_source_model
-from phonotdoa.tdoa import DeviceSpec
 
 FUZZ = settings(
     max_examples=60,
@@ -70,7 +69,7 @@ NON_OBJECTS = _json_values(non_finite=False).filter(lambda v: not isinstance(v, 
 # a version is a JSON integer: true and 1.0 compare equal to 1 but are wrong
 WRONG_VERSIONS = _json_values(non_finite=False).filter(lambda v: type(v) is not int or v != 1)
 WRONG_PROFILE_VERSIONS = _json_values(non_finite=False).filter(
-    lambda v: type(v) is not int or v != 2
+    lambda v: type(v) is not int or v != 3
 )
 NON_STRINGS = _json_values(non_finite=False).filter(lambda v: not isinstance(v, str))
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -267,7 +266,6 @@ def _profile_doc(tmp_path):
     profile = UserProfile(
         user_id="u",
         mode=ProfileMode.TEXT_DEPENDENT,
-        device=DeviceSpec(0.15, "reference"),
         enrollment_pose=REFERENCE_POSE,
         sample_rate=192000,
         passphrase_templates={"pp0": templates},
@@ -278,6 +276,8 @@ def _profile_doc(tmp_path):
 
 
 PROFILE_FIELDS = st.sampled_from(
+    # "device": the version-2 spacing block, a stray key since the pose's l
+    # holds the spacing
     ["user_id", "mode", "sample_rate", "device", "pose", "passphrases", "phonemes"]
 )
 
@@ -306,7 +306,7 @@ def test_load_profile_arbitrary_template_field_fails_closed(tmp_path, key, value
 
 @FUZZ
 @given(
-    where=st.sampled_from(["delays", "sample_rate", "pose.x", "device.mic_spacing_m"]),
+    where=st.sampled_from(["delays", "sample_rate", "pose.x", "pose.l"]),
     value=NON_FINITE,
 )
 def test_load_profile_non_finite_rejected(tmp_path, where, value):
@@ -332,15 +332,13 @@ def test_load_profile_non_object_rejected(tmp_path, doc):
 
 
 @FUZZ
-@given(where=st.sampled_from(["user_id", "device.name", "label"]), value=NON_STRINGS)
+@given(where=st.sampled_from(["user_id", "label"]), value=NON_STRINGS)
 @example(where="user_id", value=None)  # str() once read these as "None"
 @example(where="label", value=None)
 def test_load_profile_non_string_rejected(tmp_path, where, value):
     doc = _profile_doc(tmp_path)
     if where == "label":
         doc["passphrases"]["pp0"][0]["label"] = value
-    elif where == "device.name":
-        doc["device"]["name"] = value
     else:
         doc[where] = value
     path = _write(tmp_path / "p.json", doc)
@@ -351,7 +349,9 @@ def test_load_profile_non_string_rejected(tmp_path, where, value):
 @FUZZ
 @given(version=WRONG_PROFILE_VERSIONS)
 @example(version=1)  # a version-1 file also stores mean, std and trial count
-@example(version=2.0)  # `!=` once passed this as version 2
+@example(version=2)  # a version-2 file also stores a device block
+@example(version=2.0)
+@example(version=3.0)  # `!=` once passed this as version 3
 @example(version=True)
 @example(version=1.0)
 def test_load_profile_wrong_version_rejected(tmp_path, version):

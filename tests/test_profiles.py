@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonotdoa.errors import SchemaError
+from phonotdoa.errors import InvalidPoseError, SchemaError
 from phonotdoa.geometry import REFERENCE_POSE
 from phonotdoa.phonemes import INVENTORY
 from phonotdoa.profiles import (
@@ -202,14 +202,17 @@ def test_profile_roundtrip(enrolled, tmp_path):
     back = load_profile(path)
     assert back.user_id == enrolled.user_id
     assert back.mode == enrolled.mode
-    assert back.device == enrolled.device
     assert back.enrollment_pose == enrolled.enrollment_pose
     assert back.sample_rate == enrolled.sample_rate
     a = enrolled.passphrase_templates["pp0"]
     b = back.passphrase_templates["pp0"]
     assert a == b  # statistics rebuilt from the stored delays, bit for bit
     doc = json.loads(path.read_text())
-    assert doc["version"] == 2 and doc["phonemes"] == {}
+    assert doc["version"] == 3 and doc["phonemes"] == {}
+    # the mic spacing is stored once, as the pose's l: no device block
+    assert sorted(doc) == [
+        "mode", "passphrases", "phonemes", "pose", "sample_rate", "user_id", "version",
+    ]
     assert [set(t) for t in doc["passphrases"]["pp0"]] == [{"label", "delays"}] * len(LABELS)
 
 
@@ -230,7 +233,7 @@ def test_profile_version_zero_rejected(enrolled, tmp_path):
     doc = json.loads(path.read_text())
     doc["version"] = 0
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match="expected profile schema version 2, got 0"):
+    with pytest.raises(SchemaError, match="expected profile schema version 3, got 0"):
         load_profile(path)
 
 
@@ -295,12 +298,35 @@ def test_template_validation():
         PhonemeTemplate(label="AA", mean_delay=0.0, std_delay=-1.0)
 
 
-def test_enroll_records_the_trials_device_and_refuses_two():
+def test_enroll_refuses_trials_off_the_pose_spacing():
+    # the enrollment pose's l is the profile's record of the handset, so
+    # every trial must be measured on that spacing
     s5 = DeviceSpec(0.141, "s5")
+    pose = REFERENCE_POSE.with_spacing(s5.mic_spacing_m)
     labels = ["AA", "S", "K"]
     dynamics = [_dynamic([40.0, 50.0, 60.0], labels, device=s5) for _ in range(3)]
-    profile = enroll_from_dynamics("u1", ProfileMode.TEXT_DEPENDENT, dynamics, REFERENCE_POSE, "pp0")
-    assert profile.device == s5
-    dynamics[1] = _dynamic([40.0, 50.0, 60.0], labels)
-    with pytest.raises(SchemaError, match="trials differ in device"):
+    profile = enroll_from_dynamics("u1", ProfileMode.TEXT_DEPENDENT, dynamics, pose, "pp0")
+    assert profile.enrollment_pose.l == 0.141
+    with pytest.raises(SchemaError, match="mic spacing 0.15 m"):
         enroll_from_dynamics("u1", ProfileMode.TEXT_DEPENDENT, dynamics, REFERENCE_POSE, "pp0")
+    dynamics[1] = _dynamic([40.0, 50.0, 60.0], labels)
+    with pytest.raises(SchemaError, match="mic spacing 0.141 m"):
+        enroll_from_dynamics("u1", ProfileMode.TEXT_DEPENDENT, dynamics, pose, "pp0")
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    # a version-3 file holds no device block, nor any other stray field
+    (lambda doc: doc.update(device={"name": "s5", "mic_spacing_m": 0.141}),
+     SchemaError, r"unknown profile fields \['device'\]"),
+    (lambda doc: doc.update(notes="x"), SchemaError, r"unknown profile fields \['notes'\]"),
+    # verify measures on the pose's spacing, which DeviceSpec bounds
+    (lambda doc: doc["pose"].update(l1=0.34, l=0.35), InvalidPoseError, "mic spacing 0.35 m"),
+], ids=["device_block", "stray_field", "spacing_out_of_range"])
+def test_load_refuses_stray_fields_and_spacing_out_of_range(enrolled, tmp_path, edit, error, message):
+    path = tmp_path / "p.json"
+    save_profile(enrolled, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=message):
+        load_profile(path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from phonotdoa.geometry import DevicePose, REFERENCE_POSE, pose_to_tdoa
 from phonotdoa.phonemes import INVENTORY, NASAL, AFFRICATE, STOP
 from phonotdoa.simulator import (
     MAX_PATH_M,
+    SCENE_KEYS,
     AttackKind,
     AttackScenario,
     circle_trajectory,
+    load_scene,
     synthesize_attack,
     synthesize_beep_scene,
     synthesize_live,
@@ -203,3 +207,24 @@ def test_pure_shift_types():
     assert len(a) == len(b) == 2048
     a2, b2 = synthesize_pure_shift(2048, -17, snr_db=25, seed=0)
     assert np.array_equal(a, a2) and np.array_equal(b, b2)
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("live", "noise_snr"), ("beep", "labels"), ("replace", "trajectory"),
+])
+def test_load_scene_names_a_field_its_kind_does_not_read(tmp_path, kind, key):
+    doc = {"kind": kind, "labels": ["AA"], "face_distance_m": 0.1, "recorder_distance_m": 0.3}
+    doc = {k: v for k, v in doc.items() if k in SCENE_KEYS[kind]}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({**doc, key: 5}))
+    with pytest.raises(ConfigError, match=f"a {kind} scene has no field '{key}'"):
+        load_scene(path)
+    path.write_text(json.dumps(doc))
+    assert load_scene(path).kind == kind
+
+
+def test_load_scene_names_an_unknown_kind(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"kind": "sing", "labels": ["AA"]}))
+    with pytest.raises(ConfigError, match="unknown scene kind 'sing'"):
+        load_scene(path)
