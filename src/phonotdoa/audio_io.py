@@ -6,9 +6,9 @@ ever swaps them implicitly; delay signs depend on it.
 
 WAV files are read through one decoder, WavReader: it checks the header
 and the payload's presence when it opens a file, then decodes any frame
-span on demand. The measuring commands keep a reader open and decode
-one segment at a time; load_wav decodes the whole file into a
-StereoRecording for library use. Both a recording and a reader answer
+span on demand with positioned reads into the data chunk. The measuring
+commands keep a reader open and decode one segment at a time; load_wav
+decodes the whole file into a StereoRecording for library use. Both a recording and a reader answer
 window(start, end) with the (top, bottom) samples of those frames.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import wave
 import warnings
 from dataclasses import dataclass
@@ -115,18 +116,6 @@ class StereoRecording:
         return self.top[start:end], self.bottom[start:end]
 
 
-def _decode_pcm(raw, sampwidth: int) -> np.ndarray:
-    if sampwidth == 3:
-        # little-endian triplets: read each one as the top three bytes of
-        # an int32 (its low byte is the previous triplet's last byte, or
-        # the leading pad), then shift right to sign-extend
-        padded = np.zeros(len(raw) + 1, dtype=np.uint8)
-        padded[1:] = np.frombuffer(raw, dtype=np.uint8)
-        words = np.ndarray((len(raw) // 3,), dtype="<i4", buffer=padded, strides=(3,))
-        return words >> 8
-    return np.frombuffer(raw, dtype="<i2" if sampwidth == 2 else "<i4")
-
-
 def _encode_pcm(words: np.ndarray, sampwidth: int) -> np.ndarray:
     """Little-endian PCM of a (frames, 2) int32 block, as an array whose
     bytes are the WAV payload."""
@@ -155,9 +144,10 @@ class WavReader:
     that opens the reader, or with stacklevel=2 the line that called it.
 
     window(start, end) decodes frames [start, end) in blocks of
-    _BLOCK_FRAMES frames. Samples are normalized by 2^(bits-1), so int16
-    32767 becomes 32767/32768. Use the reader as a context manager, or
-    call close().
+    _BLOCK_FRAMES frames, each read with one positioned read at its
+    offset in the data chunk, so the reader keeps no file position.
+    Samples are normalized by 2^(bits-1), so int16 32767 becomes
+    32767/32768. Use the reader as a context manager, or call close().
     """
 
     def __init__(self, path, stacklevel: int = 1):
@@ -167,7 +157,10 @@ class WavReader:
         self._file = open(path, "rb")
         try:
             try:
-                self._wave = w = wave.open(self._file)
+                w = wave.open(self._file)
+                # wave stops right after the data chunk's header, whatever
+                # chunks come before it: the payload starts here
+                self._data_offset = self._file.tell()
                 n_channels = w.getnchannels()
                 self._sampwidth = w.getsampwidth()
                 self.sample_rate = w.getframerate()
@@ -205,23 +198,34 @@ class WavReader:
         rows are the top and bottom channels."""
         if not 0 <= start <= end <= self.n_samples:
             raise ValueError(f"frames [{start}, {end}) outside [0, {self.n_samples})")
-        # a power-of-two scale is exact, so every block matches a whole-file decode
-        scale = 2.0 ** (1 - _SUPPORTED_WIDTHS[self._sampwidth])
+        width = self._sampwidth
+        # Each block lands after one pad byte. A strided (2, frames) view
+        # reads every sample as the top bytes of a little-endian word: 16
+        # bits as int16, 24 bits as an int32 whose low byte is the previous
+        # sample's last byte (or the pad), 32 bits as int32. Shifting right
+        # by the extra bits sign-extends into int32, and a power-of-two
+        # scale is exact, so every block matches a whole-file decode.
+        word = 2 if width == 2 else 4
+        block = min(end - start, _BLOCK_FRAMES)
+        raw = np.empty(1 + block * self._frame_bytes, dtype=np.uint8)
+        words = np.ndarray(
+            (2, block), dtype=f"<i{word}", buffer=raw, offset=1 + width - word,
+            strides=(width, self._frame_bytes),
+        )
+        ints = np.empty((2, block), dtype=np.int32)
+        scale = 2.0 ** (1 - _SUPPORTED_WIDTHS[width])
         channels = np.empty((2, end - start))
-        self._wave.setpos(start)
         for lo in range(0, end - start, _BLOCK_FRAMES):
-            hi = min(lo + _BLOCK_FRAMES, end - start)
-            raw = self._wave.readframes(hi - lo)
-            if len(raw) < (hi - lo) * self._frame_bytes:
+            m = min(_BLOCK_FRAMES, end - start - lo)
+            n_bytes = m * self._frame_bytes
+            offset = self._data_offset + (start + lo) * self._frame_bytes
+            if os.preadv(self._file.fileno(), [raw[1 : 1 + n_bytes]], offset) < n_bytes:
                 raise FormatError(f"{self._path}: data chunk shorter than header declares")
-            np.multiply(
-                _decode_pcm(raw, self._sampwidth).reshape(-1, 2).T, scale,
-                out=channels[:, lo:hi],
-            )
+            np.right_shift(words[:, :m], 8 * (word - width), out=ints[:, :m])
+            np.multiply(ints[:, :m], scale, out=channels[:, lo : lo + m])
         return channels
 
     def close(self) -> None:
-        self._wave.close()
         self._file.close()
 
     def __enter__(self) -> "WavReader":

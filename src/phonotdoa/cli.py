@@ -14,12 +14,16 @@ and takes its distance from --distance-m or --beep-echo, never both.
 `verify` loads, measures and ranges here and leaves the rest to
 UserProfile.score, the path run_experiment scores through too.
 
-`enroll` checks every trial's WAV header and alignment, and that the
-trials can make a profile, in this process. It then splits the segments
-into one share per CPU but at most one per SEGMENTS_PER_WORKER segments
-(tdoa.fork_map): this process measures the first share and a forked
-worker each other one, each holding one segment's samples at a time.
-`verify` and `tdoa` measure their few segments in this process.
+`enroll` opens every trial's WAV file, checks its header and alignment,
+and checks that the trials can make a profile, in this process. It then
+writes a ticket per segment to one pipe and measures in one process per
+CPU, but at most one per SEGMENTS_PER_WORKER segments (tdoa.fork_map):
+this process and each forked worker draw the next ticket as they finish
+one, read its segment through the readers opened here, hold one
+segment's samples at a time and stop at their first failing segment.
+The profile, or the error of the lowest-indexed failing segment, is the
+same at any worker count. `verify` and `tdoa` measure their few
+segments in this process.
 
 No file format is parsed here. Scene files load in
 simulator.load_scene, experiment configs in ExperimentConfig.from_dict,
@@ -30,12 +34,15 @@ segmentation.load_alignment and WAV files in audio_io.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import logging
 import math
+import os
+import select
 import sys
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -57,7 +64,9 @@ from .scoring import ScoringMethod, Verdict, decide
 from .segmentation import load_alignment, save_alignment
 from .simulator import load_scene, synthesize_attack, synthesize_beep_scene, synthesize_live
 from .sourcemodel import load_source_model
-from .tdoa import DeviceSpec, Method, TdoaDynamic, fork_map, measure_dynamic, usable_cpus
+from .tdoa import (
+    DeviceSpec, Method, TdoaDynamic, estimate_tdoa, fork_map, measure_dynamic, usable_cpus,
+)
 
 log = logging.getLogger("phonotdoa")
 
@@ -112,58 +121,86 @@ def cmd_simulate(args) -> int:
 
 # --- enroll ---
 
-def _open_trial(spec: str) -> tuple:
-    """(WAV path, sample rate, segments) of one trial. The WAV header and
-    the alignment are checked here, in trial order, before any segment
-    is measured."""
+def _open_trial(spec: str, files: contextlib.ExitStack) -> tuple:
+    """(open WavReader, segments) of one trial, the reader closed with
+    `files`. The WAV header and the alignment are checked here, in trial
+    order, before any segment is measured."""
     try:
         wav_path, align_path = spec.rsplit(":", 1)
     except ValueError:
         raise ConfigError(
             f"trial {spec!r} must be recording.wav:alignment.json"
         ) from None
-    with WavReader(wav_path) as recording:
-        return wav_path, recording.sample_rate, load_alignment(align_path, recording)
+    recording = files.enter_context(WavReader(wav_path))
+    return recording, load_alignment(align_path, recording)
 
 
-# enroll splits its segments into at most one share per this many: on a
-# 2-vCPU Xeon, this process and one forked worker tie with this process
-# alone at 24 segments (3 trials of 8), win from 27 and lose below 24
-SEGMENTS_PER_WORKER = 13
+# enroll measures in one process per CPU, but at most one per this many
+# segments: on a 2-vCPU Xeon, this process and one forked worker drawing
+# tickets tie with or lose to this process alone at 18 segments (3 trials
+# of 6), lose at 15 and win at 21 and 24
+SEGMENTS_PER_WORKER = 10
+
+# A ticket is a 4-byte segment index. All tickets are written to one pipe
+# before any worker forks, and they fit in select.PIPE_BUF bytes, which a
+# pipe holds even when its capacity has dropped to one page. Above
+# MAX_TICKETS segments a ticket names a run of consecutive segments.
+_TICKET_BYTES = 4
+MAX_TICKETS = select.PIPE_BUF // _TICKET_BYTES
 
 
-def _measure_shares(device: DeviceSpec, shares: list) -> list:
-    """The GCC-PHAT measurements of each (WAV path, segments) share, read
-    straight from the file one segment at a time."""
-    measurements = []
-    with warnings.catch_warnings():
-        # _open_trial has warned about each file's rate once already
-        warnings.filterwarnings("ignore", "sample rate", UserWarning)
-        for path, segments in shares:
-            with WavReader(path) as recording:
-                measurements.append(measure_dynamic(recording, segments, device=device).measurements)
-    return measurements
+def _draw_tickets(tickets: int, run: int, segments: list, device: DeviceSpec, _job) -> tuple:
+    """Measure the runs of `run` (WavReader, segment) pairs this process
+    draws from the ticket pipe, until it is empty or a segment fails.
+    Returns the (index, measurement) pairs and the failure as (index,
+    exception) or None; after a failure no further ticket is drawn. The
+    forked workers share the readers: a window is a positioned read."""
+    measured = []
+    while ticket := os.read(tickets, _TICKET_BYTES):
+        first = int.from_bytes(ticket, "little")
+        for i in range(first, min(first + run, len(segments))):
+            recording, segment = segments[i]
+            try:
+                measured.append((i, estimate_tdoa(recording, segment, device=device)))
+            except (PhonotdoaError, OSError) as exc:  # the errors main reports
+                return measured, (i, exc)
+    return measured, None
 
 
 def cmd_enroll(args) -> int:
     device = _device_from_args(args)
     pose = REFERENCE_POSE.with_spacing(device.mic_spacing_m)
     mode = ProfileMode(args.mode)
-    trials = [_open_trial(spec) for spec in args.trial]
-    # refuse a trial set no profile can be built from before measuring it
-    check_trials(mode, [(rate, [s.label for s in segments]) for _, rate, segments in trials])
-    n_segments = sum(len(segments) for _, _, segments in trials)
-    workers = max(1, min(usable_cpus(), n_segments // SEGMENTS_PER_WORKER))
-    # one job per share: job k is the k-th contiguous part of every trial
-    jobs = [
-        [(path, segments[k * len(segments) // workers : (k + 1) * len(segments) // workers])
-         for path, _, segments in trials]
-        for k in range(workers)
-    ]
-    shares = fork_map(functools.partial(_measure_shares, device), jobs, workers)
+    with contextlib.ExitStack() as files:
+        trials = [_open_trial(spec, files) for spec in args.trial]
+        # refuse a trial set no profile can be built from before measuring it
+        check_trials(mode, [(r.sample_rate, [s.label for s in trial]) for r, trial in trials])
+        segments = [(recording, segment) for recording, trial in trials for segment in trial]
+        workers = max(1, min(usable_cpus(), len(segments) // SEGMENTS_PER_WORKER))
+        run = max(1, -(-len(segments) // MAX_TICKETS))
+        tickets, write_end = os.pipe()
+        files.callback(os.close, tickets)
+        try:
+            # at most PIPE_BUF bytes: one write that neither blocks nor splits
+            os.write(write_end, b"".join(
+                k.to_bytes(_TICKET_BYTES, "little") for k in range(0, len(segments), run)
+            ))
+        finally:
+            # closed before the fork, so a drained pipe reads as its end
+            os.close(write_end)
+        shares = fork_map(
+            functools.partial(_draw_tickets, tickets, run, segments, device),
+            list(range(workers)), workers,
+        )
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        # the failure a single process would have stopped at
+        raise min(failures, key=lambda failure: failure[0])[1]
+    # every index was drawn once: sorting the pairs puts them in segment order
+    ordered = iter([m for _, m in sorted(pair for measured, _ in shares for pair in measured)])
     dynamics = [
-        TdoaDynamic(sum(parts, ()), rate, device)
-        for parts, (_, rate, _) in zip(zip(*shares), trials)
+        TdoaDynamic(tuple(itertools.islice(ordered, len(trial))), r.sample_rate, device)
+        for r, trial in trials
     ]
     profile = enroll_from_dynamics(args.user, mode, dynamics, pose, args.passphrase_id)
     save_profile(profile, args.out)

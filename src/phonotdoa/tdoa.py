@@ -21,12 +21,13 @@ decoding those frames from the file, so measuring a file holds one
 segment's samples at a time.
 
 fork_map is the package's one process pool: run_experiment maps its
-renders over it, and `enroll` one share of its trials' segments per
-process. Workers are bare forks that take job indices from one pipe and
-send pickled results back through another, so the parent loads neither
-multiprocessing nor concurrent.futures. With one job per process, as
-`enroll` has, the caller computes the first job itself instead of
-waiting on a worker of its own.
+renders over it, and `enroll` one job per process, in which each process
+draws its trials' segments from one shared ticket pipe. Workers are bare
+forks that take job indices from one pipe and send pickled results back
+through another, so the parent loads neither multiprocessing nor
+concurrent.futures. With one job per process, as `enroll` has, the
+caller computes the first job itself instead of waiting on a worker of
+its own.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import phonotdoa
-from phonotdoa import cli, geometry, tdoa
+from phonotdoa import cli, geometry
 from phonotdoa.audio_io import StereoRecording, WavReader, load_wav, write_wav
 from phonotdoa.cli import build_parser, main
 from phonotdoa.config import DEFAULT_THRESHOLD
@@ -615,7 +615,7 @@ def _count_forks(monkeypatch, cpus, segments_per_worker=1):
 
 def _count_shares(monkeypatch):
     """Return a list that gains, per fork_map call of enroll, the number
-    of shares it splits the segments into."""
+    of processes that share its segments (one job each)."""
     shares = []
     real_fork_map = cli.fork_map
 
@@ -656,12 +656,14 @@ def ti_trials(tmp_path_factory, source_model):
 
 @pytest.mark.parametrize("mode", ["text_dependent", "text_independent"])
 def test_enroll_independent_of_worker_count(pipeline, ti_trials, tmp_path, mode, monkeypatch):
-    # enroll measures one share of its segments per CPU here: the first
-    # in this process, the others in forked workers
+    # enroll measures in one process per CPU here: this one and forked
+    # workers, each drawing segments from one ticket pipe
     trials = _td_trials(pipeline) if mode == "text_dependent" else ti_trials
     profile = tmp_path / "p.json"
     outputs = []
-    for cpus in (1, 2):
+    # at 5 processes the tickets are contended: a ticket lost or drawn
+    # twice changes the profile
+    for cpus in (1, 2, 5):
         forks = _count_forks(monkeypatch, cpus)
         shares = _count_shares(monkeypatch)
         code, out = run_cli(
@@ -671,17 +673,17 @@ def test_enroll_independent_of_worker_count(pipeline, ti_trials, tmp_path, mode,
         assert (shares, len(forks)) == ([cpus], cpus - 1)
         outputs.append((code, out, profile.read_bytes()))
     assert outputs[0][0] == 0
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize(
     "mode, cpus, shares",
-    [("text_dependent", 2, 1), ("text_independent", 2, 2), ("text_independent", 64, 10)],
+    [("text_dependent", 2, 2), ("text_independent", 2, 2), ("text_independent", 64, 13)],
 )
 def test_enroll_worker_count_follows_segment_count(pipeline, ti_trials, tmp_path, mode, cpus, shares,
                                                monkeypatch):
-    # 3 trials of 8 segments are measured in this process; 3 of 44 (132
-    # segments) in min(CPUs, 132 // 13) shares, all but the first forked
+    # 3 trials of 8 segments (24) and of 44 (132) are measured in
+    # min(CPUs, segments // 10) processes, all but this one forked
     trials = _td_trials(pipeline) if mode == "text_dependent" else ti_trials
     forks = _count_forks(monkeypatch, cpus, segments_per_worker=cli.SEGMENTS_PER_WORKER)
     counted = _count_shares(monkeypatch)
@@ -773,7 +775,7 @@ def test_enroll_refuses_a_bad_trial_set_before_measuring(pipeline, ti_trials, tm
         }[case]
     forks = _count_forks(monkeypatch, cpus=2)
     estimates = []
-    monkeypatch.setattr(tdoa, "estimate_tdoa", lambda *a, **k: estimates.append(1))
+    monkeypatch.setattr(cli, "estimate_tdoa", lambda *a, **k: estimates.append(1))
     code, out = run_cli(
         "enroll", "--out", tmp_path / "p.json", "--user", "u", "--mode", mode,
         *_trial_flags(*trials),
@@ -786,9 +788,8 @@ def test_enroll_refuses_a_bad_trial_set_before_measuring(pipeline, ti_trials, tm
 
 
 def test_enroll_worker_error_surfaces_with_its_class(pipeline, tmp_path, monkeypatch, capsys):
-    # the last segment of the last trial is silent: the forked worker of
-    # the second share measures it, and its error reaches stderr as the
-    # serial one would
+    # the last segment of the last trial is silent: whichever process
+    # draws it, its error reaches stderr as the serial one would
     t1, t2, t3 = _td_trials(pipeline)
     wav, alignment = t3.rsplit(":", 1)
     rec = load_wav(wav)
@@ -811,8 +812,97 @@ def test_enroll_worker_error_surfaces_with_its_class(pipeline, tmp_path, monkeyp
     assert not (tmp_path / "p.json").exists()
 
 
+def _failing_trials(pipeline, tmp_path):
+    """The three text-dependent trials with two segments that fail in
+    different ways: trial 1's sixth segment cut to 100 samples, and
+    trial 3's second segment silent."""
+    t1, t2, t3 = _td_trials(pipeline)
+    wav1, alignment1 = t1.rsplit(":", 1)
+    doc = json.loads(Path(alignment1).read_text())
+    short = sorted(doc["segments"], key=lambda s: s["start"])[5]
+    short["end"] = short["start"] + 100
+    (tmp_path / "short.json").write_text(json.dumps(doc))
+    wav3, alignment3 = t3.rsplit(":", 1)
+    rec = load_wav(wav3)
+    silent = sorted(json.loads(Path(alignment3).read_text())["segments"], key=lambda s: s["start"])[1]
+    top, bottom = rec.top.copy(), rec.bottom.copy()
+    top[silent["start"]:silent["end"]] = bottom[silent["start"]:silent["end"]] = 0.0
+    write_wav(StereoRecording(rec.sample_rate, top, bottom), tmp_path / "s.wav", bit_depth=24)
+    return [f"{wav1}:{tmp_path / 'short.json'}", t2, f"{tmp_path / 's.wav'}:{alignment3}"]
+
+
+def test_enroll_reports_the_same_error_at_any_worker_count(pipeline, tmp_path, monkeypatch,
+                                                           capsys):
+    # the lowest-indexed failing segment is the one a single process
+    # stops at, whichever process drew the other one
+    trials = _failing_trials(pipeline, tmp_path)
+    estimates = []
+    estimate = cli.estimate_tdoa
+
+    def counted(*args, **kwargs):
+        estimates.append(1)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_tdoa", counted)
+    for cpus in (1, 2):
+        forks = _count_forks(monkeypatch, cpus)
+        code, out = run_cli(
+            "enroll", "--out", tmp_path / "p.json", "--user", "u", *_trial_flags(*trials),
+        )
+        assert (code, out, len(forks)) == (2, "", cpus - 1)
+        if cpus == 1:
+            # one process draws no ticket after the sixth segment fails
+            assert len(estimates) == 6
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DegenerateSignalError",
+            "message": "segment length 100 < 186 samples needed for max_lag 93",
+        }
+        _assert_no_worker_left()
+        assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("max_tickets, run", [(1, 24), (5, 5), (23, 2)])
+def test_enroll_ticket_runs_keep_the_profile(pipeline, tmp_path, max_tickets, run, monkeypatch):
+    # above MAX_TICKETS segments a ticket names a run of consecutive
+    # segments; the profile is the one a single process enrolls
+    trials = _td_trials(pipeline)
+    runs = []
+    draw = cli._draw_tickets
+
+    def counted(tickets, run, *args):
+        runs.append(run)
+        return draw(tickets, run, *args)
+
+    monkeypatch.setattr(cli, "_draw_tickets", counted)
+    profiles = []
+    for cpus, cap in ((1, cli.MAX_TICKETS), (2, max_tickets)):
+        forks = _count_forks(monkeypatch, cpus)
+        monkeypatch.setattr(cli, "MAX_TICKETS", cap)
+        profile = tmp_path / f"p{cpus}.json"
+        code, _ = run_cli("enroll", "--out", profile, "--user", "u", *_trial_flags(*trials))
+        assert (code, len(forks)) == (0, cpus - 1)
+        _assert_no_worker_left()
+        profiles.append(profile.read_bytes())
+    # one run per process that drew in this one: the forked worker's is
+    # recorded in its own copy of the list
+    assert runs == [1, run]
+    assert profiles[0] == profiles[1]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_enroll_leaves_no_descriptor_or_worker(pipeline, tmp_path, fails, monkeypatch):
+    trials = _failing_trials(pipeline, tmp_path) if fails else _td_trials(pipeline)
+    forks = _count_forks(monkeypatch, cpus=2)
+    before = sorted(os.listdir("/proc/self/fd"))
+    code, _ = run_cli("enroll", "--out", tmp_path / "p.json", "--user", "u", *_trial_flags(*trials))
+    assert (code, len(forks)) == (2 if fails else 0, 1)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    _assert_no_worker_left()
+
+
 def test_enroll_warns_about_an_unusual_rate_once_per_trial(tmp_path, monkeypatch):
-    # every share reopens the files it measures; only _open_trial warns
+    # _open_trial warns as it opens each file; every process measures
+    # through those readers without reopening a file
     trials = []
     for seed in (1, 2, 3):
         out = tmp_path / f"t{seed}"

@@ -13,6 +13,7 @@ arithmetic is reordered).
 """
 
 import math
+import struct
 import tracemalloc
 import wave
 
@@ -23,7 +24,7 @@ from scipy.fft import next_fast_len
 from phonotdoa.audio_io import (
     _BLOCK_FRAMES,
     StereoRecording,
-    _decode_pcm,
+    WavReader,
     load_wav,
     write_wav,
 )
@@ -97,6 +98,13 @@ def _decode_24_reference(raw):
     return np.where(val & 0x800000, val - 0x1000000, val)
 
 
+def _decode_reference(raw, sampwidth):
+    """Interleaved PCM words of a data chunk, one sample at a time."""
+    if sampwidth == 3:
+        return _decode_24_reference(raw)
+    return np.frombuffer(raw, dtype="<i2" if sampwidth == 2 else "<i4")
+
+
 def _encode_reference(recording, bits):
     """write_wav's data chunk as one whole-file encode: interleave,
     round, clip, int64, and 24-bit triplets from np.where byte planes."""
@@ -142,6 +150,18 @@ def _write_pcm(path, raw, sampwidth):
         w.setsampwidth(sampwidth)
         w.setframerate(48000)
         w.writeframes(raw)
+
+
+def _write_pcm_after_list_chunk(path, raw, sampwidth):
+    """A WAV whose data chunk follows an odd-sized LIST chunk and its pad byte."""
+    fmt = struct.pack("<HHIIHH", 1, 2, 48000, 48000 * 2 * sampwidth, 2 * sampwidth, 8 * sampwidth)
+    info = b"INFOISFT" + struct.pack("<I", 9) + b"phonotdoa"
+    chunks = (
+        b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        + b"LIST" + struct.pack("<I", len(info)) + info + b"\0"
+        + b"data" + struct.pack("<I", len(raw)) + raw
+    )
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
 
 
 def _harmonic_excitation_reference(rng, n, sample_rate, f0):
@@ -233,20 +253,22 @@ def test_load_wav_equals_interleaved_divide(tmp_path, bits):
     got = load_wav(tmp_path / "r.wav")
     with wave.open(str(tmp_path / "r.wav"), "rb") as w:
         raw = w.readframes(w.getnframes())
-    interleaved = _decode_pcm(raw, bits // 8).reshape(-1, 2) / 2 ** (bits - 1)
+    interleaved = _decode_reference(raw, bits // 8).reshape(-1, 2) / 2 ** (bits - 1)
     for row, want in ((got.top, interleaved[:, 0]), (got.bottom, interleaved[:, 1])):
         assert row.flags.c_contiguous
         assert row.tobytes() == want.tobytes()
 
 
-def test_decode_24bit_is_bit_identical_to_triplets():
+def test_decode_24bit_is_bit_identical_to_triplets(tmp_path):
     rng = np.random.default_rng(24)
     boundary = bytes.fromhex("000000" "ffff7f" "000080" "ffffff")
-    for raw in (boundary, boundary + rng.bytes(3 * 10_001), rng.bytes(3 * 4096) + boundary):
-        got = _decode_pcm(raw, 3)
-        want = _decode_24_reference(raw)
+    for raw in (boundary, boundary + rng.bytes(3 * 10_002), rng.bytes(3 * 4096) + boundary):
+        _write_pcm(tmp_path / "r.wav", raw, 3)
+        with WavReader(tmp_path / "r.wav") as reader:
+            got = reader.window(0, reader.n_samples) * 2.0**23
+        want = _decode_24_reference(raw).reshape(-1, 2).T
         assert np.array_equal(got, want)
-    assert _decode_pcm(boundary, 3).tolist() == [0, 0x7FFFFF, -0x800000, -1]
+    assert got[:, -2:].tolist() == [[0, -0x800000], [0x7FFFFF, -1]]
 
 
 @pytest.mark.parametrize("bits", [16, 24, 32])
@@ -259,10 +281,34 @@ def test_load_wav_blocks_equal_whole_file_decode(tmp_path, bits, n_frames):
     raw = np.random.default_rng(n_frames + bits).bytes(n_frames * bits // 4)
     _write_pcm(tmp_path / "r.wav", raw, bits // 8)
     got = load_wav(tmp_path / "r.wav")
-    want = _decode_pcm(raw, bits // 8).reshape(-1, 2).T * 2.0 ** (1 - bits)
+    want = _decode_reference(raw, bits // 8).reshape(-1, 2).T * 2.0 ** (1 - bits)
     assert got.n_samples == n_frames
     assert got.top.tobytes() == want[0].tobytes()
     assert got.bottom.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32])
+@pytest.mark.parametrize("write", [_write_pcm, _write_pcm_after_list_chunk])
+def test_reader_window_equals_readframes_decode(tmp_path, bits, write):
+    # odd starts, windows inside one block, across one or two block
+    # boundaries, and the last frames, from the positioned reads at the
+    # data chunk's offset, whatever chunk comes before it
+    n_frames = 2 * _BLOCK_FRAMES + 101
+    raw = np.random.default_rng(bits).bytes(n_frames * bits // 4)
+    write(tmp_path / "r.wav", raw, bits // 8)
+    windows = [
+        (1, 2), (3, 4_097), (_BLOCK_FRAMES - 3, _BLOCK_FRAMES + 4), (1, _BLOCK_FRAMES + 2),
+        (7, 2 * _BLOCK_FRAMES + 9), (_BLOCK_FRAMES + 1, n_frames), (n_frames - 5, n_frames),
+        (9, 9),
+    ]
+    with WavReader(tmp_path / "r.wav") as reader, wave.open(str(tmp_path / "r.wav")) as w:
+        assert reader.n_samples == n_frames
+        for start, end in windows:
+            w.setpos(start)
+            want = _decode_reference(w.readframes(end - start), bits // 8)
+            got = reader.window(start, end)
+            assert got.shape == (2, end - start)
+            assert got.tobytes() == (want.reshape(-1, 2).T * 2.0 ** (1 - bits)).tobytes()
 
 
 @pytest.mark.parametrize("bits", [16, 24, 32])
