@@ -16,14 +16,13 @@ UserProfile.score, the path run_experiment scores through too.
 
 `enroll` opens every trial's WAV file, checks its header and alignment,
 and checks that the trials can make a profile, in this process. It then
-writes a ticket per segment to one pipe and measures in one process per
-CPU, but at most one per SEGMENTS_PER_WORKER segments (tdoa.fork_map):
-this process and each forked worker draw the next ticket as they finish
-one, read its segment through the readers opened here, hold one
-segment's samples at a time and stop at their first failing segment.
-The profile, or the error of the lowest-indexed failing segment, is the
-same at any worker count. `verify` and `tdoa` measure their few
-segments in this process.
+measures the segments in tdoa.fork_map's pool, in one process per CPU
+but at most one per SEGMENTS_PER_WORKER segments, this one included.
+Each process reads its segments through the readers opened here (a
+window is a positioned read, which moves no shared file offset) and
+holds one segment's samples at a time. The profile, or the error of the
+lowest-indexed failing segment, is the same at any worker count.
+`verify` and `tdoa` measure their few segments in this process.
 
 No file format is parsed here. Scene files load in
 simulator.load_scene, experiment configs in ExperimentConfig.from_dict,
@@ -40,8 +39,6 @@ import itertools
 import json
 import logging
 import math
-import os
-import select
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -141,31 +138,6 @@ def _open_trial(spec: str, files: contextlib.ExitStack) -> tuple:
 # of 6), lose at 15 and win at 21 and 24
 SEGMENTS_PER_WORKER = 10
 
-# A ticket is a 4-byte segment index. All tickets are written to one pipe
-# before any worker forks, and they fit in select.PIPE_BUF bytes, which a
-# pipe holds even when its capacity has dropped to one page. Above
-# MAX_TICKETS segments a ticket names a run of consecutive segments.
-_TICKET_BYTES = 4
-MAX_TICKETS = select.PIPE_BUF // _TICKET_BYTES
-
-
-def _draw_tickets(tickets: int, run: int, segments: list, device: DeviceSpec, _job) -> tuple:
-    """Measure the runs of `run` (WavReader, segment) pairs this process
-    draws from the ticket pipe, until it is empty or a segment fails.
-    Returns the (index, measurement) pairs and the failure as (index,
-    exception) or None; after a failure no further ticket is drawn. The
-    forked workers share the readers: a window is a positioned read."""
-    measured = []
-    while ticket := os.read(tickets, _TICKET_BYTES):
-        first = int.from_bytes(ticket, "little")
-        for i in range(first, min(first + run, len(segments))):
-            recording, segment = segments[i]
-            try:
-                measured.append((i, estimate_tdoa(recording, segment, device=device)))
-            except (PhonotdoaError, OSError) as exc:  # the errors main reports
-                return measured, (i, exc)
-    return measured, None
-
 
 def cmd_enroll(args) -> int:
     device = _device_from_args(args)
@@ -177,29 +149,10 @@ def cmd_enroll(args) -> int:
         check_trials(mode, [(r.sample_rate, [s.label for s in trial]) for r, trial in trials])
         segments = [(recording, segment) for recording, trial in trials for segment in trial]
         workers = max(1, min(usable_cpus(), len(segments) // SEGMENTS_PER_WORKER))
-        run = max(1, -(-len(segments) // MAX_TICKETS))
-        tickets, write_end = os.pipe()
-        files.callback(os.close, tickets)
-        try:
-            # at most PIPE_BUF bytes: one write that neither blocks nor splits
-            os.write(write_end, b"".join(
-                k.to_bytes(_TICKET_BYTES, "little") for k in range(0, len(segments), run)
-            ))
-        finally:
-            # closed before the fork, so a drained pipe reads as its end
-            os.close(write_end)
-        shares = fork_map(
-            functools.partial(_draw_tickets, tickets, run, segments, device),
-            list(range(workers)), workers,
-        )
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        # the failure a single process would have stopped at
-        raise min(failures, key=lambda failure: failure[0])[1]
-    # every index was drawn once: sorting the pairs puts them in segment order
-    ordered = iter([m for _, m in sorted(pair for measured, _ in shares for pair in measured)])
+        measured = iter(fork_map(lambda job: estimate_tdoa(*job, device=device), segments,
+                                 workers, here=True))
     dynamics = [
-        TdoaDynamic(tuple(itertools.islice(ordered, len(trial))), r.sample_rate, device)
+        TdoaDynamic(tuple(itertools.islice(measured, len(trial))), r.sample_rate, device)
         for r, trial in trials
     ]
     profile = enroll_from_dynamics(args.user, mode, dynamics, pose, args.passphrase_id)

@@ -397,9 +397,10 @@ def run_experiment(config: ExperimentConfig, workers=None) -> dict:
     the file outputs). Reproducible: a config with the same seed gives
     the identical report, whatever the number of workers.
 
-    The renders run in `workers` processes (default: every CPU this
-    process may run on, at most one per render); with 1 they run in
-    this process.
+    The renders run in `workers` forked processes of tdoa.fork_map's
+    pool (default: every CPU this process may run on, at most one per
+    render) while this process waits; with 1, in this process. A failing
+    render raises the lowest-indexed one's error at any worker count.
     """
     config.validate()
     _require(

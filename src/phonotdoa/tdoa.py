@@ -20,14 +20,13 @@ answers with views of its rows and an open audio_io.WavReader by
 decoding those frames from the file, so measuring a file holds one
 segment's samples at a time.
 
-fork_map is the package's one process pool: run_experiment maps its
-renders over it, and `enroll` one job per process, in which each process
-draws its trials' segments from one shared ticket pipe. Workers are bare
-forks that take job indices from one pipe and send pickled results back
-through another, so the parent loads neither multiprocessing nor
-concurrent.futures. With one job per process, as `enroll` has, the
-caller computes the first job itself instead of waiting on a worker of
-its own.
+fork_map is the package's one process pool, used by run_experiment for
+its renders and by `enroll` for its segments. Every job index goes to
+one ticket pipe before any worker forks; each process draws the next
+ticket as it finishes a job and sends all its results back as one
+pickle. Workers are bare forks, so the parent loads neither
+multiprocessing nor concurrent.futures. `enroll` computes in this
+process too (`here`); run_experiment leaves it idle.
 """
 
 from __future__ import annotations
@@ -232,8 +231,8 @@ def gcc_phat(a, b, max_lag: int) -> np.ndarray:
         )
         # the variance check covers the whole window: the rows plus the
         # samples past the last full sub-window. einsum, not np.dot: a
-        # BLAS dot starts threads that made fork_map's workers (corpus
-        # renders, enroll segments) 5x slower
+        # BLAS dot starts threads, which made every process of
+        # fork_map's pool (corpus renders, enroll segments) 5x slower
         tail = x[n_seg * seg :] - mean
         _check_variance(
             x, np.einsum("ij,ij->", filled, filled) + np.einsum("i,i->", tail, tail)
@@ -332,102 +331,109 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def fork_map(fn, jobs: list, workers=None) -> list:
+# A ticket is a 4-byte job index. All tickets go to one pipe in one write
+# before any worker forks. They fit in select.PIPE_BUF bytes, which a pipe
+# holds even at a one-page capacity, so that write neither blocks nor
+# splits, concurrent 4-byte reads never split a ticket, and one read
+# drains the pipe. Above MAX_TICKETS jobs a ticket names a run of jobs.
+_TICKET_BYTES = 4
+MAX_TICKETS = select.PIPE_BUF // _TICKET_BYTES
+
+
+def fork_map(fn, jobs: list, workers=None, here=False) -> list:
     """[fn(job) for job in jobs], in order, computed in `workers` processes
-    (default: usable_cpus(), at most one per job); with one worker, in
-    this process. With more jobs than workers, each of `workers` forked
-    processes takes the next job when it finishes one. With one job per
-    worker, job 0 is computed in this process and each other job in a
-    forked process of its own. A job's exception is raised here with its
-    own class."""
+    (default: usable_cpus(), at most one per job); with one, in this
+    process. Otherwise all are forked workers, or all but this one when
+    `here` is set, and each draws the next job's ticket as it finishes
+    one. A process stops at its first failing job and drains the pipe.
+    The lowest-indexed failure, the one a single process meets first, is
+    raised here with its own class."""
     if workers is None:
         workers = usable_cpus()
     workers = min(workers, len(jobs))
     if workers <= 1:
         return list(map(fn, jobs))
-    # with nothing left to hand out, this process would only wait
-    own = int(workers == len(jobs))
+    run = -(-len(jobs) // MAX_TICKETS)
     # a fork copies unflushed output; flush it once, here
     sys.stdout.flush()
     sys.stderr.flush()
-    results = [None] * len(jobs)
-    queue = iter(range(own, len(jobs)))
-    children = {}  # result pipe -> (pid, job pipe's write end)
+    tickets, write_end = os.pipe()
+    children = []  # (pid, result pipe)
     try:
-        for _ in range(workers - own):
-            job_read, job_write = os.pipe()
+        # closed before any fork, so a drained pipe reads as its end
+        with open(write_end, "wb", buffering=0) as pipe:
+            pipe.write(b"".join(
+                k.to_bytes(_TICKET_BYTES, "little") for k in range(0, len(jobs), run)
+            ))
+        for _ in range(workers - 1 if here else workers):
             result_read, result_write = os.pipe()
             # fork: a worker starts from this process's imported modules in
             # milliseconds, where a fresh interpreter takes about a second
             try:
                 pid = os.fork()
             except OSError:
-                for fd in (job_read, job_write, result_read, result_write):
-                    os.close(fd)
+                os.close(result_read)
+                os.close(result_write)
                 raise
             if pid == 0:
-                for pipe, (_, write_end) in children.items():
+                for _, pipe in children:
                     pipe.close()
-                    os.close(write_end)
-                os.close(job_write)
                 os.close(result_read)
-                _run_worker(fn, jobs, job_read, result_write)
-            os.close(job_read)
+                _run_worker(fn, jobs, tickets, run, result_write)
             os.close(result_write)
-            children[os.fdopen(result_read, "rb")] = (pid, job_write)
-        busy = {pipe for pipe, (_, job_write) in children.items() if _send(job_write, queue)}
-        if own:
-            results[0] = fn(jobs[0])
-        while busy:
-            for pipe in select.select(list(busy), [], [])[0]:
-                pid, job_write = children[pipe]
-                try:
-                    k, ok, value = pickle.load(pipe)
-                except EOFError:
-                    raise ChildProcessError(f"worker process {pid} exited without a result") from None
-                if not ok:
-                    raise value
-                results[k] = value
-                if not _send(job_write, queue):
-                    busy.discard(pipe)
-        return results
+            children.append((pid, os.fdopen(result_read, "rb")))
+        shares = [_draw(fn, jobs, tickets, run)] if here else []
+        for pid, pipe in children:
+            try:
+                shares.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"worker process {pid} exited without a result") from None
     finally:
-        # a closed job pipe tells its worker to exit
-        for pipe, (_, job_write) in children.items():
-            os.close(job_write)
+        # an early exit here stops every worker at its current ticket
+        os.read(tickets, select.PIPE_BUF)
+        os.close(tickets)
+        for pid, pipe in children:
             pipe.close()
-        for pid, _ in children.values():
             os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = dict(pair for done, _ in shares for pair in done)
+    return [results[k] for k in range(len(jobs))]
 
 
-def _send(job_write: int, queue) -> bool:
-    """Hand the next job's index to a worker; False when none is left."""
-    k = next(queue, None)
-    if k is not None:
-        os.write(job_write, k.to_bytes(4, "little"))
-    return k is not None
+def _draw(fn, jobs: list, tickets: int, run: int) -> tuple:
+    """Compute the runs of `run` jobs that this process draws from the
+    ticket pipe, until it is empty or a job fails. Returns the (index,
+    result) pairs and the failure as (index, exception) or None; a
+    failure drains the pipe."""
+    done = []
+    while ticket := os.read(tickets, _TICKET_BYTES):
+        first = int.from_bytes(ticket, "little")
+        for k in range(first, min(first + run, len(jobs))):
+            try:
+                done.append((k, fn(jobs[k])))
+            except Exception as exc:
+                os.read(tickets, select.PIPE_BUF)
+                return done, (k, exc)
+    return done, None
 
 
-def _run_worker(fn, jobs: list, job_read: int, result_write: int) -> None:
-    """In a forked worker: for each job index read from `job_read`, write
-    (index, True, result) or (index, False, exception), pickled, to
-    `result_write`; at the end of the indices, or after an exception,
-    exit without returning to the caller's code."""
+def _run_worker(fn, jobs: list, tickets: int, run: int, result_write: int) -> None:
+    """In a forked worker: draw jobs, write what _draw returns as one
+    pickle to `result_write`, and exit without returning to the caller's
+    code."""
     code = 1
     try:
+        done, failure = _draw(fn, jobs, tickets, run)
+        try:
+            data = pickle.dumps((done, failure))
+        except Exception as exc:
+            # what cannot be pickled fails in its place: at this worker's
+            # failing job, or after every job
+            data = pickle.dumps(([], (failure[0] if failure else len(jobs), exc)))
         with os.fdopen(result_write, "wb") as pipe:
-            while index := os.read(job_read, 4):
-                k = int.from_bytes(index, "little")
-                try:
-                    message = (k, True, fn(jobs[k]))
-                    data = pickle.dumps(message)
-                except Exception as exc:
-                    message = (k, False, exc)
-                    data = pickle.dumps(message)
-                pipe.write(data)
-                pipe.flush()
-                if not message[1]:
-                    break
+            pipe.write(data)
         code = 0
     finally:
         try:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import phonotdoa
-from phonotdoa import cli, geometry
+from phonotdoa import cli, geometry, tdoa
 from phonotdoa.audio_io import StereoRecording, WavReader, load_wav, write_wav
 from phonotdoa.cli import build_parser, main
 from phonotdoa.config import DEFAULT_THRESHOLD
@@ -614,14 +614,14 @@ def _count_forks(monkeypatch, cpus, segments_per_worker=1):
 
 
 def _count_shares(monkeypatch):
-    """Return a list that gains, per fork_map call of enroll, the number
-    of processes that share its segments (one job each)."""
+    """Return a list that gains, per fork_map call of enroll, its
+    `workers` and `here` arguments."""
     shares = []
     real_fork_map = cli.fork_map
 
-    def fork_map(fn, jobs, workers=None):
-        shares.append(len(jobs))
-        return real_fork_map(fn, jobs, workers)
+    def fork_map(fn, jobs, workers=None, here=False):
+        shares.append((workers, here))
+        return real_fork_map(fn, jobs, workers, here)
 
     monkeypatch.setattr(cli, "fork_map", fork_map)
     return shares
@@ -670,18 +670,18 @@ def test_enroll_independent_of_worker_count(pipeline, ti_trials, tmp_path, mode,
             "enroll", "--out", profile, "--user", "u", "--mode", mode, *_trial_flags(*trials),
         )
         _assert_no_worker_left()
-        assert (shares, len(forks)) == ([cpus], cpus - 1)
+        assert (shares, len(forks)) == ([(cpus, True)], cpus - 1)
         outputs.append((code, out, profile.read_bytes()))
     assert outputs[0][0] == 0
     assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize(
-    "mode, cpus, shares",
+    "mode, cpus, processes",
     [("text_dependent", 2, 2), ("text_independent", 2, 2), ("text_independent", 64, 13)],
 )
-def test_enroll_worker_count_follows_segment_count(pipeline, ti_trials, tmp_path, mode, cpus, shares,
-                                               monkeypatch):
+def test_enroll_worker_count_follows_segment_count(pipeline, ti_trials, tmp_path, mode, cpus,
+                                                   processes, monkeypatch):
     # 3 trials of 8 segments (24) and of 44 (132) are measured in
     # min(CPUs, segments // 10) processes, all but this one forked
     trials = _td_trials(pipeline) if mode == "text_dependent" else ti_trials
@@ -691,7 +691,7 @@ def test_enroll_worker_count_follows_segment_count(pipeline, ti_trials, tmp_path
         "enroll", "--out", tmp_path / "p.json", "--user", "u", "--mode", mode,
         *_trial_flags(*trials),
     )
-    assert (code, counted, len(forks)) == (0, [shares], shares - 1)
+    assert (code, counted, len(forks)) == (0, [(processes, True)], processes - 1)
     _assert_no_worker_left()
 
 
@@ -705,7 +705,7 @@ def test_cli_parses_no_file_format():
 
 def test_enroll_loads_no_pool_modules(ti_trials, tmp_path):
     # the workers are bare forks: enroll imports neither multiprocessing
-    # nor concurrent.futures, even when it forks (2 shares, 1 fork here)
+    # nor concurrent.futures, even when it forks (2 processes, 1 fork here)
     argv = ["enroll", "--out", str(tmp_path / "p.json"), "--user", "u",
             "--mode", "text_independent", *_trial_flags(*ti_trials)]
     proc = _run_python("-c", (
@@ -807,7 +807,7 @@ def test_enroll_worker_error_surfaces_with_its_class(pipeline, tmp_path, monkeyp
     assert json.loads(capsys.readouterr().err) == {
         "error": "DegenerateSignalError", "message": "zero-variance correlation window",
     }
-    assert (shares, len(forks)) == ([2], 1)
+    assert (shares, len(forks)) == ([(2, True)], 1)
     _assert_no_worker_left()
     assert not (tmp_path / "p.json").exists()
 
@@ -851,7 +851,7 @@ def test_enroll_reports_the_same_error_at_any_worker_count(pipeline, tmp_path, m
         )
         assert (code, out, len(forks)) == (2, "", cpus - 1)
         if cpus == 1:
-            # one process draws no ticket after the sixth segment fails
+            # one process measures no segment after the sixth fails
             assert len(estimates) == 6
         assert json.loads(capsys.readouterr().err) == {
             "error": "DegenerateSignalError",
@@ -863,29 +863,29 @@ def test_enroll_reports_the_same_error_at_any_worker_count(pipeline, tmp_path, m
 
 @pytest.mark.parametrize("max_tickets, run", [(1, 24), (5, 5), (23, 2)])
 def test_enroll_ticket_runs_keep_the_profile(pipeline, tmp_path, max_tickets, run, monkeypatch):
-    # above MAX_TICKETS segments a ticket names a run of consecutive
+    # above tdoa.MAX_TICKETS jobs a ticket names a run of consecutive
     # segments; the profile is the one a single process enrolls
     trials = _td_trials(pipeline)
     runs = []
-    draw = cli._draw_tickets
+    draw = tdoa._draw
 
-    def counted(tickets, run, *args):
+    def counted(fn, jobs, tickets, run):
         runs.append(run)
-        return draw(tickets, run, *args)
+        return draw(fn, jobs, tickets, run)
 
-    monkeypatch.setattr(cli, "_draw_tickets", counted)
+    monkeypatch.setattr(tdoa, "_draw", counted)
     profiles = []
-    for cpus, cap in ((1, cli.MAX_TICKETS), (2, max_tickets)):
+    for cpus, cap in ((1, tdoa.MAX_TICKETS), (2, max_tickets)):
         forks = _count_forks(monkeypatch, cpus)
-        monkeypatch.setattr(cli, "MAX_TICKETS", cap)
+        monkeypatch.setattr(tdoa, "MAX_TICKETS", cap)
         profile = tmp_path / f"p{cpus}.json"
         code, _ = run_cli("enroll", "--out", profile, "--user", "u", *_trial_flags(*trials))
         assert (code, len(forks)) == (0, cpus - 1)
         _assert_no_worker_left()
         profiles.append(profile.read_bytes())
-    # one run per process that drew in this one: the forked worker's is
-    # recorded in its own copy of the list
-    assert runs == [1, run]
+    # one process measures without tickets; of the two, this one records
+    # its run here and the forked worker in its own copy of the list
+    assert runs == [run]
     assert profiles[0] == profiles[1]
 
 
@@ -923,7 +923,7 @@ def test_enroll_warns_about_an_unusual_rate_once_per_trial(tmp_path, monkeypatch
         warnings.simplefilter("always")
         warnings.showwarning = show
         code, _ = run_cli("enroll", "--out", tmp_path / "p.json", "--user", "u", *_trial_flags(*trials))
-    assert (code, shares, len(forks)) == (0, [2], 1)
+    assert (code, shares, len(forks)) == (0, [(2, True)], 1)
     _assert_no_worker_left()
     line = f"{os.getpid()} {cli.__file__} sample rate 44100 Hz is ac"
     assert shown.read_text().splitlines() == [line] * 3

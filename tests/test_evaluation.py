@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from phonotdoa.evaluation import (
     write_report,
 )
 from phonotdoa.profiles import ProfileMode
+from phonotdoa.simulator import AttackKind
 
 
 def test_empty_set_rejected():
@@ -297,10 +299,10 @@ _TI_WEIGHTED = {
 def test_report_independent_of_worker_count(doc):
     config = ExperimentConfig.from_dict(doc)
     reports = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         reports.append(json.dumps(run_experiment(config, workers=workers), sort_keys=True))
         assert multiprocessing.active_children() == []
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_worker_error_surfaces_with_its_class(monkeypatch):
@@ -312,3 +314,19 @@ def test_worker_error_surfaces_with_its_class(monkeypatch):
     with pytest.raises(DegenerateSignalError, match="no usable delay"):
         run_experiment(ExperimentConfig.from_dict(dict(_SMALL)), workers=2)
     assert multiprocessing.active_children() == []
+
+
+def test_worker_error_is_the_same_at_any_worker_count(monkeypatch):
+    # each passphrase's static playback renders come before its mobile
+    # one; they fail last in time, but the first of them is the failure
+    # a single process meets first
+    def fail(labels, model, pose, scenario, *args, **kwargs):
+        if scenario.kind == AttackKind.STATIC_PLAYBACK:
+            time.sleep(0.2)
+        raise DegenerateSignalError(scenario.kind.value)
+
+    monkeypatch.setattr(evaluation, "synthesize_attack", fail)
+    config = ExperimentConfig.from_dict(dict(_SMALL))
+    for workers in (1, 2, 3):
+        with pytest.raises(DegenerateSignalError, match="^static_playback$"):
+            run_experiment(config, workers=workers)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phonotdoa import tdoa
 from phonotdoa.audio_io import StereoRecording
 from phonotdoa.errors import DegenerateSignalError
 from phonotdoa.segmentation import PhonemeSegment
@@ -260,7 +261,12 @@ def _assert_no_worker_left():
 
 
 def test_fork_map_keeps_job_order():
-    results = fork_map(lambda job: (job, os.getpid()), list(range(7)), workers=3)
+    # each job sleeps, so every worker draws before one can empty the pipe
+    def job(k):
+        time.sleep(0.1)
+        return k, os.getpid()
+
+    results = fork_map(job, list(range(7)), workers=3)
     assert [job for job, _ in results] == list(range(7))
     pids = {pid for _, pid in results}
     assert len(pids) == 3 and os.getpid() not in pids
@@ -279,6 +285,23 @@ def test_fork_map_hands_out_jobs_as_workers_finish():
     _assert_no_worker_left()
 
 
+@pytest.mark.parametrize("here", [False, True])
+def test_fork_map_ticket_runs_under_contention(tmp_path, here):
+    # 3,000 jobs are more than MAX_TICKETS, so a ticket names a run of 3
+    # jobs; 5 processes draw them at once, and each job runs exactly once
+    assert -(-3000 // tdoa.MAX_TICKETS) == 3
+    started = tmp_path / "started"
+
+    def job(k):
+        with open(started, "a") as f:  # O_APPEND: one line per job
+            f.write(f"{k}\n")
+        return k
+
+    assert fork_map(job, list(range(3000)), workers=5, here=here) == list(range(3000))
+    assert sorted(map(int, started.read_text().split())) == list(range(3000))
+    _assert_no_worker_left()
+
+
 def test_fork_map_worker_exiting_without_a_result_is_child_process_error():
     def job(k):
         if k == 1:
@@ -294,34 +317,103 @@ class ShareError(Exception):
     pass
 
 
-def test_fork_map_with_one_job_per_worker_computes_job_0_here():
-    # the caller has no job left to hand out, so it computes the first
-    results = fork_map(lambda job: (job, os.getpid()), [0, 1, 2], workers=3)
+def test_fork_map_here_computes_in_this_process():
+    # this process draws tickets beside its forked workers; each job
+    # sleeps, so every process draws one
+    def job(k):
+        time.sleep(0.2)
+        return k, os.getpid()
+
+    results = fork_map(job, [0, 1, 2], workers=3, here=True)
     assert [job for job, _ in results] == [0, 1, 2]
-    pids = [pid for _, pid in results]
-    assert pids[0] == os.getpid()
-    assert len(set(pids[1:])) == 2 and os.getpid() not in pids[1:]
+    pids = {pid for _, pid in results}
+    assert len(pids) == 3 and os.getpid() in pids
     _assert_no_worker_left()
 
 
 def test_fork_map_error_in_the_callers_job_keeps_its_class():
+    caller = os.getpid()
+
     def job(k):
-        if k == 0:
-            raise ShareError("share 0")
+        if os.getpid() == caller:
+            raise ShareError("here")
         time.sleep(0.2)  # the worker is still busy when the caller fails
         return k
 
-    with pytest.raises(ShareError, match="share 0"):
-        fork_map(job, [0, 1], workers=2)
+    with pytest.raises(ShareError, match="here"):
+        fork_map(job, [0, 1], workers=2, here=True)
     _assert_no_worker_left()
 
 
-def test_fork_map_with_one_job_per_worker_worker_exiting_is_child_process_error():
+def test_fork_map_here_worker_exiting_is_child_process_error():
+    caller = os.getpid()
+
     def job(k):
-        if k == 1:
+        if os.getpid() != caller:
             os._exit(3)
+        time.sleep(0.2)  # the worker draws the other job meanwhile
         return k
 
     with pytest.raises(ChildProcessError, match="exited without a result"):
-        fork_map(job, [0, 1], workers=2)
+        fork_map(job, [0, 1], workers=2, here=True)
+    _assert_no_worker_left()
+
+
+@pytest.mark.parametrize("here", [False, True])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fork_map_raises_the_lowest_indexed_failure(workers, here):
+    # job 4 fails first in time, but job 1 is the failure a single
+    # process meets first, so it is raised at any worker count
+    def job(k):
+        if k == 1:
+            time.sleep(0.2)
+            raise ShareError("1")
+        if k == 4:
+            raise ShareError("4")
+        return k
+
+    with pytest.raises(ShareError, match="^1$"):
+        fork_map(job, list(range(6)), workers=workers, here=here)
+    _assert_no_worker_left()
+
+
+def test_fork_map_starts_no_job_after_a_failure(tmp_path):
+    # a failing job drains the ticket pipe, so the other worker finishes
+    # the job it holds and draws no further one
+    started = tmp_path / "started"
+
+    def job(k):
+        with open(started, "a") as f:  # O_APPEND: one line per job
+            f.write(f"{k}\n")
+        time.sleep(0.005)
+        if k == 2:
+            raise ShareError("2")
+        return k
+
+    with pytest.raises(ShareError, match="^2$"):
+        fork_map(job, list(range(200)), workers=2)
+    assert len(started.read_text().split()) < 20
+    _assert_no_worker_left()
+
+
+@pytest.mark.parametrize("here", [False, True])
+@pytest.mark.parametrize("case", ["returns", "fails", "exits"])
+def test_fork_map_leaves_no_descriptor_or_worker(case, here):
+    caller = os.getpid()
+
+    def job(k):
+        time.sleep(0.01)
+        if case == "fails" and k == 3:
+            raise ShareError("3")
+        if case == "exits" and os.getpid() != caller:
+            os._exit(3)
+        return k
+
+    before = sorted(os.listdir("/proc/self/fd"))
+    if case == "returns":
+        assert fork_map(job, list(range(8)), workers=3, here=here) == list(range(8))
+    else:
+        with pytest.raises(ShareError if case == "fails" else ChildProcessError):
+            fork_map(job, list(range(8)), workers=3, here=here)
+    assert sorted(os.listdir("/proc/self/fd")) == before
     _assert_no_worker_left()
