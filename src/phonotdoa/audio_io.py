@@ -48,6 +48,14 @@ def check_sample_rate(rate) -> None:
         )
 
 
+def _check_recording_rate(rate: int, where: str = "") -> None:
+    """Refuse a recording's rate outside [MIN_SAMPLE_RATE, MAX_SAMPLE_RATE]."""
+    if rate < MIN_SAMPLE_RATE:
+        raise FormatError(f"{where}sample rate {rate} below {MIN_SAMPLE_RATE} Hz minimum")
+    if rate > MAX_SAMPLE_RATE:
+        raise FormatError(f"{where}sample rate {rate} above {MAX_SAMPLE_RATE} Hz maximum")
+
+
 def _warn_unusual_rate(rate: int, stacklevel: int) -> None:
     """Warn about a supported rate outside PREFERRED_RATES; stacklevel
     counts from the caller, as warnings.warn does."""
@@ -83,10 +91,7 @@ class StereoRecording:
             raise FormatError(
                 f"channel lengths differ: top={len(top)} bottom={len(bottom)}"
             )
-        if self.sample_rate < MIN_SAMPLE_RATE:
-            raise FormatError(
-                f"sample rate {self.sample_rate} below {MIN_SAMPLE_RATE} Hz minimum"
-            )
+        _check_recording_rate(self.sample_rate)
         # NaN fails both comparisons, so it is refused like an out-of-range sample
         if len(top) and not all(
             x.min() >= -1.0 - 1e-9 and x.max() <= 1.0 + 1e-9 for x in (top, bottom)
@@ -135,10 +140,10 @@ def _encode_pcm(words: np.ndarray, sampwidth: int) -> np.ndarray:
 class WavReader:
     """An open 2-channel 16/24/32-bit PCM WAV file, decoded on demand.
 
-    Opening checks the header (2 channels, a supported width, a rate of
-    at least MIN_SAMPLE_RATE) and that the payload the header declares
-    is present, reading only its last frame, so a truncated file or a
-    header that declares more frames than the file holds raises
+    Opening checks the header (2 channels, a supported width, a rate in
+    [MIN_SAMPLE_RATE, MAX_SAMPLE_RATE]) and that the payload the header
+    declares is present, reading only its last frame, so a truncated file
+    or a header that declares more frames than the file holds raises
     FormatError before any buffer is sized from the header. A rate
     outside PREFERRED_RATES warns once, here; the warning names the line
     that opens the reader, or with stacklevel=2 the line that called it.
@@ -173,11 +178,7 @@ class WavReader:
                 raise FormatError(
                     f"{path}: unsupported sample width {8 * self._sampwidth} bits"
                 )
-            if self.sample_rate < MIN_SAMPLE_RATE:
-                raise FormatError(
-                    f"{path}: sample rate {self.sample_rate} below "
-                    f"{MIN_SAMPLE_RATE} Hz minimum"
-                )
+            _check_recording_rate(self.sample_rate, f"{path}: ")
             self._frame_bytes = 2 * self._sampwidth
             if self.n_samples:
                 # the declared payload is present when its last frame is

@@ -24,6 +24,9 @@ holds one segment's samples at a time. The profile, or the error of the
 lowest-indexed failing segment, is the same at any worker count.
 `verify` and `tdoa` measure their few segments in this process.
 
+`simulate` loads simulator and sourcemodel, and `evaluate` evaluation,
+when they run; no other command loads these modules.
+
 No file format is parsed here. Scene files load in
 simulator.load_scene, experiment configs in ExperimentConfig.from_dict,
 profiles in profiles.load_profile, alignments in
@@ -47,7 +50,6 @@ from . import __version__
 from .audio_io import WavReader, check_sample_rate, load_wav, read_json, write_json, write_wav
 from .config import load_config
 from .errors import ConfigError, NoSolutionError, PhonotdoaError
-from .evaluation import ExperimentConfig, run_experiment, write_report
 from .geometry import (
     REFERENCE_POSE,
     SPEED_OF_SOUND,
@@ -59,8 +61,6 @@ from .geometry import (
 from .profiles import ProfileMode, check_trials, enroll_from_dynamics, load_profile, save_profile
 from .scoring import ScoringMethod, Verdict, decide
 from .segmentation import load_alignment, save_alignment
-from .simulator import load_scene, synthesize_attack, synthesize_beep_scene, synthesize_live
-from .sourcemodel import load_source_model
 from .tdoa import (
     DeviceSpec, Method, TdoaDynamic, estimate_tdoa, fork_map, measure_dynamic, usable_cpus,
 )
@@ -80,6 +80,9 @@ def _device_from_args(args, spacing: float = REFERENCE_POSE.l) -> DeviceSpec:
 # --- simulate ---
 
 def cmd_simulate(args) -> int:
+    # imported here: only simulate renders, so no other command loads these
+    from .simulator import load_scene, synthesize_attack, synthesize_beep_scene, synthesize_live
+    from .sourcemodel import load_source_model
     scene = load_scene(args.scene, args.seed)
     fs = scene.sample_rate
     out = Path(args.out)
@@ -200,6 +203,8 @@ def cmd_verify(args) -> int:
 # --- evaluate ---
 
 def cmd_evaluate(args) -> int:
+    # imported here: only evaluate runs experiments, so no other command loads it
+    from .evaluation import ExperimentConfig, run_experiment, write_report
     doc = read_json(args.experiment, ConfigError)
     if args.seed is not None and "seed" not in doc:
         doc["seed"] = args.seed

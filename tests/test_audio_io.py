@@ -54,10 +54,14 @@ def test_int16_full_scale_normalization(tmp_path, bits):
     assert rec.bottom[1] == 0.5
 
 
-def test_load_wav_rate_below_minimum_rejected(tmp_path):
-    path = tmp_path / "8k.wav"
-    _write_raw(path, 2, 2, 8000, np.zeros(8, dtype="<i2").tobytes())
-    with pytest.raises(FormatError, match="sample rate 8000 below 44100 Hz minimum"):
+@pytest.mark.parametrize("rate, message", [
+    (8000, "sample rate 8000 below 44100 Hz minimum"),
+    (400_000, "sample rate 400000 above 384000 Hz maximum"),
+], ids=["8000", "400000"])
+def test_load_wav_rate_below_minimum_rejected(tmp_path, rate, message):
+    path = tmp_path / f"{rate}.wav"
+    _write_raw(path, 2, 2, rate, np.zeros(8, dtype="<i2").tobytes())
+    with pytest.raises(FormatError, match=message):
         load_wav(path)
 
 
@@ -205,6 +209,8 @@ def test_recording_invariants():
         StereoRecording(48000, np.zeros(5), np.zeros(6))
     with pytest.raises(FormatError, match="below 44100 Hz minimum"):
         StereoRecording(8000, np.zeros(5), np.zeros(5))
+    with pytest.raises(FormatError, match="above 384000 Hz maximum"):
+        StereoRecording(400_000, np.zeros(5), np.zeros(5))
     with pytest.raises(FormatError, match=r"samples exceed \[-1, 1\]"):
         StereoRecording(48000, np.full(5, 1.5), np.zeros(5))
 

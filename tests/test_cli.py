@@ -259,16 +259,41 @@ def test_pose_nan_angle_exits_2_under_optimize():
 
 
 def test_import_loads_no_scipy():
-    # every CLI call is a fresh process: scipy.signal, needed only for
-    # beep-echo ranging, must not load with the package, and
-    # multiprocessing and concurrent.futures, which it never uses, at all
+    # every CLI call is a fresh process: the package itself loads none of
+    # its modules and no numpy; scipy.signal, needed only for beep-echo
+    # ranging, must not load with the CLI, and multiprocessing and
+    # concurrent.futures, which it never uses, at all
     proc = _run_python("-c", (
-        "import phonotdoa, phonotdoa.cli; import sys; "
+        "import sys; import phonotdoa; "
+        "print(sorted(m for m in sys.modules if m.startswith('phonotdoa.') or "
+        "m.split('.')[0] == 'numpy')); "
+        "import phonotdoa.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
         "('scipy', 'multiprocessing', 'concurrent')))"
     ))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("command", ["verify", "pose", "tdoa"])
+def test_command_loads_no_simulator_or_evaluation(pipeline, command):
+    # simulate and evaluate import the renderer and the experiment runner
+    # when they run; the commands that measure and score never load them
+    _, profile, live_dir, _ = pipeline
+    recording, alignment = str(live_dir / "recording.wav"), str(live_dir / "alignment.json")
+    argv = {
+        "verify": ["verify", recording, alignment, "--profile", str(profile)],
+        "pose": ["pose", "--tdoa", "63", "--angle-deg", "30"],
+        "tdoa": ["tdoa", recording, alignment],
+    }[command]
+    proc = _run_python("-c", (
+        "import sys; import phonotdoa.cli as cli; "
+        f"assert cli.main({argv!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m in "
+        "('phonotdoa.simulator', 'phonotdoa.evaluation', 'phonotdoa.sourcemodel')))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("flag", [
@@ -703,6 +728,32 @@ def test_cli_parses_no_file_format():
     assert readers & set(vars(cli)) == set()
 
 
+def _at_rate(spec, rate, out):
+    """A copy of trial `spec` whose WAV header and alignment declare `rate`."""
+    wav_path, align_path = spec.rsplit(":", 1)
+    out.mkdir()
+    with wave.open(wav_path) as src, wave.open(str(out / "recording.wav"), "wb") as dst:
+        dst.setparams(src.getparams()._replace(framerate=rate))
+        dst.writeframes(src.readframes(src.getnframes()))
+    doc = json.loads(Path(align_path).read_text())
+    (out / "alignment.json").write_text(json.dumps({**doc, "sample_rate": rate}))
+    return f"{out}/recording.wav:{out}/alignment.json"
+
+
+def test_enroll_refuses_a_rate_above_the_maximum(pipeline, tmp_path, capsys):
+    # verify refuses a profile enrolled above MAX_SAMPLE_RATE, so enroll
+    # refuses the trials' headers and writes no profile
+    trials = [_at_rate(spec, 400_000, tmp_path / f"t{i}")
+              for i, spec in enumerate(_td_trials(pipeline))]
+    profile = tmp_path / "p.json"
+    code, out = run_cli("enroll", "--out", profile, "--user", "u", *_trial_flags(*trials))
+    assert (code, out) == (2, "")
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "FormatError"
+    assert "sample rate 400000 above 384000 Hz maximum" in error["message"]
+    assert not profile.exists()
+
+
 def test_enroll_loads_no_pool_modules(ti_trials, tmp_path):
     # the workers are bare forks: enroll imports neither multiprocessing
     # nor concurrent.futures, even when it forks (2 processes, 1 fork here)
@@ -762,7 +813,7 @@ def test_enroll_refuses_a_bad_trial_set_before_measuring(pipeline, ti_trials, tm
         expected = "need at least 3 trials, got 2"
     elif case == "ti_two_trials":
         mode, trials = "text_independent", ti_trials[:2]
-        short = ", ".join(sorted(phonotdoa.INVENTORY.symbols))
+        short = ", ".join(sorted(INVENTORY.symbols))
         expected = f"phonemes with fewer than 3 samples: {short}"
     else:
         other = {"labels_differ": {"labels": LABELS[::-1]}, "rates_differ": {"sample_rate": 96000}}
