@@ -14,16 +14,6 @@ and takes its distance from --distance-m or --beep-echo, never both.
 `verify` loads, measures and ranges here and leaves the rest to
 UserProfile.score, the path run_experiment scores through too.
 
-`enroll` opens every trial's WAV file, checks its header and alignment,
-and checks that the trials can make a profile, in this process. It then
-measures the segments in tdoa.fork_map's pool, in one process per CPU
-but at most one per SEGMENTS_PER_WORKER segments, this one included.
-Each process reads its segments through the readers opened here (a
-window is a positioned read, which moves no shared file offset) and
-holds one segment's samples at a time. The profile, or the error of the
-lowest-indexed failing segment, is the same at any worker count.
-`verify` and `tdoa` measure their few segments in this process.
-
 `simulate` loads simulator and sourcemodel, and `evaluate` evaluation,
 when they run; no other command loads these modules.
 
@@ -38,7 +28,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import logging
 import math
@@ -58,12 +47,10 @@ from .geometry import (
     solve_source_distance,
     transform_tdoa,
 )
-from .profiles import ProfileMode, check_trials, enroll_from_dynamics, load_profile, save_profile
+from .profiles import ProfileMode, enroll, load_profile, save_profile
 from .scoring import ScoringMethod, Verdict, decide
 from .segmentation import load_alignment, save_alignment
-from .tdoa import (
-    DeviceSpec, Method, TdoaDynamic, estimate_tdoa, fork_map, measure_dynamic, usable_cpus,
-)
+from .tdoa import DeviceSpec, Method, measure_dynamic
 
 log = logging.getLogger("phonotdoa")
 
@@ -135,30 +122,11 @@ def _open_trial(spec: str, files: contextlib.ExitStack) -> tuple:
     return recording, load_alignment(align_path, recording)
 
 
-# enroll measures in one process per CPU, but at most one per this many
-# segments: on a 2-vCPU Xeon, this process and one forked worker drawing
-# tickets tie with or lose to this process alone at 18 segments (3 trials
-# of 6), lose at 15 and win at 21 and 24
-SEGMENTS_PER_WORKER = 10
-
-
 def cmd_enroll(args) -> int:
-    device = _device_from_args(args)
-    pose = REFERENCE_POSE.with_spacing(device.mic_spacing_m)
-    mode = ProfileMode(args.mode)
+    pose = REFERENCE_POSE.with_spacing(_device_from_args(args).mic_spacing_m)
     with contextlib.ExitStack() as files:
         trials = [_open_trial(spec, files) for spec in args.trial]
-        # refuse a trial set no profile can be built from before measuring it
-        check_trials(mode, [(r.sample_rate, [s.label for s in trial]) for r, trial in trials])
-        segments = [(recording, segment) for recording, trial in trials for segment in trial]
-        workers = max(1, min(usable_cpus(), len(segments) // SEGMENTS_PER_WORKER))
-        measured = iter(fork_map(lambda job: estimate_tdoa(*job, device=device), segments,
-                                 workers, here=True))
-    dynamics = [
-        TdoaDynamic(tuple(itertools.islice(measured, len(trial))), r.sample_rate, device)
-        for r, trial in trials
-    ]
-    profile = enroll_from_dynamics(args.user, mode, dynamics, pose, args.passphrase_id)
+        profile = enroll(args.user, ProfileMode(args.mode), trials, pose, args.passphrase_id)
     save_profile(profile, args.out)
     _emit(
         {

@@ -30,7 +30,7 @@ from .errors import ConfigError, InvalidPoseError
 from .geometry import REFERENCE_POSE, DevicePose, mic_positions
 from .phonemes import INVENTORY
 from .profiles import MIN_TRIALS, ProfileMode, enroll_from_dynamics
-from .scoring import ScoringMethod
+from .scoring import MIN_SEQUENCE_LENGTH, ScoringMethod
 from .simulator import (
     MAX_PATH_M,
     MIN_REPLACE_DISTANCE_M,
@@ -193,6 +193,9 @@ class ExperimentConfig:
             raise ConfigError("length_bands and band_weights lengths differ")
         a, b = self.phonemes_per_word
         _require(1 <= a <= b, "phonemes_per_word must be [min, max] counts, 1 <= min <= max")
+        n = a * min(lo for (lo, _), w in zip(self.length_bands, self.band_weights) if w > 0)
+        _require(n >= MIN_SEQUENCE_LENGTH,
+                 f"a passphrase may draw {n} phonemes; a score needs {MIN_SEQUENCE_LENGTH}")
         a, b = self.duration_range
         _require(
             0 < a <= b <= MAX_PHONEME_S,
@@ -389,7 +392,7 @@ def _plan(config: ExperimentConfig, model, poses) -> tuple:
     return jobs, passphrases
 
 
-def run_experiment(config: ExperimentConfig, workers=None) -> dict:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Generate a simulated corpus from the packaged source model, enroll,
     score, and aggregate.
 
@@ -397,10 +400,10 @@ def run_experiment(config: ExperimentConfig, workers=None) -> dict:
     the file outputs). Reproducible: a config with the same seed gives
     the identical report, whatever the number of workers.
 
-    The renders run in `workers` forked processes of tdoa.fork_map's
-    pool (default: every CPU this process may run on, at most one per
-    render) while this process waits; with 1, in this process. A failing
-    render raises the lowest-indexed one's error at any worker count.
+    The renders run in forked processes of tdoa.fork_map's pool, one per
+    CPU this process may run on but at most one per render, while this
+    process waits; with one CPU, in this process. A failing render raises
+    the lowest-indexed one's error at any worker count.
     """
     config.validate()
     _require(
@@ -411,7 +414,7 @@ def run_experiment(config: ExperimentConfig, workers=None) -> dict:
     model = load_source_model()
     poses = [(0.0, 0.0)] + [tuple(p) for p in config.pose_changes]
     jobs, passphrases = _plan(config, model, poses)
-    dynamics = fork_map(functools.partial(_measure, config), jobs, workers)
+    dynamics = fork_map(functools.partial(_measure, config), jobs)
 
     rows = []
     for user_id, passphrase_id, band, enroll, pp_rows in passphrases:

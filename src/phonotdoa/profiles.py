@@ -15,6 +15,7 @@ checks them as enrollment checks its trials and rebuilds mean and std.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
@@ -27,8 +28,8 @@ from .audio_io import (
 from .errors import NoSolutionError, SchemaError
 from .geometry import DevicePose, transform_tdoa
 from .phonemes import INVENTORY
-from .scoring import ScoringMethod, SimilarityScore, score_dynamic
-from .tdoa import DeviceSpec, TdoaDynamic, estimate_tdoa, measure_dynamic
+from .scoring import MIN_SEQUENCE_LENGTH, ScoringMethod, SimilarityScore, score_dynamic
+from .tdoa import DeviceSpec, TdoaDynamic, estimate_tdoa, fork_map, usable_cpus
 
 PROFILE_SCHEMA_VERSION = 3
 PROFILE_KEYS = {"version", "user_id", "mode", "sample_rate", "pose", "passphrases", "phonemes"}
@@ -143,6 +144,35 @@ class UserProfile:
         )
 
 
+# enroll measures in one process per CPU, but at most one per this many
+# segments: on a 2-vCPU Xeon, this process and one forked worker drawing
+# tickets tie with or lose to this process alone at 18 segments (3 trials
+# of 6), lose at 15 and win at 21 and 24
+SEGMENTS_PER_WORKER = 10
+
+
+def enroll(user_id: str, mode: ProfileMode, trials, pose: DevicePose,
+           passphrase_id: str = None) -> UserProfile:
+    """The profile of (recording, segments) trials, each recording a
+    StereoRecording or an open WavReader, measured on mic spacing pose.l:
+    the one enrollment path. A set that check_trials refuses is refused
+    before any segment is measured. Then one process per CPU, but at most
+    one per SEGMENTS_PER_WORKER segments, this one included, measures in
+    tdoa.fork_map's pool through the given readers, whose windows are
+    positioned reads; the profile or error is the same at any count."""
+    trials = list(trials)
+    check_trials(mode, [(r.sample_rate, [s.label for s in segments]) for r, segments in trials])
+    device = DeviceSpec(pose.l)
+    jobs = [(recording, segment) for recording, segments in trials for segment in segments]
+    workers = max(1, min(usable_cpus(), len(jobs) // SEGMENTS_PER_WORKER))
+    # estimate_tdoa is looked up per call, so a rebinding of it is seen
+    measured = iter(fork_map(lambda job: estimate_tdoa(*job, device=device), jobs, workers,
+                             here=True))
+    dynamics = [TdoaDynamic(tuple(itertools.islice(measured, len(trial))), r.sample_rate, device)
+                for r, trial in trials]
+    return enroll_from_dynamics(user_id, mode, dynamics, pose, passphrase_id)
+
+
 def enroll_text_dependent(
     user_id: str,
     passphrase_id: str,
@@ -150,14 +180,11 @@ def enroll_text_dependent(
     pose: DevicePose,
     device: DeviceSpec,
 ) -> UserProfile:
-    """Build a passphrase profile from >= 3 (recording, segments) trials."""
-    dynamics = [
-        measure_dynamic(recording, segments, device=device)
-        for recording, segments in trials
-    ]
-    return enroll_from_dynamics(
-        user_id, ProfileMode.TEXT_DEPENDENT, dynamics, pose, passphrase_id
-    )
+    """enroll a passphrase profile from >= 3 (recording, segments) trials
+    measured on `device`, which must be the pose's handset."""
+    if device.mic_spacing_m != pose.l:
+        raise SchemaError(f"trials not all measured on the pose's mic spacing {pose.l} m")
+    return enroll(user_id, ProfileMode.TEXT_DEPENDENT, trials, pose, passphrase_id)
 
 
 def enroll_text_independent(
@@ -166,19 +193,19 @@ def enroll_text_independent(
     pose: DevicePose,
     device: DeviceSpec,
 ) -> UserProfile:
-    """Build per-phoneme templates from samples, which maps phoneme label
-    -> list of (recording, segment) pairs, at least 3 per phoneme, all 44
-    phonemes present."""
-    dynamics = []
+    """enroll samples, label -> (recording, segment) pairs measured on
+    `device`, the pose's handset, each pair one trial in label order."""
+    if device.mic_spacing_m != pose.l:
+        raise SchemaError(f"trials not all measured on the pose's mic spacing {pose.l} m")
+    trials = []
     for label in sorted(samples):
         for recording, segment in samples[label]:
             if segment.label != label:
                 raise SchemaError(
                     f"segment labeled {segment.label!r} filed under {label!r}"
                 )
-            m = estimate_tdoa(recording, segment, device=device)
-            dynamics.append(TdoaDynamic((m,), recording.sample_rate, device))
-    return enroll_from_dynamics(user_id, ProfileMode.TEXT_INDEPENDENT, dynamics, pose)
+            trials.append((recording, [segment]))
+    return enroll(user_id, ProfileMode.TEXT_INDEPENDENT, trials, pose)
 
 
 def check_trials(mode: ProfileMode, trials) -> int:
@@ -188,8 +215,8 @@ def check_trials(mode: ProfileMode, trials) -> int:
     is measured.
 
     Every trial must share the sample rate. Text-dependent: >= 3 trials
-    sharing the exact phoneme label sequence. Text-independent: every
-    inventory phoneme, and no other label, >= 3 times over all trials.
+    sharing one sequence of >= MIN_SEQUENCE_LENGTH labels. Text-independent:
+    every inventory phoneme, and no other label, >= 3 times over all trials.
     """
     trials = [(rate, tuple(labels)) for rate, labels in trials]
     rates = {rate for rate, _ in trials}
@@ -204,19 +231,21 @@ def check_trials(mode: ProfileMode, trials) -> int:
         for _, labels in trials:
             if labels != first:
                 raise SchemaError(f"trial labels {labels} != {first}")
+        if len(first) < MIN_SEQUENCE_LENGTH:
+            raise SchemaError(f"need at least {MIN_SEQUENCE_LENGTH} phonemes, got {len(first)}")
     else:
         counts = Counter(label for _, labels in trials for label in labels)
         missing = sorted(set(INVENTORY.symbols) - set(counts))
         if missing:
             raise SchemaError(f"missing phonemes: {', '.join(missing)}")
+        unknown = sorted(label for label in counts if label not in INVENTORY)
+        if unknown:
+            raise SchemaError(f"unknown phoneme label {unknown[0]!r}")
         short = sorted(label for label, n in counts.items() if n < MIN_TRIALS)
         if short:
             raise SchemaError(
                 f"phonemes with fewer than {MIN_TRIALS} samples: {', '.join(short)}"
             )
-        unknown = sorted(label for label in counts if label not in INVENTORY)
-        if unknown:
-            raise SchemaError(f"unknown phoneme label {unknown[0]!r}")
     return rates.pop() if rates else None
 
 

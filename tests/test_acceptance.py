@@ -240,7 +240,7 @@ def test_c4_playback_eer():
         "anchor: sources that measure near -30 samples at the reference "
         "pose must sit ~9 cm above the oral cluster, and no placement "
         "inside the 0.10 m source region brings the full-inventory range "
-        "at 0.30 m under ~19 samples. The oral-only range does collapse "
+        "at 0.30 m under ~26 samples. The oral-only range does collapse "
         "below 6 samples (see test_simulator.py); the conflict is "
         "documented rather than silently recalibrated."
     ),

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import phonotdoa
-from phonotdoa import cli, geometry, tdoa
+from phonotdoa import cli, geometry, profiles, tdoa
 from phonotdoa.audio_io import StereoRecording, WavReader, load_wav, write_wav
 from phonotdoa.cli import build_parser, main
 from phonotdoa.config import DEFAULT_THRESHOLD
@@ -626,7 +626,7 @@ def _count_forks(monkeypatch, cpus, segments_per_worker=1):
     every `segments_per_worker` segments; return a list that gains one
     entry per fork."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(cli, "SEGMENTS_PER_WORKER", segments_per_worker)
+    monkeypatch.setattr(profiles, "SEGMENTS_PER_WORKER", segments_per_worker)
     forks = []
     real_fork = os.fork
 
@@ -642,13 +642,13 @@ def _count_shares(monkeypatch):
     """Return a list that gains, per fork_map call of enroll, its
     `workers` and `here` arguments."""
     shares = []
-    real_fork_map = cli.fork_map
+    real_fork_map = profiles.fork_map
 
     def fork_map(fn, jobs, workers=None, here=False):
         shares.append((workers, here))
         return real_fork_map(fn, jobs, workers, here)
 
-    monkeypatch.setattr(cli, "fork_map", fork_map)
+    monkeypatch.setattr(profiles, "fork_map", fork_map)
     return shares
 
 
@@ -710,7 +710,7 @@ def test_enroll_worker_count_follows_segment_count(pipeline, ti_trials, tmp_path
     # 3 trials of 8 segments (24) and of 44 (132) are measured in
     # min(CPUs, segments // 10) processes, all but this one forked
     trials = _td_trials(pipeline) if mode == "text_dependent" else ti_trials
-    forks = _count_forks(monkeypatch, cpus, segments_per_worker=cli.SEGMENTS_PER_WORKER)
+    forks = _count_forks(monkeypatch, cpus, segments_per_worker=profiles.SEGMENTS_PER_WORKER)
     counted = _count_shares(monkeypatch)
     code, _ = run_cli(
         "enroll", "--out", tmp_path / "p.json", "--user", "u", "--mode", mode,
@@ -804,13 +804,34 @@ def test_enroll_malformed_trial_fails_before_any_fork(pipeline, tmp_path, case, 
     assert not (tmp_path / "p.json").exists()
 
 
-@pytest.mark.parametrize("case", ["two_trials", "labels_differ", "rates_differ", "ti_two_trials"])
+def _cut_trials(pipeline, tmp_path, n):
+    """The three text-dependent trials, each aligned to its first n
+    segments only."""
+    trials = []
+    for k, trial in enumerate(_td_trials(pipeline)):
+        wav, alignment = trial.rsplit(":", 1)
+        doc = json.loads(Path(alignment).read_text())
+        doc["segments"] = sorted(doc["segments"], key=lambda s: s["start"])[:n]
+        (tmp_path / f"cut{k}.json").write_text(json.dumps(doc))
+        trials.append(f"{wav}:{tmp_path / f'cut{k}.json'}")
+    return trials
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["two_trials", "labels_differ", "rates_differ", "ti_two_trials", "two_phonemes", "no_phonemes"],
+)
 def test_enroll_refuses_a_bad_trial_set_before_measuring(pipeline, ti_trials, tmp_path, case,
                                                          monkeypatch, capsys):
     t1, t2, _ = _td_trials(pipeline)
     mode, trials = "text_dependent", [t1, t2]
     if case == "two_trials":
         expected = "need at least 3 trials, got 2"
+    elif case in ("two_phonemes", "no_phonemes"):
+        # verify refuses a passphrase this short, so enroll writes none
+        n = 2 if case == "two_phonemes" else 0
+        trials = _cut_trials(pipeline, tmp_path, n)
+        expected = f"need at least 3 phonemes, got {n}"
     elif case == "ti_two_trials":
         mode, trials = "text_independent", ti_trials[:2]
         short = ", ".join(sorted(INVENTORY.symbols))
@@ -826,7 +847,7 @@ def test_enroll_refuses_a_bad_trial_set_before_measuring(pipeline, ti_trials, tm
         }[case]
     forks = _count_forks(monkeypatch, cpus=2)
     estimates = []
-    monkeypatch.setattr(cli, "estimate_tdoa", lambda *a, **k: estimates.append(1))
+    monkeypatch.setattr(profiles, "estimate_tdoa", lambda *a, **k: estimates.append(1))
     code, out = run_cli(
         "enroll", "--out", tmp_path / "p.json", "--user", "u", "--mode", mode,
         *_trial_flags(*trials),
@@ -836,6 +857,36 @@ def test_enroll_refuses_a_bad_trial_set_before_measuring(pipeline, ti_trials, tm
     assert (forks, estimates) == ([], [])
     _assert_no_worker_left()
     assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["text_dependent", "text_independent"])
+def test_enroll_wrappers_save_the_cli_profile(pipeline, ti_trials, tmp_path, mode):
+    # the library adapters and the CLI enroll through profiles.enroll
+    specs = _td_trials(pipeline) if mode == "text_dependent" else ti_trials
+    trials = []
+    for spec in specs:
+        wav, alignment = spec.rsplit(":", 1)
+        recording = load_wav(wav)
+        trials.append((recording, load_alignment(alignment, recording)))
+    if mode == "text_dependent":
+        profile = profiles.enroll_text_dependent(
+            "u", "passphrase0", trials, REFERENCE_POSE, DeviceSpec(REFERENCE_POSE.l),
+        )
+    else:
+        samples = {}
+        for recording, segments in trials:
+            for segment in segments:
+                samples.setdefault(segment.label, []).append((recording, segment))
+        profile = profiles.enroll_text_independent(
+            "u", samples, REFERENCE_POSE, DeviceSpec(REFERENCE_POSE.l),
+        )
+    profiles.save_profile(profile, tmp_path / "library.json")
+    code, _ = run_cli(
+        "enroll", "--out", tmp_path / "cli.json", "--user", "u", "--mode", mode,
+        *_trial_flags(*specs),
+    )
+    assert code == 0
+    assert (tmp_path / "library.json").read_bytes() == (tmp_path / "cli.json").read_bytes()
 
 
 def test_enroll_worker_error_surfaces_with_its_class(pipeline, tmp_path, monkeypatch, capsys):
@@ -888,13 +939,13 @@ def test_enroll_reports_the_same_error_at_any_worker_count(pipeline, tmp_path, m
     # stops at, whichever process drew the other one
     trials = _failing_trials(pipeline, tmp_path)
     estimates = []
-    estimate = cli.estimate_tdoa
+    estimate = profiles.estimate_tdoa
 
     def counted(*args, **kwargs):
         estimates.append(1)
         return estimate(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "estimate_tdoa", counted)
+    monkeypatch.setattr(profiles, "estimate_tdoa", counted)
     for cpus in (1, 2):
         forks = _count_forks(monkeypatch, cpus)
         code, out = run_cli(
@@ -1174,8 +1225,9 @@ def test_simulate_beep_scene(tmp_path):
 
 
 def test_verify_with_beep_distance(pipeline, tmp_path):
-    # estimated handset distance equal to the enrollment pose keeps the
-    # templates unchanged, so a live utterance still verifies
+    # checks only that a decision is emitted from a beep-estimated
+    # distance: the 0.10 m beep is not the enrollment pose's x = 0.03, and
+    # the range at that pose is wrong (ROADMAP item 3)
     _, profile, live_dir, _ = pipeline
     scene = tmp_path / "beep.json"
     scene.write_text(json.dumps({"kind": "beep", "face_distance_m": 0.10, "seed": 4}))

@@ -1,6 +1,6 @@
 import json
 import math
-import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -186,6 +186,22 @@ def test_config_refusal_names_the_field(doc, match):
         ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("doc, shortest", [
+    ({"length_bands": [[1, 3]], "band_weights": [1.0]}, 2),
+    ({"phonemes_per_word": [1, 2]}, 2),
+    ({"length_bands": [[2, 2], [1, 1]], "band_weights": [1.0, 0.5], "phonemes_per_word": [1, 1]}, 1),
+], ids=["one_word", "one_phoneme_words", "weighted_short_band"])
+def test_config_refuses_a_passphrase_too_short_to_score(doc, shortest):
+    # such a passphrase once failed in scoring, after the corpus rendered
+    with pytest.raises(ConfigError, match=f"may draw {shortest} phonemes; a score needs 3"):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_config_bound_ignores_a_band_never_drawn():
+    doc = {"length_bands": [[1, 1], [2, 2]], "band_weights": [0.0, 1.0]}
+    assert ExperimentConfig.from_dict(doc).length_bands == ((1, 1), (2, 2))
+
+
 @pytest.mark.parametrize("doc, match", [
     # pose changes DevicePose refuses: the handset through the mouth, and
     # tilted flat
@@ -295,13 +311,25 @@ _TI_WEIGHTED = {
 }
 
 
+def _pin_cpus(monkeypatch, cpus):
+    # run_experiment forks one worker per CPU this process may run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _assert_no_worker_left():
+    # waitpid raises once this process has no child, running or exited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("doc", [_TD_POSES, _TI_WEIGHTED], ids=["td_poses_replace", "ti_weighted"])
-def test_report_independent_of_worker_count(doc):
+def test_report_independent_of_worker_count(doc, monkeypatch):
     config = ExperimentConfig.from_dict(doc)
     reports = []
-    for workers in (1, 2, 3):
-        reports.append(json.dumps(run_experiment(config, workers=workers), sort_keys=True))
-        assert multiprocessing.active_children() == []
+    for cpus in (1, 2, 3):
+        _pin_cpus(monkeypatch, cpus)
+        reports.append(json.dumps(run_experiment(config), sort_keys=True))
+        _assert_no_worker_left()
     assert reports[0] == reports[1] == reports[2]
 
 
@@ -311,9 +339,10 @@ def test_worker_error_surfaces_with_its_class(monkeypatch):
         raise DegenerateSignalError("no usable delay")
 
     monkeypatch.setattr(evaluation, "synthesize_live", fail)
+    _pin_cpus(monkeypatch, 2)
     with pytest.raises(DegenerateSignalError, match="no usable delay"):
-        run_experiment(ExperimentConfig.from_dict(dict(_SMALL)), workers=2)
-    assert multiprocessing.active_children() == []
+        run_experiment(ExperimentConfig.from_dict(dict(_SMALL)))
+    _assert_no_worker_left()
 
 
 def test_worker_error_is_the_same_at_any_worker_count(monkeypatch):
@@ -327,6 +356,7 @@ def test_worker_error_is_the_same_at_any_worker_count(monkeypatch):
 
     monkeypatch.setattr(evaluation, "synthesize_attack", fail)
     config = ExperimentConfig.from_dict(dict(_SMALL))
-    for workers in (1, 2, 3):
+    for cpus in (1, 2, 3):
+        _pin_cpus(monkeypatch, cpus)
         with pytest.raises(DegenerateSignalError, match="^static_playback$"):
-            run_experiment(config, workers=workers)
+            run_experiment(config)

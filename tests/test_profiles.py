@@ -1,10 +1,13 @@
+import functools
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phonotdoa import profiles, tdoa
 from phonotdoa.errors import InvalidPoseError, SchemaError
 from phonotdoa.geometry import REFERENCE_POSE
 from phonotdoa.phonemes import INVENTORY
@@ -12,6 +15,7 @@ from phonotdoa.profiles import (
     PhonemeTemplate,
     ProfileMode,
     assemble_template,
+    check_trials,
     enroll_from_dynamics,
     enroll_text_dependent,
     enroll_text_independent,
@@ -91,14 +95,20 @@ def test_label_sequence_mismatch(source_model):
         enroll_text_dependent("u1", "pp0", trials, REFERENCE_POSE, DEVICE)
 
 
-@pytest.fixture(scope="module")
-def ti_profile(source_model):
+def _samples(source_model, seeds):
+    """label -> (recording, segment) pairs of one whole-inventory
+    utterance per seed."""
     samples = {label: [] for label in source_model.labels}
-    order = sorted(source_model.labels)
-    for seed in range(3):
-        utt = synthesize_live(order, source_model, REFERENCE_POSE, seed=600 + seed)
+    for seed in seeds:
+        utt = synthesize_live(sorted(source_model.labels), source_model, REFERENCE_POSE, seed=seed)
         for seg in utt.segments:
             samples[seg.label].append((utt.recording, seg))
+    return samples
+
+
+@pytest.fixture(scope="module")
+def ti_profile(source_model):
+    samples = _samples(source_model, (600, 601, 602))
     return enroll_text_independent("u2", samples, REFERENCE_POSE, DEVICE)
 
 
@@ -108,14 +118,51 @@ def test_text_independent_covers_inventory(ti_profile):
 
 
 def test_text_independent_missing_phoneme(source_model):
-    samples = {label: [] for label in source_model.labels}
-    order = sorted(source_model.labels)
-    utt = synthesize_live(order, source_model, REFERENCE_POSE, seed=11)
-    for seg in utt.segments:
-        samples[seg.label].append((utt.recording, seg))
+    samples = _samples(source_model, (11,))
     del samples["M"]
     with pytest.raises(SchemaError, match="missing phonemes: M$"):
         enroll_text_independent("u2", samples, REFERENCE_POSE, DEVICE)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("td_two_trials", "need at least 3 trials, got 2$"),
+    ("td_two_phonemes", "need at least 3 phonemes, got 2$"),
+    ("ti_missing_phoneme", "missing phonemes: M$"),
+])
+def test_enroll_wrappers_refuse_a_bad_set_before_estimating(source_model, monkeypatch, case,
+                                                             message):
+    # both adapters check the whole trial set before any segment is
+    # measured, whichever module's estimate_tdoa would measure it
+    if case == "ti_missing_phoneme":
+        samples = _samples(source_model, (20, 21, 22))
+        del samples["M"]
+        call = functools.partial(enroll_text_independent, "u2", samples, REFERENCE_POSE, DEVICE)
+    else:
+        n, labels = (2, LABELS) if case == "td_two_trials" else (3, LABELS[:2])
+        trials = _trials(source_model, n=n, labels=labels)
+        call = functools.partial(enroll_text_dependent, "u1", "pp0", trials, REFERENCE_POSE, DEVICE)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    estimates = []
+    real = tdoa.estimate_tdoa
+
+    def counted(*args, **kwargs):
+        estimates.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tdoa, "estimate_tdoa", counted)
+    monkeypatch.setattr(profiles, "estimate_tdoa", counted)
+    with pytest.raises(SchemaError, match=message):
+        call()
+    assert estimates == []
+
+
+@pytest.mark.parametrize("labels", [[], ["AA"], ["AA", "S"]])
+def test_check_trials_refuses_a_passphrase_too_short_to_score(labels):
+    # scoring needs scoring.MIN_SEQUENCE_LENGTH phonemes, so enrolling a
+    # shorter passphrase would write a profile verify always refuses
+    with pytest.raises(SchemaError, match=f"need at least 3 phonemes, got {len(labels)}$"):
+        check_trials(ProfileMode.TEXT_DEPENDENT, [(192000, labels)] * 3)
+    assert check_trials(ProfileMode.TEXT_DEPENDENT, [(192000, labels + ["K"] * 3)] * 3) == 192000
 
 
 def test_text_independent_stability_ordering(ti_profile):
@@ -255,6 +302,10 @@ STORED_SETS = {
     "td_two_trials": (
         "td", lambda d: _td_positions(d, *[2] * len(LABELS)), "need at least 3 trials, got 2",
     ),
+    "td_two_phonemes": (
+        "td", lambda d: d["passphrases"]["pp0"].__delitem__(slice(2, None)),
+        "need at least 3 phonemes, got 2",
+    ),
     "td_unequal_counts": ("td", lambda d: _td_positions(d, 2), r"delay counts \[2, 3\], not one"),
     "td_with_phonemes": (
         "td", lambda d: d.update(phonemes={"AA": {"label": "AA", "delays": [1.0, 2.0, 3.0]}}),
@@ -276,6 +327,10 @@ STORED_SETS = {
         "ti", lambda d: _ti_set(d, "K", delays=[1.0, 2.0]), "fewer than 3 samples: K$",
     ),
     "ti_unknown_label": ("ti", lambda d: _ti_set(d, "XX"), "unknown phoneme label 'XX'"),
+    # an unknown label is named as such, however few its samples
+    "ti_unknown_label_once": (
+        "ti", lambda d: _ti_set(d, "XX", delays=[1.0]), "unknown phoneme label 'XX'",
+    ),
     "ti_misfiled": ("ti", lambda d: _ti_set(d, "AA", label="IY"), "filed under another label"),
 }
 
