@@ -137,7 +137,7 @@ class UserProfile:
         """
         spacing = dynamic.device.mic_spacing_m
         if dynamic.sample_rate != self.sample_rate:
-            dynamic = normalize_dynamic(dynamic, dynamic.device, dynamic.device, self.sample_rate)
+            dynamic = normalize_dynamic(dynamic, self.sample_rate)
         templates = self.templates_at(dynamic.labels, passphrase_id, alpha, delta_x, spacing)
         return score_dynamic(
             dynamic, templates, method, weighted=self.mode == ProfileMode.TEXT_INDEPENDENT,
@@ -305,23 +305,16 @@ def assemble_template(profile: UserProfile, labels) -> list:
     return out
 
 
-def normalize_dynamic(
-    dynamic: TdoaDynamic,
-    from_device: DeviceSpec,
-    to_device: DeviceSpec,
-    to_sample_rate: int = None,
-) -> TdoaDynamic:
-    """Rescale delays onto another device's mic spacing (and optionally
-    another sample rate). Linear in both, hence exactly invertible."""
-    rate = to_sample_rate if to_sample_rate is not None else dynamic.sample_rate
-    factor = (to_device.mic_spacing_m / from_device.mic_spacing_m) * (
-        rate / dynamic.sample_rate
-    )
-    return TdoaDynamic(
-        measurements=tuple(m.scaled(factor) for m in dynamic.measurements),
-        sample_rate=rate,
-        device=to_device,
-    )
+def normalize_dynamic(dynamic: TdoaDynamic, sample_rate: int) -> TdoaDynamic:
+    """The dynamic at another sample rate: every delay, integer and
+    subsample, times sample_rate / dynamic.sample_rate; device, labels,
+    peaks and method are kept. The rescale back undoes it to rounding."""
+    factor = sample_rate / dynamic.sample_rate
+    return replace(dynamic, sample_rate=sample_rate, measurements=tuple(
+        replace(m, delay_samples=m.delay_samples * factor,
+                delay_subsample=m.delay_subsample * factor)
+        for m in dynamic.measurements
+    ))
 
 
 # --- persistence ---
@@ -348,9 +341,11 @@ def _check_stored(mode: ProfileMode, rate: int, passphrases: dict, phonemes: dic
         raise SchemaError(f"a {mode.value} profile must hold {kind} and nothing else")
     for pid, positions in passphrases.items():
         counts = {len(delays) for _, delays in positions}
-        if len(counts) != 1:
+        if len(counts) > 1:
             raise SchemaError(f"passphrase {pid!r} holds delay counts {sorted(counts)}, not one")
-        check_trials(mode, [(rate, [label for label, _ in positions])] * counts.pop())
+        # an empty passphrase counts no trials: check_trials refuses its length
+        trials = max(counts, default=MIN_TRIALS)
+        check_trials(mode, [(rate, [label for label, _ in positions])] * trials)
     if any(key != label for key, (label, _) in phonemes.items()):
         raise SchemaError("a phoneme template is filed under another label")
     if not td:

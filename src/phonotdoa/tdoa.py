@@ -95,15 +95,6 @@ class TdoaMeasurement:
     method: Method
     delay_subsample: float = 0.0  # parabolic refinement around the peak
 
-    def scaled(self, factor: float) -> "TdoaMeasurement":
-        return TdoaMeasurement(
-            label=self.label,
-            delay_samples=self.delay_samples * factor,
-            peak_value=self.peak_value,
-            method=self.method,
-            delay_subsample=self.delay_subsample * factor,
-        )
-
 
 @dataclass(frozen=True)
 class TdoaDynamic:

@@ -161,7 +161,7 @@ def test_verify_rescales_other_rate_and_moves_to_other_spacing_as_composed_by_ha
         dynamic = measure_dynamic(
             recording, load_alignment(out / "alignment.json", recording), device=s5
         )
-    dynamic = normalize_dynamic(dynamic, s5, s5, to_sample_rate=profile.sample_rate)
+    dynamic = normalize_dynamic(dynamic, profile.sample_rate)
     templates = profile.templates_at(dynamic.labels, alpha=math.radians(10), spacing=0.141)
     decision = decide(score_dynamic(dynamic, templates), DEFAULT_THRESHOLD)
     assert stdout == json.dumps(decision.to_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -233,6 +233,17 @@ def test_subsample_interpolation_close_to_true_fraction():
     assert m.delay_subsample == pytest.approx(6.4, abs=0.2)
 
 
+@pytest.mark.parametrize("y, offset", [
+    ((0.5, 1.0, 0.5), 0.0),  # symmetric neighbours
+    ((0.31, 1.91, 1.51), pytest.approx(0.3)),  # 2 - (x - 0.3)**2 at x = -1, 0, 1
+    ((1.0, 0.9, 0.0), -0.5),  # vertex at -0.625, clamped
+    ((0.0, 0.9, 1.0), 0.5),
+    ((1.0, 1.0, 1.0), 0.0),  # flat top: denominator 0
+])
+def test_parabolic_offset(y, offset):
+    assert tdoa._parabolic_offset(*y) == offset
+
+
 def test_measure_dynamic_preserves_order(tone_recording):
     rec = _recording_with_shift(-27)
     segs = [
