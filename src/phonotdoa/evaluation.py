@@ -28,7 +28,6 @@ from .audio_io import (
 )
 from .errors import ConfigError, InvalidPoseError
 from .geometry import REFERENCE_POSE, DevicePose, mic_positions
-from .phonemes import INVENTORY
 from .profiles import MIN_TRIALS, ProfileMode, enroll_from_dynamics
 from .scoring import MIN_SEQUENCE_LENGTH, ScoringMethod
 from .simulator import (
@@ -142,8 +141,6 @@ class ExperimentConfig:
     methods: tuple = ("correlation", "probability", "combined")
     pose_changes: tuple = ()  # (alpha_deg, delta_x_m) pairs
     transform: bool = True
-    per_user_variation: bool = True
-    oral_only: bool = False
     threshold: float = None
 
     @classmethod
@@ -210,9 +207,14 @@ class ExperimentConfig:
                 ScoringMethod(m)
             except ValueError as exc:
                 raise ConfigError(f"unknown scoring method {m!r}") from exc
+        _require(
+            ScoringMethod.WEIGHTED.value not in self.methods
+            or self.mode == ProfileMode.TEXT_INDEPENDENT,
+            "the weighted method needs text_independent mode",
+        )
         total_attacks = (
             self.static_attacks + self.mobile_attacks
-            + self.replace_attacks * max(len(self.replace_distances), 1)
+            + self.replace_attacks * len(self.replace_distances)
         )
         if self.live_trials < 1 or total_attacks < 1:
             raise ConfigError("need at least one live trial and one attack")
@@ -250,7 +252,7 @@ _FIELD_READERS = {
         "live_trials", "static_attacks", "mobile_attacks", "replace_attacks",
     ), json_int),
     "mode": ProfileMode,
-    **dict.fromkeys(("transform", "per_user_variation", "oral_only"), _json_bool),
+    "transform": _json_bool,
     "noise_snr_db": json_real,
     "threshold": lambda v: None if v is None else json_real(v),
     "length_bands": lambda v: json_list(v, lambda band: json_pair(band, json_int)),
@@ -318,10 +320,7 @@ def _plan(config: ExperimentConfig, model, poses) -> tuple:
     """
     rng = np.random.default_rng(config.seed)
     pose0 = REFERENCE_POSE
-    labels_pool = sorted(
-        label for label in model.labels
-        if not config.oral_only or INVENTORY.articulation_class(label) != "nasal"
-    )
+    labels_pool = sorted(model.labels)
     ver_poses = [_verification_pose(alpha_deg, delta_x) for alpha_deg, delta_x in poses]
     jobs = []
     passphrases = []
@@ -333,7 +332,7 @@ def _plan(config: ExperimentConfig, model, poses) -> tuple:
         return len(jobs) - 1
 
     for user_idx in range(config.users):
-        user_model = model.perturbed(rng) if config.per_user_variation else model
+        user_model = model.perturbed(rng)
         user_enroll = []
         if config.mode == ProfileMode.TEXT_INDEPENDENT:
             order = list(model.labels)
@@ -406,11 +405,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     the lowest-indexed one's error at any worker count.
     """
     config.validate()
-    _require(
-        ScoringMethod.WEIGHTED.value not in config.methods
-        or config.mode == ProfileMode.TEXT_INDEPENDENT,
-        "the weighted method needs text_independent mode",
-    )
     model = load_source_model()
     poses = [(0.0, 0.0)] + [tuple(p) for p in config.pose_changes]
     jobs, passphrases = _plan(config, model, poses)

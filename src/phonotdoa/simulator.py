@@ -342,9 +342,6 @@ def synthesize_live(
     if not jitter_scale >= 0:
         raise ConfigError(f"jitter_scale must be >= 0, got {jitter_scale}")
     labels = list(labels)
-    for label in labels:
-        if label not in model:
-            raise SchemaError(f"no source model for {label!r}")
     rng = np.random.default_rng(seed)
     positions = []
     for label in labels:

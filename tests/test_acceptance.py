@@ -380,7 +380,7 @@ def test_c6_verify_across_handsets(source_model, device):
     assert acc >= 0.85
 
 
-def _pose_experiment(transform, oral_only=True):
+def _pose_experiment(transform):
     config = ExperimentConfig.from_dict(
         {
             "seed": 616,
@@ -399,8 +399,6 @@ def _pose_experiment(transform, oral_only=True):
                 [30.0, 0.15], [45.0, 0.15], [60.0, 0.15],
             ],
             "transform": transform,
-            "per_user_variation": False,
-            "oral_only": oral_only,
             # fixed system operating point: per-pose accuracy collapses
             # for untransformed templates instead of being rescued by a
             # per-pose threshold
@@ -414,6 +412,9 @@ def _pose_experiment(transform, oral_only=True):
 
 
 def test_c6_pose_release_accuracy():
+    # passphrases drawn from the whole inventory, one perturbed vocal
+    # model per user: the transform moves the nasals through their
+    # source height above the mouth
     on_lo, _ = _pose_experiment(transform=True)
     _, off_hi = _pose_experiment(transform=False)
     ok = on_lo >= 0.85 and off_hi < 0.60
@@ -425,19 +426,6 @@ def test_c6_pose_release_accuracy():
     )
     assert on_lo >= 0.85
     assert off_hi < 0.60
-
-
-def test_c6_pose_release_accuracy_with_nasals():
-    # passphrases drawn from the whole inventory: the transform moves the
-    # nasals through their source height above the mouth
-    on_lo, _ = _pose_experiment(transform=True, oral_only=False)
-    report(
-        6,
-        on_lo >= 0.85,
-        f"pose-changed verification accuracy with nasals: transform on >= "
-        f"{on_lo:.2f} (need >=0.85)",
-    )
-    assert on_lo >= 0.85
 
 
 # --- criterion 7: text-independent mode ---

@@ -169,13 +169,16 @@ def test_config_validation():
         ExperimentConfig.from_dict({"methods": ["nonsense"]})
     with pytest.raises(ConfigError, match="bad experiment config: .*bogus_key"):
         ExperimentConfig.from_dict({"bogus_key": 1})
+    # replace attacks with no distance render no attack
+    with pytest.raises(ConfigError, match="need at least one live trial and one attack"):
+        ExperimentConfig.from_dict({"static_attacks": 0, "mobile_attacks": 0, "replace_attacks": 1})
     config = ExperimentConfig.from_dict({"mode": "text_independent", "users": 2})
     assert config.mode == ProfileMode.TEXT_INDEPENDENT
 
 
 @pytest.mark.parametrize("doc, match", [
     ({"users": 1.5}, r"bad experiment config: users: TypeError\('expected an integer, got 1.5'\)"),
-    ({"oral_only": 1}, r"bad experiment config: oral_only: .*expected true or false"),
+    ({"transform": 1}, r"bad experiment config: transform: .*expected true or false"),
     ({"length_bands": [[2, 3, 4]]}, r"bad experiment config: length_bands: ValueError"),
     # the band draw divides by the sum: an infinite one once left numpy
     # raising ValueError in _plan, after the config had loaded
@@ -230,17 +233,21 @@ def test_config_rejects_rate_above_maximum():
 
 
 def test_weighted_method_needs_text_independent_mode():
-    config = ExperimentConfig.from_dict(
-        {**_SMALL, "methods": ["correlation", "weighted"]}
-    )
-    with pytest.raises(ConfigError, match="weighted method needs"):
-        run_experiment(config)
+    with pytest.raises(ConfigError, match="the weighted method needs text_independent mode"):
+        ExperimentConfig.from_dict({**_SMALL, "methods": ["correlation", "weighted"]})
 
 
-def test_config_rejects_removed_pivot_key():
-    # the tilt always rotates about the top mic; the old knob is refused
-    with pytest.raises(ConfigError, match="bad experiment config: .*pivot"):
-        ExperimentConfig.from_dict({"pivot": "top"})
+@pytest.mark.parametrize("key, value", [
+    # the tilt always rotates about the top mic
+    ("pivot", "top"),
+    # every experiment draws from the whole inventory, with a perturbed
+    # vocal model per user
+    ("oral_only", True),
+    ("per_user_variation", False),
+], ids=["pivot", "oral_only", "per_user_variation"])
+def test_config_rejects_removed_pivot_key(key, value):
+    with pytest.raises(ConfigError, match=f"bad experiment config: .*{key}"):
+        ExperimentConfig.from_dict({key: value})
 
 
 _SMALL = {

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from phonotdoa import profiles
+from phonotdoa.evaluation import ExperimentConfig
 from phonotdoa.geometry import REFERENCE_POSE
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
@@ -37,3 +38,10 @@ def test_enroll_wrappers_bind_as_the_workloads_call_them(perfbench):
     device = workloads.DEVICE
     inspect.signature(profiles.enroll_text_dependent).bind("user", "pp", [], REFERENCE_POSE, device)
     inspect.signature(profiles.enroll_text_independent).bind("user", {}, REFERENCE_POSE, device)
+
+
+def test_corpus_td_config_loads(perfbench):
+    # config() reads its dict through ExperimentConfig.from_dict, which
+    # refuses a key that is no longer a field
+    _, workloads = perfbench
+    assert isinstance(workloads.CorpusTd(7, Path(".")).config(0), ExperimentConfig)
