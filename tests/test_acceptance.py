@@ -8,6 +8,7 @@ simulator at fixed seeds, so results are reproducible bit for bit.
 import io
 import json
 import contextlib
+import functools
 import math
 import time
 from dataclasses import replace
@@ -380,6 +381,8 @@ def test_c6_verify_across_handsets(source_model, device):
     assert acc >= 0.85
 
 
+# both pose-release tests read the transform-on arm: run each arm once
+@functools.lru_cache(maxsize=None)
 def _pose_experiment(transform):
     config = ExperimentConfig.from_dict(
         {
@@ -426,6 +429,19 @@ def test_c6_pose_release_accuracy():
     )
     assert on_lo >= 0.85
     assert off_hi < 0.60
+
+
+def test_c6_pose_release_accuracy_with_nasals():
+    # passphrases drawn from the whole inventory: the transform moves the
+    # nasals through their source height above the mouth
+    on_lo, _ = _pose_experiment(transform=True)
+    report(
+        6,
+        on_lo >= 0.85,
+        f"pose-changed verification accuracy with nasals: transform on >= "
+        f"{on_lo:.2f} (need >=0.85)",
+    )
+    assert on_lo >= 0.85
 
 
 # --- criterion 7: text-independent mode ---
