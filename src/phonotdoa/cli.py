@@ -143,8 +143,9 @@ def cmd_enroll(args) -> int:
 # --- verify ---
 
 def cmd_verify(args) -> int:
-    config = load_config(method=args.method, threshold=args.threshold)
-    log.info("effective config: %s", json.dumps(config.as_dict(), sort_keys=True))
+    method, threshold = load_config(args.method, args.threshold)
+    log.info("effective config: %s", json.dumps(
+        {"scoring": {"method": method.value, "threshold": threshold}}, sort_keys=True))
     profile = load_profile(args.profile)
     with WavReader(args.recording) as recording:
         segments = load_alignment(args.alignment, recording)
@@ -161,9 +162,8 @@ def cmd_verify(args) -> int:
     sim = profile.score(
         dynamic, args.passphrase_id, math.radians(args.angle_deg or 0.0),
         new_x - profile.enrollment_pose.x if new_x is not None else 0.0,
-        ScoringMethod(config.method),
     )
-    decision = decide(sim, config.threshold)
+    decision = decide(sim, threshold, method)
     _emit(decision.to_json_dict())
     return 0 if decision.verdict == Verdict.LIVE else 1
 

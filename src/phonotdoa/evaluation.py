@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import (
-    FIELD_ERRORS, check_sample_rate, json_int, json_list, json_pair, json_real, json_str,
-    write_json,
+    FIELD_ERRORS, check_sample_rate, json_int, json_list, json_pair, json_real, write_json,
 )
 from .errors import ConfigError, InvalidPoseError
 from .geometry import REFERENCE_POSE, DevicePose, mic_positions
@@ -202,13 +201,12 @@ class ExperimentConfig:
             all(d >= MIN_REPLACE_DISTANCE_M for d in self.replace_distances),
             f"replace_distances must be >= {MIN_REPLACE_DISTANCE_M} m",
         )
-        for m in self.methods:
-            try:
-                ScoringMethod(m)
-            except ValueError as exc:
-                raise ConfigError(f"unknown scoring method {m!r}") from exc
         _require(
-            ScoringMethod.WEIGHTED.value not in self.methods
+            len(set(self.methods)) == len(self.methods) >= 1,
+            "methods must be a non-empty list with no repeats",
+        )
+        _require(
+            ScoringMethod.WEIGHTED not in self.methods
             or self.mode == ProfileMode.TEXT_INDEPENDENT,
             "the weighted method needs text_independent mode",
         )
@@ -218,10 +216,13 @@ class ExperimentConfig:
         )
         if self.live_trials < 1 or total_attacks < 1:
             raise ConfigError("need at least one live trial and one attack")
+        changes = ((0.0, 0.0),) + self.pose_changes
+        labels = [_pose_label(a, dx) for a, dx in changes]
+        _require(len(set(labels)) == len(labels), f"two poses share a report label in {labels}")
         # every handset pose a render takes: DevicePose must accept it, and
         # no mic may sit out of MAX_PATH_M reach of a source near the mouth
         try:
-            poses = [_verification_pose(a, dx) for a, dx in ((0.0, 0.0),) + self.pose_changes]
+            poses = [_verification_pose(a, dx) for a, dx in changes]
             if self.replace_attacks:
                 poses += [p.with_(x=d) for p in poses for d in self.replace_distances]
         except InvalidPoseError as exc:
@@ -261,7 +262,7 @@ _FIELD_READERS = {
     "duration_range": lambda v: json_pair(v, json_real),
     "pose_changes": lambda v: json_list(v, lambda p: json_pair(p, json_real)),
     "replace_distances": lambda v: json_list(v, json_real),
-    "methods": lambda v: json_list(v, json_str),
+    "methods": lambda v: json_list(v, ScoringMethod),
 }
 
 
@@ -270,6 +271,10 @@ def _verification_pose(alpha_deg: float, delta_x: float) -> DevicePose:
     if not (alpha_deg or delta_x):
         return REFERENCE_POSE
     return REFERENCE_POSE.with_(x=REFERENCE_POSE.x + delta_x, alpha=math.radians(alpha_deg))
+
+
+def _pose_label(alpha_deg: float, delta_x: float) -> str:
+    return f"a{alpha_deg:g}_dx{delta_x:g}"
 
 
 def _band_label(band) -> str:
@@ -425,8 +430,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                     "user": user_id,
                     "passphrase": passphrase_id,
                     "band": band,
-                    "pose": f"a{alpha_deg:g}_dx{delta_x:g}",
-                    **{m: sim.selected(ScoringMethod(m)) for m in config.methods},
+                    "pose": _pose_label(alpha_deg, delta_x),
+                    **{m.value: sim.selected(m) for m in config.methods},
                 }
             )
     return _aggregate(config, rows)
@@ -456,7 +461,7 @@ def _split(rows, name, **match) -> tuple:
 
 
 def _aggregate(config: ExperimentConfig, rows) -> dict:
-    base_pose = "a0_dx0"
+    base_pose = _pose_label(0.0, 0.0)
     report = {
         "config": {
             "seed": config.seed,
@@ -464,14 +469,14 @@ def _aggregate(config: ExperimentConfig, rows) -> dict:
             "users": config.users,
             "passphrases_per_user": config.passphrases_per_user,
             "live_trials": config.live_trials,
-            "methods": list(config.methods),
+            "methods": [m.value for m in config.methods],
             "transform": config.transform,
         },
         "methods": {},
         "rows": rows,
     }
 
-    for name in config.methods:
+    for name in report["config"]["methods"]:
         live0, att0 = _split(rows, name, pose=base_pose)
         block = {"overall": None, "by_attack": {}, "by_band": {}, "by_pose": {}}
         if live0 and att0:

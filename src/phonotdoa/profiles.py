@@ -28,7 +28,7 @@ from .audio_io import (
 from .errors import NoSolutionError, SchemaError
 from .geometry import DevicePose, transform_tdoa
 from .phonemes import INVENTORY
-from .scoring import MIN_SEQUENCE_LENGTH, ScoringMethod, SimilarityScore, score_dynamic
+from .scoring import MIN_SEQUENCE_LENGTH, SimilarityScore, score_dynamic
 from .tdoa import DeviceSpec, TdoaDynamic, estimate_tdoa, fork_map, usable_cpus
 
 PROFILE_SCHEMA_VERSION = 3
@@ -125,7 +125,6 @@ class UserProfile:
         passphrase_id: str = None,
         alpha: float = 0.0,
         delta_x: float = 0.0,
-        method: ScoringMethod = ScoringMethod.COMBINED,
     ) -> SimilarityScore:
         """Every score of a measured dynamic against this profile, the
         templates moved as in templates_at by alpha, delta_x and onto the
@@ -139,9 +138,7 @@ class UserProfile:
         if dynamic.sample_rate != self.sample_rate:
             dynamic = normalize_dynamic(dynamic, self.sample_rate)
         templates = self.templates_at(dynamic.labels, passphrase_id, alpha, delta_x, spacing)
-        return score_dynamic(
-            dynamic, templates, method, weighted=self.mode == ProfileMode.TEXT_INDEPENDENT,
-        )
+        return score_dynamic(dynamic, templates, weighted=self.mode == ProfileMode.TEXT_INDEPENDENT)
 
 
 # enroll measures in one process per CPU, but at most one per this many
@@ -389,8 +386,6 @@ def load_profile(path) -> UserProfile:
         }
     except FIELD_ERRORS as exc:
         raise SchemaError(f"{path}: malformed profile: {exc!r}") from exc
-    if rate <= 0:
-        raise SchemaError(f"{path}: sample rate {rate} not positive")
     if not MIN_SAMPLE_RATE <= rate <= MAX_SAMPLE_RATE:
         raise SchemaError(
             f"{path}: sample rate {rate} outside [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}] Hz"

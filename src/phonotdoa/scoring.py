@@ -56,13 +56,10 @@ class SimilarityScore:
     correlation: float  # 0.0 when the measured sequence is degenerate
     probability: float
     combined: float
-    method_used: ScoringMethod
     weighted: float = None  # weights 1/(template std + 0.1); text-independent only
 
-    def selected(self, method: ScoringMethod = None) -> float:
-        """The score of method (default: the method used); each method's
-        value names its field."""
-        method = method or self.method_used
+    def selected(self, method: ScoringMethod) -> float:
+        """The score of method; each method's value names its field."""
         if method == ScoringMethod.WEIGHTED and self.weighted is None:
             raise ConfigError(
                 "weighted method needs a text-independent profile"
@@ -75,19 +72,20 @@ class Decision:
     verdict: Verdict
     score: SimilarityScore
     threshold: float
+    method: ScoringMethod
 
     def to_json_dict(self) -> dict:
         # the weighted method reports its value as the correlation
         corr = (
             self.score.weighted
-            if self.score.method_used == ScoringMethod.WEIGHTED
+            if self.method == ScoringMethod.WEIGHTED
             else self.score.correlation
         )
         return {
             "version": 1,
             "verdict": self.verdict.value,
             "threshold": self.threshold,
-            "method": self.score.method_used.value,
+            "method": self.method.value,
             "scores": {
                 "correlation": corr,
                 "probability": self.score.probability,
@@ -143,11 +141,10 @@ def _kernel_mean(x, means, stds) -> float:
 def score_dynamic(
     dynamic: TdoaDynamic,
     templates,
-    method: ScoringMethod = ScoringMethod.COMBINED,
     weighted: bool = False,
 ) -> SimilarityScore:
-    """Every score for one comparison, from one pairing; the method only
-    selects among them. correlation is the Pearson correlation with the
+    """Every score for one comparison, from one pairing; decide picks
+    one of them. correlation is the Pearson correlation with the
     template means, probability the mean per-phoneme kernel value in
     (0, 1], combined the mean of (rho + 1)/2 and probability. With
     weighted, rho in the combined score is the stability-weighted
@@ -165,15 +162,13 @@ def score_dynamic(
         correlation=0.0 if rho is None else rho,
         probability=prob,
         combined=(corr_part + prob) / 2.0,
-        method_used=method,
         weighted=weighted_rho,
     )
 
 
-def decide(score: SimilarityScore, threshold: float) -> Decision:
-    """Fail-closed thresholding: LIVE only if the selected score is
+def decide(score: SimilarityScore, threshold: float, method: ScoringMethod) -> Decision:
+    """Fail-closed thresholding: LIVE only if the score of method is
     strictly above the threshold; a tie rejects (ambiguous evidence in
     a security gate)."""
-    value = score.selected()
-    verdict = Verdict.LIVE if value > threshold else Verdict.REPLAY
-    return Decision(verdict=verdict, score=score, threshold=threshold)
+    verdict = Verdict.LIVE if score.selected(method) > threshold else Verdict.REPLAY
+    return Decision(verdict, score, threshold, method)

@@ -30,7 +30,7 @@ from phonotdoa.phonemes import AFFRICATE, INVENTORY, NASAL, STOP
 from phonotdoa.profiles import (
     PhonemeTemplate, ProfileMode, enroll_from_dynamics, normalize_dynamic,
 )
-from phonotdoa.scoring import Verdict, decide, score_dynamic
+from phonotdoa.scoring import ScoringMethod, Verdict, decide, score_dynamic
 from phonotdoa.simulator import (
     AttackKind,
     AttackScenario,
@@ -372,7 +372,8 @@ def test_c6_verify_across_handsets(source_model, device):
                     utt = synthesize_attack(labels, model, pose, scenario, FS, seed,
                                             duration_range=(0.06, 0.08))
                 dynamic = measure_dynamic(utt.recording, utt.segments, device=device)
-                verdict = decide(profile.score(dynamic), DEFAULT_THRESHOLD).verdict
+                sim = profile.score(dynamic)
+                verdict = decide(sim, DEFAULT_THRESHOLD, ScoringMethod.COMBINED).verdict
                 correct += (verdict == Verdict.LIVE) == live
                 total += 1
     acc = correct / total

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import contextlib
+import logging
 import math
 import os
 import re
@@ -24,7 +25,7 @@ from phonotdoa.config import DEFAULT_THRESHOLD
 from phonotdoa.geometry import REFERENCE_POSE
 from phonotdoa.phonemes import INVENTORY
 from phonotdoa.profiles import load_profile, normalize_dynamic
-from phonotdoa.scoring import Verdict, decide, score_dynamic
+from phonotdoa.scoring import ScoringMethod, Verdict, decide, score_dynamic
 from phonotdoa.segmentation import PhonemeSegment, load_alignment, save_alignment
 from phonotdoa.simulator import synthesize_live
 from phonotdoa.tdoa import DeviceSpec, measure_dynamic
@@ -129,6 +130,20 @@ def test_verify_threshold_flag_overrides(pipeline):
     assert code == 1  # nothing beats an impossible threshold
 
 
+def test_verify_logs_and_reports_the_method_it_decides_on(pipeline, caplog):
+    _, profile, live_dir, _ = pipeline
+    with caplog.at_level(logging.INFO, logger="phonotdoa"):
+        code, out = run_cli(
+            "verify", live_dir / "recording.wav", live_dir / "alignment.json",
+            "--profile", profile, "--method", "probability",
+        )
+    doc = json.loads(out)
+    assert doc["method"] == "probability"
+    assert code == (0 if doc["scores"]["probability"] > DEFAULT_THRESHOLD else 1)
+    line = 'effective config: {"scoring": {"method": "probability", "threshold": 0.6}}'
+    assert line in caplog.text
+
+
 def test_cli_determinism_verify(pipeline):
     _, profile, live_dir, _ = pipeline
     args = (
@@ -163,7 +178,8 @@ def test_verify_rescales_other_rate_and_moves_to_other_spacing_as_composed_by_ha
         )
     dynamic = normalize_dynamic(dynamic, profile.sample_rate)
     templates = profile.templates_at(dynamic.labels, alpha=math.radians(10), spacing=0.141)
-    decision = decide(score_dynamic(dynamic, templates), DEFAULT_THRESHOLD)
+    sim = score_dynamic(dynamic, templates)
+    decision = decide(sim, DEFAULT_THRESHOLD, ScoringMethod.COMBINED)
     assert stdout == json.dumps(decision.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert code == (0 if decision.verdict == Verdict.LIVE else 1)
 

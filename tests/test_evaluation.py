@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from phonotdoa.evaluation import (
     write_report,
 )
 from phonotdoa.profiles import ProfileMode
+from phonotdoa.scoring import ScoringMethod
 from phonotdoa.simulator import AttackKind
 
 
@@ -165,7 +167,9 @@ def test_config_validation():
         ExperimentConfig.from_dict({"users": 0})
     with pytest.raises(ConfigError, match="enroll_trials must be >= 3"):
         ExperimentConfig.from_dict({"enroll_trials": 2})
-    with pytest.raises(ConfigError, match="unknown scoring method 'nonsense'"):
+    with pytest.raises(ConfigError, match=re.escape(
+        """bad experiment config: methods: ValueError("'nonsense' is not a valid ScoringMethod")"""
+    )):
         ExperimentConfig.from_dict({"methods": ["nonsense"]})
     with pytest.raises(ConfigError, match="bad experiment config: .*bogus_key"):
         ExperimentConfig.from_dict({"bogus_key": 1})
@@ -174,6 +178,33 @@ def test_config_validation():
         ExperimentConfig.from_dict({"static_attacks": 0, "mobile_attacks": 0, "replace_attacks": 1})
     config = ExperimentConfig.from_dict({"mode": "text_independent", "users": 2})
     assert config.mode == ProfileMode.TEXT_INDEPENDENT
+    config = ExperimentConfig.from_dict({"methods": ["probability", "combined"]})
+    assert config.methods == (ScoringMethod.PROBABILITY, ScoringMethod.COMBINED)
+
+
+@pytest.mark.parametrize("methods", [[], ["combined", "combined"]], ids=["empty", "repeated"])
+def test_config_refuses_no_method_or_a_repeated_one(methods):
+    # both once rendered the whole corpus: [] gave a report with no method
+    # block, and a repeat wrote its scores.csv column twice
+    match = "methods must be a non-empty list with no repeats"
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict({"methods": methods})
+    with pytest.raises(ConfigError, match=match):
+        run_experiment(ExperimentConfig(methods=tuple(methods)))
+
+
+@pytest.mark.parametrize("pose_changes, labels", [
+    ([[0, 0]], "['a0_dx0', 'a0_dx0']"),
+    ([[30, 0.05], [30, 0.05]], "['a0_dx0', 'a30_dx0.05', 'a30_dx0.05']"),
+    ([[30, 0.05], [30.0, 0.050000001]], "['a0_dx0', 'a30_dx0.05', 'a30_dx0.05']"),
+], ids=["base_pose_again", "repeated_change", "same_label_other_pose"])
+def test_config_refuses_two_poses_with_one_report_label(pose_changes, labels):
+    # the rows of two poses with one label once merged: [[0, 0]] read
+    # n_live 4 and n_attack 2 in `overall` at 2 live trials and 1 attack
+    with pytest.raises(ConfigError, match=re.escape(f"two poses share a report label in {labels}")):
+        ExperimentConfig.from_dict(
+            {"live_trials": 2, "static_attacks": 1, "pose_changes": pose_changes}
+        )
 
 
 @pytest.mark.parametrize("doc, match", [

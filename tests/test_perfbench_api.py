@@ -4,6 +4,7 @@ without failing any other test."""
 
 import importlib
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from phonotdoa import profiles
 from phonotdoa.evaluation import ExperimentConfig
 from phonotdoa.geometry import REFERENCE_POSE
 
-PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = str(ROOT / "perfbench")
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +33,24 @@ def test_every_trace_target_resolves(perfbench):
         assert callable(getattr(importlib.import_module(f"phonotdoa.{module}"), name, None)), (
             f"phonotdoa.{module}.{name}"
         )
+
+
+def test_trace_installs_in_a_process_that_imports_what_run_py_does():
+    # perfbench/run.py imports only workloads and layertrace, and
+    # Recorder.install finds each target's module in sys.modules: a
+    # module that TARGETS names and no import loads fails there, which
+    # the test above, importing every module itself, cannot see
+    code = "\n".join([
+        f"import sys; sys.path[:0] = [{str(ROOT / 'src')!r}, {PERFBENCH!r}]",
+        "import workloads, layertrace",
+        "recorder = layertrace.Recorder()",
+        "recorder.install()",
+        "assert not layertrace.originals_restored()",
+        "recorder.uninstall()",
+        "assert layertrace.originals_restored()",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_enroll_wrappers_bind_as_the_workloads_call_them(perfbench):

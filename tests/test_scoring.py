@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonotdoa.errors import SchemaError
+from phonotdoa.errors import ConfigError, SchemaError
 from phonotdoa.profiles import PhonemeTemplate
 from phonotdoa.scoring import ScoringMethod, Verdict, decide, score_dynamic
 from phonotdoa.tdoa import DeviceSpec, Method, TdoaDynamic, TdoaMeasurement
@@ -56,7 +56,7 @@ def test_correlation_constant_dynamic_degenerate():
     dyn = _dynamic([63.0, 63.0, 63.0, 63.0], LAB4)
     templates = _templates([50.0, 55.0, 48.0, 52.0], LAB4)
     # the degenerate correlation maps to 0
-    sim = score_dynamic(dyn, templates, method=ScoringMethod.CORRELATION)
+    sim = score_dynamic(dyn, templates)
     assert sim.correlation == 0.0
     # and contributes the neutral 0.5 inside the combined score
     prob = sim.probability
@@ -206,15 +206,44 @@ def test_decide_rules():
     labels = ["AA", "S", "K"]
     sim = score_dynamic(_dynamic(means, labels), _templates(means, labels))
     assert sim.combined == pytest.approx(1.0)
-    assert decide(sim, 0.5).verdict == Verdict.LIVE
-    assert decide(sim, 1.0).verdict == Verdict.REPLAY  # tie fails closed
+    combined = ScoringMethod.COMBINED
+    assert decide(sim, 0.5, combined).verdict == Verdict.LIVE
+    assert decide(sim, 1.0, combined).verdict == Verdict.REPLAY  # tie fails closed
     low = score_dynamic(
         _dynamic([10.0, 80.0, -40.0], labels), _templates(means, labels)
     )
-    assert decide(low, 0.5).verdict == Verdict.REPLAY
-    doc = decide(sim, 0.5).to_json_dict()
-    assert doc["verdict"] == "live"
+    assert decide(low, 0.5, combined).verdict == Verdict.REPLAY
+    doc = decide(sim, 0.5, combined).to_json_dict()
+    assert (doc["verdict"], doc["method"]) == ("live", "combined")
     assert set(doc["scores"]) == {"correlation", "probability", "combined"}
+
+
+def test_decide_thresholds_the_score_of_its_method():
+    # one score, every method's value: the method alone picks the verdict
+    labels = ["AA", "S", "K", "M"]
+    means = [50.0, 55.0, 48.0, 52.0]
+    sim = score_dynamic(_dynamic([60.0, 65.0, 58.0, 62.0], labels), _templates(means, labels))
+    assert sim.correlation == pytest.approx(1.0) and sim.probability < 0.01
+    for method, verdict in [
+        (ScoringMethod.CORRELATION, Verdict.LIVE),
+        (ScoringMethod.PROBABILITY, Verdict.REPLAY),
+    ]:
+        decision = decide(sim, 0.5, method)
+        assert (decision.verdict, decision.method) == (verdict, method)
+        assert decision.to_json_dict()["method"] == method.value
+    with pytest.raises(ConfigError, match="weighted method needs a text-independent profile"):
+        decide(sim, 0.5, ScoringMethod.WEIGHTED)
+
+
+def test_weighted_decision_reports_the_weighted_value_as_correlation():
+    means = [50.0, 55.0, 48.0, 52.0]
+    sim = score_dynamic(
+        _dynamic([51.0, 54.5, 49.0, 52.2], LAB4), _templates(means, LAB4, [0.5, 2.0, 1.0, 4.0]),
+        weighted=True,
+    )
+    assert sim.weighted != sim.correlation
+    doc = decide(sim, 0.5, ScoringMethod.WEIGHTED).to_json_dict()
+    assert (doc["method"], doc["scores"]["correlation"]) == ("weighted", sim.weighted)
 
 
 def test_scores_deterministic():
