@@ -11,7 +11,9 @@ relative paths, so no output names the directory:
 - verify: stdout and exit code for live and attack, at the reference
   pose and with --angle-deg 45 --distance-m 0.13, on a passphrase that
   holds the nasals M and N, and for the S5 live scene with
-  --device-spacing-m 0.141;
+  --device-spacing-m 0.141, against the text-dependent profile; and
+  for live and attack at the reference pose and live at the moved pose
+  against the text-independent profile, enrolled at 48 kHz;
 - tdoa: the CSV with each method;
 - evaluate: every output file and stdout of a text-dependent config
   with pose changes and replace attacks and of a text-independent
@@ -135,16 +137,19 @@ def build_artifacts(workdir) -> dict:
             artifacts[f"enroll/{name}/profile.json"] = Path(path).read_bytes()
 
         cases = {
-            "live": ("live", []),
-            "attack": ("static", []),
-            "live_moved": ("live_moved", MOVED_FLAGS),
-            "attack_moved": ("static", MOVED_FLAGS),
-            "live_s5": ("live_s5", ["--device-spacing-m", repr(S5_SPACING)]),
+            "live": ("td", "live", []),
+            "attack": ("td", "static", []),
+            "live_moved": ("td", "live_moved", MOVED_FLAGS),
+            "attack_moved": ("td", "static", MOVED_FLAGS),
+            "live_s5": ("td", "live_s5", ["--device-spacing-m", repr(S5_SPACING)]),
+            "ti_live": ("ti", "live", []),
+            "ti_attack": ("ti", "static", []),
+            "ti_live_moved": ("ti", "live_moved", MOVED_FLAGS),
         }
-        for case, (scene, flags) in cases.items():
+        for case, (profile, scene, flags) in cases.items():
             artifacts[f"verify/{case}/stdout"] = _run(
                 "verify", f"{scene}/recording.wav", f"{scene}/alignment.json",
-                "--profile", "td.profile.json", *flags,
+                "--profile", f"{profile}.profile.json", *flags,
             )
 
         for method in ("gcc_phat", "cc"):
