@@ -205,11 +205,6 @@ class ExperimentConfig:
             len(set(self.methods)) == len(self.methods) >= 1,
             "methods must be a non-empty list with no repeats",
         )
-        _require(
-            ScoringMethod.WEIGHTED not in self.methods
-            or self.mode == ProfileMode.TEXT_INDEPENDENT,
-            "the weighted method needs text_independent mode",
-        )
         total_attacks = (
             self.static_attacks + self.mobile_attacks
             + self.replace_attacks * len(self.replace_distances)

@@ -131,14 +131,13 @@ class UserProfile:
         mic spacing the dynamic was measured on (dynamic.device).
 
         A dynamic measured at another sample rate is first rescaled onto
-        the profile's, exactly, with normalize_dynamic. A text-independent
-        profile scores with the stability weights.
+        the profile's, exactly, with normalize_dynamic.
         """
         spacing = dynamic.device.mic_spacing_m
         if dynamic.sample_rate != self.sample_rate:
             dynamic = normalize_dynamic(dynamic, self.sample_rate)
         templates = self.templates_at(dynamic.labels, passphrase_id, alpha, delta_x, spacing)
-        return score_dynamic(dynamic, templates, weighted=self.mode == ProfileMode.TEXT_INDEPENDENT)
+        return score_dynamic(dynamic, templates)
 
 
 # enroll measures in one process per CPU, but at most one per this many

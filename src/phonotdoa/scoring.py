@@ -7,11 +7,6 @@ std shrinks and its values are not comparable across phonemes, while
 the kernel is a per-phoneme monotone transform of it that stays in
 (0, 1]. Template stds are floored at 0.5 samples before use.
 
-Weighted correlation (text-independent profiles) weights each phoneme
-by 1/(template std + 0.1): stable phonemes count more. The weights enter
-the covariance and variance sums once each, with plain sequence means,
-so uniform weights cancel exactly and the score stays in [-1, 1].
-
 A constant sequence has no correlation; it scores 0.0 as a correlation
 and the neutral 0.5 as the correlation half of the combined score.
 """
@@ -24,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError
+from .errors import SchemaError
 from .tdoa import TdoaDynamic
 
 MIN_SEQUENCE_LENGTH = 3
@@ -33,9 +28,6 @@ MIN_SEQUENCE_LENGTH = 3
 # infinite score density; scoring floors the std at this value.
 STD_FLOOR_SAMPLES = 0.5
 
-# weighting for the stability-aware correlation: w = 1/(std + eps)
-WEIGHT_EPSILON = 0.1  # samples
-
 _VARIANCE_EPS = 1e-24
 
 
@@ -43,7 +35,6 @@ class ScoringMethod(enum.Enum):
     CORRELATION = "correlation"
     PROBABILITY = "probability"
     COMBINED = "combined"
-    WEIGHTED = "weighted"
 
 
 class Verdict(enum.Enum):
@@ -56,14 +47,9 @@ class SimilarityScore:
     correlation: float  # 0.0 when the measured sequence is degenerate
     probability: float
     combined: float
-    weighted: float = None  # weights 1/(template std + 0.1); text-independent only
 
     def selected(self, method: ScoringMethod) -> float:
         """The score of method; each method's value names its field."""
-        if method == ScoringMethod.WEIGHTED and self.weighted is None:
-            raise ConfigError(
-                "weighted method needs a text-independent profile"
-            )
         return getattr(self, method.value)
 
 
@@ -75,19 +61,13 @@ class Decision:
     method: ScoringMethod
 
     def to_json_dict(self) -> dict:
-        # the weighted method reports its value as the correlation
-        corr = (
-            self.score.weighted
-            if self.method == ScoringMethod.WEIGHTED
-            else self.score.correlation
-        )
         return {
             "version": 1,
             "verdict": self.verdict.value,
             "threshold": self.threshold,
             "method": self.method.value,
             "scores": {
-                "correlation": corr,
+                "correlation": self.score.correlation,
                 "probability": self.score.probability,
                 "combined": self.score.combined,
             },
@@ -116,19 +96,13 @@ def _paired(dynamic: TdoaDynamic, templates) -> tuple:
     return x, means, stds
 
 
-def _weights(templates) -> np.ndarray:
-    return 1.0 / (np.array([t.std_delay for t in templates]) + WEIGHT_EPSILON)
-
-
-def _pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray = None):
-    """Weighted Pearson correlation, or None for a constant sequence."""
+def _pearson(x: np.ndarray, y: np.ndarray):
+    """Pearson correlation, or None for a constant sequence."""
     xc = x - x.mean()
     yc = y - y.mean()
-    if w is None:
-        w = np.ones_like(x)
-    cov = float(np.sum(w * xc * yc))
-    vx = float(np.sum(w * xc * xc))
-    vy = float(np.sum(w * yc * yc))
+    cov = float(np.sum(xc * yc))
+    vx = float(np.sum(xc * xc))
+    vy = float(np.sum(yc * yc))
     if vx < _VARIANCE_EPS or vy < _VARIANCE_EPS:
         return None
     return cov / math.sqrt(vx * vy)
@@ -138,31 +112,19 @@ def _kernel_mean(x, means, stds) -> float:
     return float(np.mean(np.exp(-((x - means) ** 2) / (2.0 * stds**2))))
 
 
-def score_dynamic(
-    dynamic: TdoaDynamic,
-    templates,
-    weighted: bool = False,
-) -> SimilarityScore:
+def score_dynamic(dynamic: TdoaDynamic, templates) -> SimilarityScore:
     """Every score for one comparison, from one pairing; decide picks
-    one of them. correlation is the Pearson correlation with the
+    one of them. correlation is the Pearson correlation rho with the
     template means, probability the mean per-phoneme kernel value in
-    (0, 1], combined the mean of (rho + 1)/2 and probability. With
-    weighted, rho in the combined score is the stability-weighted
-    correlation, also reported as weighted."""
-    templates = list(templates)
-    x, means, stds = _paired(dynamic, templates)
+    (0, 1], combined the mean of (rho + 1)/2 and probability."""
+    x, means, stds = _paired(dynamic, list(templates))
     prob = _kernel_mean(x, means, stds)
     rho = _pearson(x, means)
-    weighted_rho, combined_rho = None, rho
-    if weighted:
-        combined_rho = _pearson(x, means, _weights(templates))
-        weighted_rho = 0.0 if combined_rho is None else combined_rho
-    corr_part = 0.5 if combined_rho is None else (combined_rho + 1.0) / 2.0
+    corr_part = 0.5 if rho is None else (rho + 1.0) / 2.0
     return SimilarityScore(
         correlation=0.0 if rho is None else rho,
         probability=prob,
         combined=(corr_part + prob) / 2.0,
-        weighted=weighted_rho,
     )
 
 

@@ -17,7 +17,7 @@ relative paths, so no output names the directory:
 - tdoa: the CSV with each method;
 - evaluate: every output file and stdout of a text-dependent config
   with pose changes and replace attacks and of a text-independent
-  config with the weighted method.
+  config.
 
 test_golden compares the digests with golden_digests.json.
 
@@ -90,9 +90,9 @@ EXPERIMENTS = {
         **_EXPERIMENT, "pose_changes": [[30, 0.0], [0, 0.05]],
         "replace_distances": [0.3], "replace_attacks": 1,
     },
-    "ti_weighted": {
+    "ti": {
         **_EXPERIMENT, "mode": "text_independent", "static_attacks": 1,
-        "methods": ["correlation", "weighted"],
+        "methods": ["correlation"],
     },
 }
 

@@ -458,7 +458,7 @@ def test_c7_text_independent_eer():
             "static_attacks": 3,
             "mobile_attacks": 2,
             "duration_range": [0.08, 0.12],
-            "methods": ["combined", "weighted"],
+            "methods": ["combined"],
         }
     )
     rep = run_experiment(config)
@@ -540,7 +540,7 @@ def test_c9_identities(source_model):
     )
     checks.append(transform_tdoa(base, REFERENCE_POSE, delta_x=0.0, sample_rate=FS) == base)
 
-    # uniform weights reduce the weighted correlation to Pearson
+    # the correlation reads only the template means, not their stds
     labels = ["AA", "S", "K", "OW", "M"]
     means = [52.0, 54.5, 47.5, 52.9, -29.0]
     delays = [53.0, 53.8, 49.0, 53.5, -28.0]
@@ -557,10 +557,8 @@ def test_c9_identities(source_model):
         for l, m in zip(labels, means)
     ]
     plain = score_dynamic(dyn, templates).correlation
-    uniform = score_dynamic(
-        dyn, [replace(t, std_delay=2.1) for t in templates], weighted=True
-    ).weighted
-    checks.append(abs(plain - uniform) <= 1e-12)
+    wider = score_dynamic(dyn, [replace(t, std_delay=2.1) for t in templates]).correlation
+    checks.append(abs(plain - wider) <= 1e-12)
 
     # sample-rate round trip, 44.1 kHz to 96 kHz and back, to 1e-9
     back = normalize_dynamic(normalize_dynamic(replace(dyn, sample_rate=44100), 96000), 44100)

@@ -1202,17 +1202,15 @@ def test_reused_parser_matches_fresh_parser(pipeline, tmp_path):
     assert reused[1][0] != reused[1][1]
 
 
-def test_verify_weighted_needs_text_independent_profile(pipeline, capsys):
-    # same refusal as `evaluate` with the weighted method in text-dependent mode
-    _, profile, live_dir, _ = pipeline
-    code, out = run_cli(
-        "verify", live_dir / "recording.wav", live_dir / "alignment.json",
-        "--profile", profile, "--method", "weighted",
-    )
-    assert (code, out) == (2, "")
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
-    assert "weighted method needs" in err["message"]
+def test_verify_refuses_the_weighted_method(capsys):
+    # every profile scores with the plain correlation: argparse refuses
+    # the method before any file is opened
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "r.wav", "a.json", "--profile", "p.json", "--method", "weighted"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --method: invalid choice: 'weighted'" in captured.err
 
 
 def test_verify_tilted_live_accepts(pipeline, tmp_path):

@@ -214,7 +214,11 @@ def test_config_refuses_two_poses_with_one_report_label(pose_changes, labels):
     # the band draw divides by the sum: an infinite one once left numpy
     # raising ValueError in _plan, after the config had loaded
     ({"length_bands": [[2, 2], [3, 3]], "band_weights": [1e308, 1e308]}, "positive finite sum"),
-], ids=["users_fraction", "flag_number", "band_three_values", "weights_sum_overflows"])
+    # every method scores both modes; there is no stability-weighted one
+    ({"methods": ["correlation", "weighted"]},
+     r"bad experiment config: methods: ValueError\(\"'weighted' is not a valid ScoringMethod"),
+], ids=["users_fraction", "flag_number", "band_three_values", "weights_sum_overflows",
+        "weighted_method"])
 def test_config_refusal_names_the_field(doc, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict(doc)
@@ -261,11 +265,6 @@ def test_config_refuses_a_non_finite_threshold_from_a_library_caller(threshold):
 def test_config_rejects_rate_above_maximum():
     with pytest.raises(ConfigError, match=r"sample_rate must be in \[44100, 384000\] Hz"):
         ExperimentConfig.from_dict({"sample_rate": 384001})
-
-
-def test_weighted_method_needs_text_independent_mode():
-    with pytest.raises(ConfigError, match="the weighted method needs text_independent mode"):
-        ExperimentConfig.from_dict({**_SMALL, "methods": ["correlation", "weighted"]})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -339,13 +338,13 @@ _TD_POSES = {
     "replace_distances": [0.3],
     "replace_attacks": 1,
 }
-_TI_WEIGHTED = {
+_TI = {
     **_SMALL,
     "mode": "text_independent",
     "users": 1,
     "live_trials": 2,
     "static_attacks": 1,
-    "methods": ["correlation", "weighted"],
+    "methods": ["correlation"],
 }
 
 
@@ -360,7 +359,7 @@ def _assert_no_worker_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("doc", [_TD_POSES, _TI_WEIGHTED], ids=["td_poses_replace", "ti_weighted"])
+@pytest.mark.parametrize("doc", [_TD_POSES, _TI], ids=["td_poses_replace", "ti"])
 def test_report_independent_of_worker_count(doc, monkeypatch):
     config = ExperimentConfig.from_dict(doc)
     reports = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonotdoa.errors import ConfigError, SchemaError
+from phonotdoa.errors import SchemaError
 from phonotdoa.profiles import PhonemeTemplate
 from phonotdoa.scoring import ScoringMethod, Verdict, decide, score_dynamic
 from phonotdoa.tdoa import DeviceSpec, Method, TdoaDynamic, TdoaMeasurement
@@ -61,10 +61,6 @@ def test_correlation_constant_dynamic_degenerate():
     # and contributes the neutral 0.5 inside the combined score
     prob = sim.probability
     assert sim.combined == pytest.approx((0.5 + prob) / 2.0)
-    # the weighted correlation degenerates the same way
-    wsim = score_dynamic(dyn, templates, weighted=True)
-    assert wsim.weighted == 0.0
-    assert wsim.combined == pytest.approx((0.5 + prob) / 2.0)
 
 
 def test_correlation_length_mismatch():
@@ -148,36 +144,6 @@ def test_probability_monotone_in_offset():
     assert prev > 0.0  # stays in (0, 1]
 
 
-def test_weighted_uniform_equals_plain():
-    means = [50.0, 55.0, 48.0, 52.0, -30.0]
-    delays = [51.0, 54.0, 49.5, 52.5, -28.0]
-    dyn = _dynamic(delays, LAB5)
-    sim = score_dynamic(dyn, _templates(means, LAB5, [1.7] * 5), weighted=True)
-    plain = sim.correlation
-    weighted = sim.weighted
-    assert weighted == pytest.approx(plain, abs=1e-12)
-
-
-def test_weighted_exact_match_is_one():
-    means = [50.0, 55.0, 48.0, 52.0]
-    dyn = _dynamic(means, LAB4)
-    stds = [1.0, 2.0, 10.0, 1.5]  # AA, S, K, OW
-    got = score_dynamic(dyn, _templates(means, LAB4, stds), weighted=True).weighted
-    assert got == pytest.approx(1.0)
-
-
-def test_weighted_discounts_unstable_phoneme():
-    means = [50.0, 55.0, 48.0, 52.0, -30.0]
-    stds = [1.0, 1.0, 12.0, 1.0, 2.0]  # AA, S, K, OW, M
-    corrupted = list(means)
-    corrupted[2] += 20.0  # corrupt the highest-sigma phoneme (K)
-    dyn = _dynamic(corrupted, LAB5)
-    sim = score_dynamic(dyn, _templates(means, LAB5, stds), weighted=True)
-    plain = sim.correlation
-    weighted = sim.weighted
-    assert weighted > plain
-
-
 def test_combined_perfect_match():
     means = [50.0, 55.0, 48.0, 52.0]
     dyn = _dynamic(means, LAB4)
@@ -231,19 +197,6 @@ def test_decide_thresholds_the_score_of_its_method():
         decision = decide(sim, 0.5, method)
         assert (decision.verdict, decision.method) == (verdict, method)
         assert decision.to_json_dict()["method"] == method.value
-    with pytest.raises(ConfigError, match="weighted method needs a text-independent profile"):
-        decide(sim, 0.5, ScoringMethod.WEIGHTED)
-
-
-def test_weighted_decision_reports_the_weighted_value_as_correlation():
-    means = [50.0, 55.0, 48.0, 52.0]
-    sim = score_dynamic(
-        _dynamic([51.0, 54.5, 49.0, 52.2], LAB4), _templates(means, LAB4, [0.5, 2.0, 1.0, 4.0]),
-        weighted=True,
-    )
-    assert sim.weighted != sim.correlation
-    doc = decide(sim, 0.5, ScoringMethod.WEIGHTED).to_json_dict()
-    assert (doc["method"], doc["scores"]["correlation"]) == ("weighted", sim.weighted)
 
 
 def test_scores_deterministic():
