@@ -198,11 +198,11 @@ def cmd_tdoa(args) -> int:
         dynamic = measure_dynamic(
             recording, segments, method=Method(args.method), device=_device_from_args(args)
         )
-    print("label,start,end,delay_samples,delay_subsample,peak_value,method")
+    print("label,start,end,delay_samples,peak_value,method")
     for seg, m in zip(segments, dynamic.measurements):
         print(
             f"{m.label},{seg.start},{seg.end},{m.delay_samples:.0f},"
-            f"{m.delay_subsample:.4f},{m.peak_value:.6f},{m.method.value}"
+            f"{m.peak_value:.6f},{m.method.value}"
         )
     return 0
 

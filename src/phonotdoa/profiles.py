@@ -302,14 +302,12 @@ def assemble_template(profile: UserProfile, labels) -> list:
 
 
 def normalize_dynamic(dynamic: TdoaDynamic, sample_rate: int) -> TdoaDynamic:
-    """The dynamic at another sample rate: every delay, integer and
-    subsample, times sample_rate / dynamic.sample_rate; device, labels,
-    peaks and method are kept. The rescale back undoes it to rounding."""
+    """The dynamic at another sample rate: every delay times
+    sample_rate / dynamic.sample_rate; device, labels, peaks and method
+    are kept. The rescale back undoes it to rounding."""
     factor = sample_rate / dynamic.sample_rate
     return replace(dynamic, sample_rate=sample_rate, measurements=tuple(
-        replace(m, delay_samples=m.delay_samples * factor,
-                delay_subsample=m.delay_subsample * factor)
-        for m in dynamic.measurements
+        replace(m, delay_samples=m.delay_samples * factor) for m in dynamic.measurements
     ))
 
 

@@ -93,7 +93,6 @@ class TdoaMeasurement:
     delay_samples: float  # integer argmax lag
     peak_value: float
     method: Method
-    delay_subsample: float = 0.0  # parabolic refinement around the peak
 
 
 @dataclass(frozen=True)
@@ -249,13 +248,6 @@ def max_lag_for_device(device: DeviceSpec, sample_rate: int) -> int:
     return int(math.ceil(device.mic_spacing_m / SPEED_OF_SOUND * sample_rate)) + MAX_LAG_MARGIN
 
 
-def _parabolic_offset(y_left: float, y_center: float, y_right: float) -> float:
-    denom = y_left - 2.0 * y_center + y_right
-    if denom == 0.0:
-        return 0.0
-    return float(min(max(0.5 * (y_left - y_right) / denom, -0.5), 0.5))
-
-
 def estimate_tdoa(
     recording: StereoRecording | WavReader,
     segment: PhonemeSegment,
@@ -268,7 +260,7 @@ def estimate_tdoa(
     sample_rate, n_samples and window(start, end). The search window is
     bounded by the device geometry: lags beyond
     mic_spacing / SPEED_OF_SOUND only admit noise peaks. delay_samples
-    is the integer argmax; delay_subsample adds the parabolic refinement.
+    is the integer argmax.
     """
     max_lag = max_lag_for_device(device, recording.sample_rate)
     if segment.length < 2 * max_lag:
@@ -286,16 +278,11 @@ def estimate_tdoa(
     else:
         raise ValueError(f"unknown method {method!r}")
     idx = int(np.argmax(corr))
-    delay = idx - max_lag
-    offset = 0.0
-    if 0 < idx < len(corr) - 1:
-        offset = _parabolic_offset(corr[idx - 1], corr[idx], corr[idx + 1])
     return TdoaMeasurement(
         label=segment.label,
-        delay_samples=float(delay),
+        delay_samples=float(idx - max_lag),
         peak_value=float(corr[idx]),
         method=method,
-        delay_subsample=float(delay + offset),
     )
 
 

@@ -195,8 +195,7 @@ def _dynamic(delays, labels=None, rate=192000, device=DEVICE):
     return TdoaDynamic(
         measurements=tuple(
             TdoaMeasurement(
-                label=l, delay_samples=float(d), peak_value=1.0,
-                method=Method.GCC_PHAT, delay_subsample=float(d),
+                label=l, delay_samples=float(d), peak_value=1.0, method=Method.GCC_PHAT,
             )
             for l, d in zip(labels, delays)
         ),
@@ -215,7 +214,6 @@ def test_normalize_rate_doubling():
     dyn = _dynamic([10.0, 20.0], rate=96000)
     out = normalize_dynamic(dyn, 192000)
     assert np.array_equal(out.delays, [20.0, 40.0])
-    assert [m.delay_subsample for m in out.measurements] == [20.0, 40.0]
     assert out.sample_rate == 192000
     # only the delays move
     assert (out.device, out.labels) == (dyn.device, dyn.labels)
@@ -237,10 +235,6 @@ def test_normalize_roundtrip_property(delays):
     back = normalize_dynamic(there, 44100)
     assert (there.sample_rate, back.sample_rate) == (96000, 44100)
     assert np.allclose(back.delays, dyn.delays, rtol=0, atol=1e-9)
-    assert np.allclose(
-        [m.delay_subsample for m in back.measurements],
-        [m.delay_subsample for m in dyn.measurements], rtol=0, atol=1e-9,
-    )
 
 
 def test_profile_roundtrip(enrolled, tmp_path):

@@ -17,8 +17,7 @@ def _dynamic(delays, labels):
     return TdoaDynamic(
         measurements=tuple(
             TdoaMeasurement(
-                label=l, delay_samples=float(d), peak_value=1.0,
-                method=Method.GCC_PHAT, delay_subsample=float(d),
+                label=l, delay_samples=float(d), peak_value=1.0, method=Method.GCC_PHAT,
             )
             for l, d in zip(labels, delays)
         ),

@@ -218,32 +218,6 @@ def test_noisy_recovery_small_batch():
     assert hits >= 49
 
 
-def test_subsample_interpolation_close_to_true_fraction():
-    a = _band_noise(8192, seed=8)
-    # fractional shift through the spectral method
-    spec = np.fft.rfft(a)
-    k = np.arange(len(spec))
-    b = np.fft.irfft(spec * np.exp(-2j * np.pi * k * 6.4 / len(a)), len(a))
-    corr = normalized_cross_correlation(a, b, 40)
-    m_idx = int(np.argmax(corr))
-    assert m_idx - 40 == 6
-    seg_rec = StereoRecording(192000, b * 0.4, a * 0.4)
-    m = estimate_tdoa(seg_rec, PhonemeSegment(start=0, end=8192, label="?"), method=Method.CC)
-    assert m.delay_samples == 6.0
-    assert m.delay_subsample == pytest.approx(6.4, abs=0.2)
-
-
-@pytest.mark.parametrize("y, offset", [
-    ((0.5, 1.0, 0.5), 0.0),  # symmetric neighbours
-    ((0.31, 1.91, 1.51), pytest.approx(0.3)),  # 2 - (x - 0.3)**2 at x = -1, 0, 1
-    ((1.0, 0.9, 0.0), -0.5),  # vertex at -0.625, clamped
-    ((0.0, 0.9, 1.0), 0.5),
-    ((1.0, 1.0, 1.0), 0.0),  # flat top: denominator 0
-])
-def test_parabolic_offset(y, offset):
-    assert tdoa._parabolic_offset(*y) == offset
-
-
 def test_measure_dynamic_preserves_order(tone_recording):
     rec = _recording_with_shift(-27)
     segs = [
