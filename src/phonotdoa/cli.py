@@ -147,22 +147,20 @@ def cmd_verify(args) -> int:
     log.info("effective config: %s", json.dumps(
         {"scoring": {"method": method.value, "threshold": threshold}}, sort_keys=True))
     profile = load_profile(args.profile)
-    with WavReader(args.recording) as recording:
-        segments = load_alignment(args.alignment, recording)
-        dynamic = measure_dynamic(
-            recording, segments, device=_device_from_args(args, profile.enrollment_pose.l)
-        )
-
-    # pose release: the templates move to the verification pose
-    new_x = args.distance_m
+    # pose release: the templates move to the verification pose, which
+    # DevicePose refuses before anything is measured (x <= 0, a flat tilt)
+    enrolled = profile.enrollment_pose
+    x = args.distance_m
     if args.beep_echo is not None:
         echo_rec = load_wav(args.beep_echo)
-        new_x = estimate_face_distance(echo_rec, make_beep(echo_rec.sample_rate))
-        log.info("beep-echo distance estimate: %.4f m", new_x)
-    sim = profile.score(
-        dynamic, args.passphrase_id, math.radians(args.angle_deg or 0.0),
-        new_x - profile.enrollment_pose.x if new_x is not None else 0.0,
-    )
+        x = estimate_face_distance(echo_rec, make_beep(echo_rec.sample_rate))
+        log.info("beep-echo distance estimate: %.4f m", x)
+    pose = enrolled.with_(x=enrolled.x if x is None else x,
+                          alpha=math.radians(args.angle_deg or 0.0))
+    with WavReader(args.recording) as recording:
+        segments = load_alignment(args.alignment, recording)
+        dynamic = measure_dynamic(recording, segments, device=_device_from_args(args, enrolled.l))
+    sim = profile.score(dynamic, args.passphrase_id, pose.alpha, pose.x - enrolled.x)
     decision = decide(sim, threshold, method)
     _emit(decision.to_json_dict())
     return 0 if decision.verdict == Verdict.LIVE else 1

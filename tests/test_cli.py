@@ -336,6 +336,32 @@ def test_verify_non_finite_threshold_is_config_error(pipeline, value, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("labels", [LABELS, ["AA", "S", "K"]], ids=["nasals", "no_nasals"])
+def test_verify_refuses_a_distance_at_or_behind_the_mouth(labels, tmp_path, capsys):
+    # DevicePose checks the verification pose before anything is measured;
+    # the exit code once followed the templates: 2 where one moved to or
+    # behind the mouth, as every nasal does, and 1, REPLAY, where none did
+    trials = []
+    for seed in (1, 2, 3):
+        out = tmp_path / f"t{seed}"
+        scene = _scene(tmp_path, f"s{seed}.json", labels=labels, seed=seed)
+        assert run_cli("simulate", scene, out)[0] == 0
+        trials.append(f"{out}/recording.wav:{out}/alignment.json")
+    profile = tmp_path / "p.json"
+    assert run_cli("enroll", "--out", profile, "--user", "u", *_trial_flags(*trials))[0] == 0
+    capsys.readouterr()
+    for distance in ("0", "-0.01"):
+        code, out = run_cli(
+            "verify", tmp_path / "t1" / "recording.wav", tmp_path / "t1" / "alignment.json",
+            "--profile", profile, "--distance-m", distance,
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InvalidPoseError",
+            "message": f"x must be positive and finite, got {float(distance)}",
+        }
+
+
 def test_verify_distance_and_beep_echo_are_exclusive(pipeline, tmp_path, capsys):
     # one source for the verification distance: argparse refuses the pair
     # before any file is opened, so a missing echo file is never read
