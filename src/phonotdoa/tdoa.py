@@ -8,11 +8,10 @@ Correlations are computed in the frequency domain on mean-removed
 windows. CC transforms the whole window at the next power of two
 >= window length + max_lag, which keeps the circular wraparound outside
 the searched lag range. GCC-PHAT (Knapp & Carter, IEEE TASSP 1976)
-averages sub-windows and picks its FFT length per sub-window: the next
-power of two >= sub-window length + max_lag. Each window is centred by
-its own mean straight into the rows of one zero-filled
-(2, sub-windows, FFT length) buffer, Hann-weighted in place with a
-cached window and transformed without a further copy.
+averages sub-windows that fill one FFT length (PHAT_SEGMENT_FACTOR).
+Each window is centred by its own mean straight into the rows of one
+zero-filled (2, sub-windows, FFT length) buffer, Hann-weighted in place
+with a cached window and transformed without a further copy.
 
 A measurement reads only the frames inside its segments: it asks the
 recording for each segment's window(start, end), which a StereoRecording
@@ -178,18 +177,18 @@ def normalized_cross_correlation(a, b, max_lag: int) -> np.ndarray:
     return _extract_lags(full, max_lag) / (na * nb)
 
 
-# Sub-window length for the averaged cross-spectrum estimate, as a
-# multiple of max_lag. A single long snapshot makes the phase transform
+# GCC-PHAT's FFT length is the next power of two >= this many times
+# max_lag plus max_lag, filled by the fewest sub-windows that leave its
+# last max_lag points zero. One long snapshot makes the phase transform
 # wobble by +/-1 sample at moderate SNR (low-magnitude bins get full
-# weight with noisy phase); averaging a few sub-windows stabilizes the
-# per-bin phase while each sub-window stays long against the lag range.
+# weight with noisy phase); averaging a few sub-windows steadies each
+# bin's phase while each stays long against the lag range.
 PHAT_SEGMENT_FACTOR = 16
 
 
-# Hann windows by sub-window length. A sub-window is shorter than 1.5 *
-# max(PHAT_SEGMENT_FACTOR * max_lag, 256) samples, under 18 KB at 192 kHz
-# with the reference mic spacing, so 64 entries stay near 1 MB. Rendered
-# phoneme lengths are multiples of 256 samples: 387 segments used 38.
+# Hann windows by sub-window length. A sub-window holds at most FFT length
+# - max_lag samples, 1,955 (15.6 KB) at 192 kHz with the reference mic
+# spacing, so 64 entries stay under 1 MB.
 @functools.lru_cache(maxsize=64)
 def _hann(length: int) -> np.ndarray:
     window = np.hanning(length)
@@ -209,24 +208,19 @@ def gcc_phat(a, b, max_lag: int) -> np.ndarray:
     """
     a, b = _checked_windows(a, b, max_lag)
     length = min(a.size, b.size)
-    n_seg = max(1, length // max(PHAT_SEGMENT_FACTOR * max_lag, 256))
+    n = _fft_length(min(PHAT_SEGMENT_FACTOR * max_lag, length), max_lag)
+    n_seg = -(-length // (n - max_lag))
     seg = length // n_seg
-    n = _fft_length(seg, max_lag)
     # rows zero-padded to the FFT length up front, so rfft makes no padded copy
     frames = np.zeros((2, n_seg, n))
     for x, rows in zip((a, b), frames):
         mean = x.mean()
-        filled = np.subtract(
-            x[: n_seg * seg].reshape(n_seg, seg), mean, out=rows[:, :seg]
-        )
-        # the variance check covers the whole window: the rows plus the
-        # samples past the last full sub-window. einsum, not np.dot: a
-        # BLAS dot starts threads, which made every process of
-        # fork_map's pool (corpus renders, enroll segments) 5x slower
+        filled = np.subtract(x[: n_seg * seg].reshape(n_seg, seg), mean, out=rows[:, :seg])
+        # the variance check covers the rows and the samples past the last
+        # sub-window. einsum, not np.dot: a BLAS dot starts threads, which
+        # made every process of fork_map's pool 5x slower
         tail = x[n_seg * seg :] - mean
-        _check_variance(
-            x, np.einsum("ij,ij->", filled, filled) + np.einsum("i,i->", tail, tail)
-        )
+        _check_variance(x, np.einsum("ij,ij->", filled, filled) + np.einsum("i,i->", tail, tail))
     if n_seg > 1:
         frames[:, :, :seg] *= _hann(seg)
     spec_a, spec_b = np.fft.rfft(frames, axis=-1)
