@@ -193,8 +193,8 @@ def transform_tdoa(
     on the vertical line through the mouth. It then evaluates the
     forward model at the moved pose, so the transform and the simulator
     share one geometry. Raises NoSolutionError when neither line fits.
-    The moved pose is validated by DevicePose (x + delta_x > 0,
-    spacing >= l2, |alpha| < pi/2, all finite).
+    DevicePose validates the moved pose; a move that puts the source at or
+    behind the handset raises InvalidPoseError naming pose.x - x.
     """
     try:
         x = solve_source_distance(tdoa_samples, pose.l1, pose.l2, sample_rate)
@@ -204,6 +204,10 @@ def transform_tdoa(
         x, source = pose.x, (0.0, solve_on_line(delta_d, pose.l1, pose.l1 - pose.l, h=pose.x))
     if alpha == 0.0 and delta_x == 0.0 and spacing in (None, pose.l):
         return tdoa_samples  # no pose change (solve above validated the input)
+    if not x + delta_x > 0:
+        raise InvalidPoseError(
+            f"the handset distance must be more than {pose.x - x:.4g} m, got {pose.x + delta_x:.4g}"
+        )
     handset = pose if spacing is None else pose.with_spacing(spacing)
     return pose_to_tdoa(handset.with_(x=x + delta_x, alpha=alpha), source, sample_rate=sample_rate)
 

@@ -25,7 +25,7 @@ from .audio_io import (
     FIELD_ERRORS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, check_version, json_int, json_real,
     json_str, read_json, write_json,
 )
-from .errors import NoSolutionError, SchemaError
+from .errors import InvalidPoseError, NoSolutionError, SchemaError
 from .geometry import DevicePose, transform_tdoa
 from .phonemes import INVENTORY
 from .scoring import MIN_SEQUENCE_LENGTH, SimilarityScore, score_dynamic
@@ -84,10 +84,10 @@ class UserProfile:
 
         A text-independent profile gives its inventory templates in label
         order; a text-dependent one the named passphrase's, or the only
-        passphrase's when none is named. With no pose change the templates
-        are returned as they are. A template whose delay fits a source
-        neither on the mouth axis nor on the vertical line through the
-        mouth, where nasals sit (transform_tdoa), keeps its mean.
+        passphrase's when none is named; unmoved when the pose is unchanged.
+        A template whose delay fits no source on the mouth axis or on the
+        vertical line through the mouth (nasals; transform_tdoa) keeps its
+        mean, and one moved to or behind the handset raises InvalidPoseError.
         """
         if self.mode == ProfileMode.TEXT_INDEPENDENT:
             templates = assemble_template(self, labels)
@@ -116,6 +116,8 @@ class UserProfile:
                 )
             except NoSolutionError:
                 mean = t.mean_delay
+            except InvalidPoseError as exc:
+                raise InvalidPoseError(f"template {t.label!r}: {exc}") from None
             moved.append(replace(t, mean_delay=mean))
         return moved
 

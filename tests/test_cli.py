@@ -362,6 +362,35 @@ def test_verify_refuses_a_distance_at_or_behind_the_mouth(labels, tmp_path, caps
         }
 
 
+def test_verify_names_the_template_a_small_distance_puts_behind_the_handset(
+    pipeline, tmp_path, capsys
+):
+    # 0.1 mm passes DevicePose, but S's enrolled 65-sample delay solves
+    # to a source nearer than the enrolled 3 cm, so the move puts it
+    # behind the handset: the error names S and the distance it admits,
+    # enrolled x minus solved x, not the moved x the user never typed
+    _, td_profile, live_dir, _ = pipeline
+    doc = _text_independent(json.loads(td_profile.read_text()))
+    doc["phonemes"]["S"]["delays"] = [64.0, 65.0, 66.0]
+    ti_profile = tmp_path / "ti.json"
+    ti_profile.write_text(json.dumps(doc))
+    profile = load_profile(ti_profile)
+    pose = profile.enrollment_pose
+    solved = geometry.solve_source_distance(65.0, pose.l1, pose.l2, profile.sample_rate)
+    verify = ["verify", live_dir / "recording.wav", live_dir / "alignment.json"]
+    code, out = run_cli(*verify, "--profile", ti_profile, "--distance-m", "0.0001")
+    assert (code, out) == (2, "")
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidPoseError",
+        "message": f"template 'S': the handset distance must be more than "
+        f"{pose.x - solved:.4g} m, got 0.0001",
+    }
+    assert 0.0001 < pose.x - solved < pose.x
+    # a text-dependent profile whose templates all move still scores
+    code, out = run_cli(*verify, "--profile", td_profile, "--distance-m", "0.0001")
+    assert code == 1 and json.loads(out)["verdict"] == "replay"
+
+
 def test_verify_distance_and_beep_echo_are_exclusive(pipeline, tmp_path, capsys):
     # one source for the verification distance: argparse refuses the pair
     # before any file is opened, so a missing echo file is never read
