@@ -15,6 +15,9 @@ relative paths, so no output names the directory:
   for live and attack at the reference pose and live at the moved pose
   against the text-independent profile, enrolled at 48 kHz;
 - tdoa: the CSV with each method;
+- pose: stdout of a solve at the reference pose, of a 30 degree tilt,
+  of a 0.27 m move back and of a tilted nasal, which solves on the
+  vertical line through the mouth;
 - evaluate: every output file and stdout of a text-dependent config
   with pose changes and replace attacks and of a text-independent
   config.
@@ -96,6 +99,13 @@ EXPERIMENTS = {
     },
 }
 
+POSES = {
+    "solve": ["--tdoa", "62.996"],
+    "tilt": ["--tdoa", "62.996", "--angle-deg", "30"],
+    "moved": ["--tdoa", "62.996", "--delta-x-m", "0.27"],
+    "nasal": ["--tdoa", "-30", "--angle-deg", "30"],
+}
+
 
 def _run(*argv) -> bytes:
     """Exit code and stdout of one in-process CLI call."""
@@ -156,6 +166,9 @@ def build_artifacts(workdir) -> dict:
             artifacts[f"tdoa/{method}/stdout"] = _run(
                 "tdoa", "live/recording.wav", "live/alignment.json", "--method", method,
             )
+
+        for case, argv in POSES.items():
+            artifacts[f"pose/{case}/stdout"] = _run("pose", *argv)
 
         for name, doc in EXPERIMENTS.items():
             Path(f"{name}.json").write_text(json.dumps(doc))
