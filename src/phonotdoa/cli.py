@@ -7,12 +7,13 @@ experiment's own "seed" field, or --seed when the file has none. So
 identical invocations produce byte-identical stdout.
 
 Each setting has one source: `enroll` records geometry.REFERENCE_POSE
-on the --device-spacing-m handset and `pose` solves at it; `verify`
-scores with --method and --threshold over the defaults in `config`,
-measures on the profile's handset unless --device-spacing-m names one,
-and takes its distance from --distance-m or --beep-echo, never both.
-`verify` loads, measures and ranges here and leaves the rest to
-UserProfile.score, the path run_experiment scores through too.
+on the --device-spacing-m handset and `pose` solves at it and moves it;
+`verify` scores with --method and --threshold over the defaults in
+`config`, measures on the profile's handset unless --device-spacing-m
+names one, and takes its distance from --distance-m or --beep-echo,
+never both. `verify` loads, measures, ranges and builds the verification
+DevicePose here and passes it whole to UserProfile.score, the path
+run_experiment scores through too.
 
 `simulate` loads simulator and sourcemodel, and `evaluate` evaluation,
 when they run; no other command loads these modules.
@@ -160,7 +161,7 @@ def cmd_verify(args) -> int:
     with WavReader(args.recording) as recording:
         segments = load_alignment(args.alignment, recording)
         dynamic = measure_dynamic(recording, segments, device=_device_from_args(args, enrolled.l))
-    sim = profile.score(dynamic, args.passphrase_id, pose.alpha, pose.x - enrolled.x)
+    sim = profile.score(dynamic, args.passphrase_id, pose)
     decision = decide(sim, threshold, method)
     _emit(decision.to_json_dict())
     return 0 if decision.verdict == Verdict.LIVE else 1
@@ -210,6 +211,9 @@ def cmd_tdoa(args) -> int:
 def cmd_pose(args) -> int:
     check_sample_rate(args.sample_rate)
     transform = args.angle_deg is not None or args.delta_x_m is not None
+    if transform:
+        moved = REFERENCE_POSE.with_(x=REFERENCE_POSE.x + (args.delta_x_m or 0.0),
+                                     alpha=math.radians(args.angle_deg or 0.0))
     try:
         x = solve_source_distance(args.tdoa, REFERENCE_POSE.l1, REFERENCE_POSE.l2, args.sample_rate)
     except NoSolutionError:
@@ -219,13 +223,7 @@ def cmd_pose(args) -> int:
         x = None
     result = {"tdoa1": args.tdoa, "sample_rate": args.sample_rate, "x_solved": x}
     if transform:
-        result["tdoa2"] = transform_tdoa(
-            args.tdoa,
-            REFERENCE_POSE,
-            alpha=math.radians(args.angle_deg or 0.0),
-            delta_x=args.delta_x_m or 0.0,
-            sample_rate=args.sample_rate,
-        )
+        result["tdoa2"] = transform_tdoa(args.tdoa, REFERENCE_POSE, moved, args.sample_rate)
     _emit(result)
     return 0
 

@@ -263,8 +263,6 @@ _FIELD_READERS = {
 
 def _verification_pose(alpha_deg: float, delta_x: float) -> DevicePose:
     """REFERENCE_POSE tilted by alpha_deg and moved back by delta_x."""
-    if not (alpha_deg or delta_x):
-        return REFERENCE_POSE
     return REFERENCE_POSE.with_(x=REFERENCE_POSE.x + delta_x, alpha=math.radians(alpha_deg))
 
 
@@ -316,12 +314,11 @@ def _plan(config: ExperimentConfig, model, poses) -> tuple:
     enroll, rows) per passphrase. enroll lists the job indexes of
     the enrollment trials: the passphrase's own for text-dependent
     profiles, the user's for text-independent ones. rows lists (kind,
-    pose index, job index) in report order.
+    index of the verification pose in poses, job index) in report order.
     """
     rng = np.random.default_rng(config.seed)
     pose0 = REFERENCE_POSE
     labels_pool = sorted(model.labels)
-    ver_poses = [_verification_pose(alpha_deg, delta_x) for alpha_deg, delta_x in poses]
     jobs = []
     passphrases = []
 
@@ -349,7 +346,7 @@ def _plan(config: ExperimentConfig, model, poses) -> tuple:
                     for _ in range(config.enroll_trials)
                 ]
             rows = []
-            for pose_idx, ver_pose in enumerate(ver_poses):
+            for pose_idx, ver_pose in enumerate(poses):
                 for _ in range(config.live_trials):
                     rows.append(("live", pose_idx, job(labels, user_model, ver_pose)))
                 for _ in range(config.static_attacks):
@@ -406,7 +403,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """
     config.validate()
     model = load_source_model()
-    poses = [(0.0, 0.0)] + [tuple(p) for p in config.pose_changes]
+    changes = ((0.0, 0.0),) + config.pose_changes
+    poses = [_verification_pose(alpha_deg, delta_x) for alpha_deg, delta_x in changes]
     jobs, passphrases = _plan(config, model, poses)
     dynamics = fork_map(functools.partial(_measure, config), jobs)
 
@@ -416,16 +414,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
             user_id, config.mode, [dynamics[j] for j in enroll], REFERENCE_POSE, passphrase_id,
         )
         for kind, pose_idx, j in pp_rows:
-            alpha_deg, delta_x = poses[pose_idx]
-            move = (math.radians(alpha_deg), delta_x) if config.transform else (0.0, 0.0)
-            sim = profile.score(dynamics[j], passphrase_id, *move)
+            pose = poses[pose_idx] if config.transform else None  # None: the enrollment pose
+            sim = profile.score(dynamics[j], passphrase_id, pose)
             rows.append(
                 {
                     "kind": kind,
                     "user": user_id,
                     "passphrase": passphrase_id,
                     "band": band,
-                    "pose": _pose_label(alpha_deg, delta_x),
+                    "pose": _pose_label(*changes[pose_idx]),
                     **{m.value: sim.selected(m) for m in config.methods},
                 }
             )

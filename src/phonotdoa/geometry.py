@@ -1,5 +1,6 @@
 """Source-to-device geometry: forward delay model, pose transforms, and
-ultrasonic face ranging.
+ultrasonic face ranging. A tilt, a distance change and a handset change
+are one move, from one DevicePose to another (transform_tdoa).
 
 Coordinates: origin at the mouth reference point, y pointing
 horizontally toward the handset, z pointing up. At tilt angle 0 the
@@ -177,24 +178,19 @@ def solve_source_distance(tdoa_samples: float, l1: float, l2: float, sample_rate
 
 
 def transform_tdoa(
-    tdoa_samples: float,
-    pose: DevicePose,
-    alpha: float = 0.0,
-    delta_x: float = 0.0,
-    sample_rate: int = 192000,
-    spacing: float = None,
+    tdoa_samples: float, pose: DevicePose, moved: DevicePose, sample_rate: int = 192000
 ) -> float:
-    """Predict the delay after moving the handset back by delta_x, tilting
-    it by alpha about its top mic and changing it for one of mic spacing
-    `spacing` (DevicePose.with_spacing), keeping the source fixed.
+    """Predict the delay of a source held fixed while the handset moves
+    from pose to moved: back by moved.x - pose.x, tilted by moved.alpha
+    about its top mic, with moved's mic layout (l1, l2, l).
 
-    Solves the enrolled delay for the source distance x on the mouth
-    axis, or, where no distance fits (a nasal), for the source height dz
-    on the vertical line through the mouth. It then evaluates the
-    forward model at the moved pose, so the transform and the simulator
-    share one geometry. Raises NoSolutionError when neither line fits.
-    DevicePose validates the moved pose; a move that puts the source at or
-    behind the handset raises InvalidPoseError naming pose.x - x.
+    Solves the delay at pose for the source distance x on the mouth axis,
+    or, where no distance fits (a nasal), for the source height dz on the
+    vertical line through the mouth. It then evaluates the forward model
+    at the moved handset, so the transform and the simulator share one
+    geometry. Raises NoSolutionError when neither line fits. DevicePose
+    validates the moved handset; a move that puts the source at or behind
+    it raises InvalidPoseError naming pose.x - x.
     """
     try:
         x = solve_source_distance(tdoa_samples, pose.l1, pose.l2, sample_rate)
@@ -202,14 +198,14 @@ def transform_tdoa(
     except NoSolutionError:
         delta_d = tdoa_samples * SPEED_OF_SOUND / sample_rate
         x, source = pose.x, (0.0, solve_on_line(delta_d, pose.l1, pose.l1 - pose.l, h=pose.x))
-    if alpha == 0.0 and delta_x == 0.0 and spacing in (None, pose.l):
+    if moved == pose:
         return tdoa_samples  # no pose change (solve above validated the input)
+    delta_x = moved.x - pose.x
     if not x + delta_x > 0:
         raise InvalidPoseError(
-            f"the handset distance must be more than {pose.x - x:.4g} m, got {pose.x + delta_x:.4g}"
+            f"the handset distance must be more than {pose.x - x:.4g} m, got {moved.x:.4g}"
         )
-    handset = pose if spacing is None else pose.with_spacing(spacing)
-    return pose_to_tdoa(handset.with_(x=x + delta_x, alpha=alpha), source, sample_rate=sample_rate)
+    return pose_to_tdoa(moved.with_(x=x + delta_x), source, sample_rate=sample_rate)
 
 
 def make_beep(sample_rate: int) -> np.ndarray:

@@ -6,10 +6,11 @@ profiles store one template per inventory phoneme and assemble passphrase
 templates on demand. Enrollment measures every delay with GCC-PHAT, as
 verification does, on the handset whose mic spacing is the enrollment
 pose's l. UserProfile.score, the one path from a measured dynamic to a
-score for `verify` and run_experiment, moves the templates to the pose
-and handset the dynamic was measured on: a device change is a pose
-change. A profile file holds each template's delays only; load_profile
-checks them as enrollment checks its trials and rebuilds mean and std.
+score for `verify` and run_experiment, takes the verification pose whole
+and moves the templates to it on the handset the dynamic was measured
+on: a device change is a pose change. A profile file holds each
+template's delays only; load_profile checks them as enrollment checks
+its trials and rebuilds mean and std.
 """
 
 from __future__ import annotations
@@ -73,21 +74,17 @@ class UserProfile:
     passphrase_templates: dict = field(default_factory=dict)
     phoneme_templates: dict = field(default_factory=dict)
 
-    def templates_at(
-        self, labels, passphrase_id: str = None, alpha: float = 0.0, delta_x: float = 0.0,
-        spacing: float = None,
-    ) -> list:
+    def templates_at(self, labels, passphrase_id: str = None, pose: DevicePose = None) -> list:
         """The templates to score an utterance of labels against, moved
-        from the enrollment pose to a handset of mic spacing `spacing`
-        (default: unchanged; DevicePose.with_spacing), tilted by alpha
-        about its top mic and moved back by delta_x, at the profile's rate.
+        with transform_tdoa from the enrollment pose to pose (default:
+        unmoved), at the profile's rate.
 
         A text-independent profile gives its inventory templates in label
         order; a text-dependent one the named passphrase's, or the only
-        passphrase's when none is named; unmoved when the pose is unchanged.
+        passphrase's when none is named; unmoved at the enrollment pose.
         A template whose delay fits no source on the mouth axis or on the
-        vertical line through the mouth (nasals; transform_tdoa) keeps its
-        mean, and one moved to or behind the handset raises InvalidPoseError.
+        vertical line through the mouth (nasals) keeps its mean, and one
+        moved to or behind the handset raises InvalidPoseError.
         """
         if self.mode == ProfileMode.TEXT_INDEPENDENT:
             templates = assemble_template(self, labels)
@@ -105,15 +102,12 @@ class UserProfile:
                 raise SchemaError(
                     f"profile has no passphrase {passphrase_id!r}"
                 ) from None
-        if alpha == 0.0 and delta_x == 0.0 and spacing in (None, self.enrollment_pose.l):
+        if pose in (None, self.enrollment_pose):
             return templates
         moved = []
         for t in templates:
             try:
-                mean = transform_tdoa(
-                    t.mean_delay, self.enrollment_pose, alpha=alpha, delta_x=delta_x,
-                    sample_rate=self.sample_rate, spacing=spacing,
-                )
+                mean = transform_tdoa(t.mean_delay, self.enrollment_pose, pose, self.sample_rate)
             except NoSolutionError:
                 mean = t.mean_delay
             except InvalidPoseError as exc:
@@ -122,24 +116,20 @@ class UserProfile:
         return moved
 
     def score(
-        self,
-        dynamic: TdoaDynamic,
-        passphrase_id: str = None,
-        alpha: float = 0.0,
-        delta_x: float = 0.0,
+        self, dynamic: TdoaDynamic, passphrase_id: str = None, pose: DevicePose = None
     ) -> SimilarityScore:
         """Every score of a measured dynamic against this profile, the
-        templates moved as in templates_at by alpha, delta_x and onto the
-        mic spacing the dynamic was measured on (dynamic.device).
+        templates moved as in templates_at to pose (default: the enrollment
+        pose) on the handset the dynamic was measured on (dynamic.device;
+        DevicePose.with_spacing).
 
         A dynamic measured at another sample rate is first rescaled onto
         the profile's, exactly, with normalize_dynamic.
         """
-        spacing = dynamic.device.mic_spacing_m
+        pose = (pose or self.enrollment_pose).with_spacing(dynamic.device.mic_spacing_m)
         if dynamic.sample_rate != self.sample_rate:
             dynamic = normalize_dynamic(dynamic, self.sample_rate)
-        templates = self.templates_at(dynamic.labels, passphrase_id, alpha, delta_x, spacing)
-        return score_dynamic(dynamic, templates)
+        return score_dynamic(dynamic, self.templates_at(dynamic.labels, passphrase_id, pose))
 
 
 # enroll measures in one process per CPU, but at most one per this many

@@ -317,12 +317,7 @@ def test_c6_transform_matches_simulator(source_model):
         key = "pose" if device is DEVICE else "handset"
         for label, m in zip(labels, dyn.measurements):
             predicted = transform_tdoa(
-                source_model.reference_delay(label),
-                REFERENCE_POSE,
-                alpha=math.radians(alpha_deg),
-                delta_x=dx,
-                sample_rate=FS,
-                spacing=device.mic_spacing_m,
+                source_model.reference_delay(label), REFERENCE_POSE, pose, FS
             )
             worst[key] = max(worst.get(key, 0.0), abs(predicted - m.delay_samples))
     report(
@@ -535,10 +530,11 @@ def test_c9_identities(source_model):
     # alpha = 0 identity and delta_x = 0 exact identity
     base = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
     checks.append(
-        abs(transform_tdoa(base, REFERENCE_POSE, alpha=0.0, sample_rate=FS) - base)
+        abs(transform_tdoa(base, REFERENCE_POSE, REFERENCE_POSE.with_(alpha=0.0), FS) - base)
         < 0.01
     )
-    checks.append(transform_tdoa(base, REFERENCE_POSE, delta_x=0.0, sample_rate=FS) == base)
+    unmoved = REFERENCE_POSE.with_(x=REFERENCE_POSE.x + 0.0)
+    checks.append(transform_tdoa(base, REFERENCE_POSE, unmoved, FS) == base)
 
     # the correlation reads only the template means, not their stds
     labels = ["AA", "S", "K", "OW", "M"]

@@ -177,7 +177,8 @@ def test_verify_rescales_other_rate_and_moves_to_other_spacing_as_composed_by_ha
             recording, load_alignment(out / "alignment.json", recording), device=s5
         )
     dynamic = normalize_dynamic(dynamic, profile.sample_rate)
-    templates = profile.templates_at(dynamic.labels, alpha=math.radians(10), spacing=0.141)
+    pose = profile.enrollment_pose.with_(alpha=math.radians(10)).with_spacing(0.141)
+    templates = profile.templates_at(dynamic.labels, pose=pose)
     sim = score_dynamic(dynamic, templates)
     decision = decide(sim, DEFAULT_THRESHOLD, ScoringMethod.COMBINED)
     assert stdout == json.dumps(decision.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -233,7 +234,7 @@ def test_pose_transforms_a_delay_only_the_vertical_line_fits(capsys):
     doc = json.loads(out)
     assert doc["x_solved"] is None
     assert doc["tdoa2"] == pytest.approx(
-        geometry.transform_tdoa(-30.0, REFERENCE_POSE, alpha=math.radians(30))
+        geometry.transform_tdoa(-30.0, REFERENCE_POSE, REFERENCE_POSE.with_(alpha=math.radians(30)))
     )
     assert doc["tdoa2"] == pytest.approx(-44.80, abs=0.01)
     # with nothing to transform, the solve is the answer, and it has none

@@ -87,7 +87,7 @@ def test_angle_identity_at_zero(alpha):
     # exact at 0 (no pose change); at a vanishing tilt, identity up to
     # the source-distance solver tolerance (1e-6 m)
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
-    out = transform_tdoa(tdoa, REFERENCE_POSE, alpha=alpha, sample_rate=FS)
+    out = transform_tdoa(tdoa, REFERENCE_POSE, REFERENCE_POSE.with_(alpha=alpha), FS)
     assert out == pytest.approx(tdoa, abs=0.01)
 
 
@@ -113,21 +113,21 @@ def _hand_transform(tdoa1, l1, l2, l, alpha):
 def test_angle_transform_matches_hand_evaluation(alpha_deg):
     alpha = math.radians(alpha_deg)
     tdoa1 = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
-    got = transform_tdoa(tdoa1, REFERENCE_POSE, alpha=alpha, sample_rate=FS)
+    got = transform_tdoa(tdoa1, REFERENCE_POSE, REFERENCE_POSE.with_(alpha=alpha), FS)
     want = _hand_transform(tdoa1, 0.14, 0.01, 0.15, alpha)
     assert got == pytest.approx(want, abs=1e-3)
 
 
 def test_distance_identity_at_zero():
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
-    out = transform_tdoa(tdoa, REFERENCE_POSE, delta_x=0.0, sample_rate=FS)
+    out = transform_tdoa(tdoa, REFERENCE_POSE, REFERENCE_POSE.with_(x=0.03 + 0.0), FS)
     assert out == tdoa  # exact: no pose change
 
 
 def test_distance_transform_hand_value():
     # x = 0.03, delta = 0.27: (sqrt(0.0196+0.09) - sqrt(0.0001+0.09)) scaled
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
-    out = transform_tdoa(tdoa, REFERENCE_POSE, delta_x=0.27, sample_rate=FS)
+    out = transform_tdoa(tdoa, REFERENCE_POSE, REFERENCE_POSE.with_(x=0.03 + 0.27), FS)
     want = (math.sqrt(0.0196 + 0.09) - math.sqrt(0.0001 + 0.09)) / 340.0 * FS
     assert out == pytest.approx(want, abs=2e-3)
     assert out == pytest.approx(17.4, abs=0.1)
@@ -137,7 +137,8 @@ def test_distance_transform_monotone_shrink():
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
     prev = abs(tdoa)
     for dx in np.linspace(0.05, 4.0, 25):
-        cur = abs(transform_tdoa(tdoa, REFERENCE_POSE, delta_x=float(dx), sample_rate=FS))
+        moved = REFERENCE_POSE.with_(x=0.03 + float(dx))
+        cur = abs(transform_tdoa(tdoa, REFERENCE_POSE, moved, FS))
         assert cur < prev
         prev = cur
 
@@ -145,7 +146,7 @@ def test_distance_transform_monotone_shrink():
 def test_distance_transform_invalid_pose():
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
     with pytest.raises(InvalidPoseError):
-        transform_tdoa(tdoa, REFERENCE_POSE, delta_x=-5.0, sample_rate=FS)
+        transform_tdoa(tdoa, REFERENCE_POSE, REFERENCE_POSE.with_(x=0.03 - 5.0), FS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,10 +228,8 @@ def test_transform_respects_triangle_inequality():
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
     for alpha_deg in (0, 20, 40, 60):
         for dx in (0.0, 0.1, 0.5):
-            out = transform_tdoa(
-                tdoa, REFERENCE_POSE, alpha=math.radians(alpha_deg),
-                delta_x=dx, sample_rate=FS,
-            )
+            moved = REFERENCE_POSE.with_(x=0.03 + dx, alpha=math.radians(alpha_deg))
+            out = transform_tdoa(tdoa, REFERENCE_POSE, moved, FS)
             assert abs(out) * 340.0 / FS <= REFERENCE_POSE.l + 1e-9
 
 
@@ -239,7 +238,7 @@ def test_transform_outside_mic_geometry_is_typed_error():
     # check is a raise, not an assert, so it also holds under python -O
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
     with pytest.raises(InvalidPoseError):
-        transform_tdoa(tdoa, REFERENCE_POSE, alpha=math.nan, sample_rate=FS)
+        transform_tdoa(tdoa, REFERENCE_POSE, REFERENCE_POSE.with_(alpha=math.nan), FS)
 
 
 def test_with_spacing_holds_the_bottom_mic():
@@ -259,16 +258,14 @@ def test_spacing_transform_matches_the_forward_model(source_model, spacing):
     handset = REFERENCE_POSE.with_spacing(spacing)
     for label in source_model.labels:
         src = source_model.source(label)
-        moved = transform_tdoa(
-            source_model.reference_delay(label), REFERENCE_POSE, sample_rate=FS, spacing=spacing
-        )
+        moved = transform_tdoa(source_model.reference_delay(label), REFERENCE_POSE, handset, FS)
         assert moved == pytest.approx(pose_to_tdoa(handset, (src.dy, src.dz), FS), abs=0.005)
 
 
 def test_spacing_transform_identity_at_the_pose_l():
-    assert transform_tdoa(40.0, REFERENCE_POSE, sample_rate=FS, spacing=0.15) == 40.0
+    assert transform_tdoa(40.0, REFERENCE_POSE, REFERENCE_POSE.with_spacing(0.15), FS) == 40.0
     with pytest.raises(InvalidPoseError):  # the top mic below the mouth
-        transform_tdoa(40.0, REFERENCE_POSE, sample_rate=FS, spacing=0.005)
+        transform_tdoa(40.0, REFERENCE_POSE, REFERENCE_POSE.with_spacing(0.005), FS)
 
 
 def test_make_beep_shape():
