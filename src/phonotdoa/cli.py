@@ -149,7 +149,8 @@ def cmd_verify(args) -> int:
         {"scoring": {"method": method.value, "threshold": threshold}}, sort_keys=True))
     profile = load_profile(args.profile)
     # pose release: the templates move to the verification pose, which
-    # DevicePose refuses before anything is measured (x <= 0, a flat tilt)
+    # DevicePose refuses before anything is measured (x <= 0, a flat tilt,
+    # a tilt that puts the bottom mic at or behind the mouth)
     enrolled = profile.enrollment_pose
     x = args.distance_m
     if args.beep_echo is not None:

@@ -45,7 +45,8 @@ ECHO_MIN_SEPARATION_S = 1e-4
 class DevicePose:
     """Mouth-to-handset geometry.
 
-    x: horizontal mouth-to-handset distance (m)
+    x: horizontal mouth-to-handset distance (m), to the top mic; the
+       tilted bottom mic must stay in front of the mouth too
     l1: vertical distance, mouth to top mic (m)
     l2: vertical distance, mouth to bottom mic (m)
     l: handset length, top mic to bottom mic (m)
@@ -68,6 +69,11 @@ class DevicePose:
             raise InvalidPoseError("l1 and l2 must be non-negative and finite")
         if not abs(self.alpha) < math.pi / 2:
             raise InvalidPoseError("|alpha| must be below pi/2")
+        if not self.x + self.l * math.sin(self.alpha) > 0:
+            raise InvalidPoseError(
+                f"a tilt of {math.degrees(self.alpha):.4g} degrees puts the bottom mic at or "
+                f"behind the mouth: x + l sin(alpha) = {self.x + self.l * math.sin(self.alpha):.4g} m"
+            )
 
     def with_(self, **kwargs) -> "DevicePose":
         return replace(self, **kwargs)

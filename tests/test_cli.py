@@ -250,6 +250,27 @@ def test_pose_non_finite_is_typed_error(flag, value, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidPoseError"
 
 
+def test_pose_and_verify_refuse_a_tilt_that_puts_the_bottom_mic_behind_the_mouth(
+    pipeline, tmp_path, capsys
+):
+    # -30 degrees puts the bottom mic at x + l sin(alpha) = -0.045 m; verify
+    # refuses the pose before it opens the (missing) recording
+    _, profile, live_dir, _ = pipeline
+    error = {
+        "error": "InvalidPoseError",
+        "message": "a tilt of -30 degrees puts the bottom mic at or behind the mouth: "
+        "x + l sin(alpha) = -0.045 m",
+    }
+    assert run_cli("pose", "--tdoa", "62.996", "--angle-deg", "-30") == (2, "")
+    assert json.loads(capsys.readouterr().err) == error
+    code, out = run_cli(
+        "verify", tmp_path / "missing.wav", live_dir / "alignment.json",
+        "--profile", profile, "--angle-deg", "-30",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(capsys.readouterr().err) == error
+
+
 @pytest.mark.parametrize("rate", ["0", "-192000", "384001"])
 def test_pose_rate_out_of_range_is_typed_error(rate, capsys):
     code, out = run_cli("pose", "--tdoa", "40", "--sample-rate", rate)

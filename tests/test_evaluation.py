@@ -241,15 +241,17 @@ def test_config_bound_ignores_a_band_never_drawn():
 
 
 @pytest.mark.parametrize("doc, match", [
-    # pose changes DevicePose refuses: the handset through the mouth, and
-    # tilted flat
+    # pose changes DevicePose refuses: the handset through the mouth,
+    # tilted flat, and tilted so far back that its bottom mic is behind
+    # the mouth
     ({"pose_changes": [[0, -0.05]]}, r"render pose: x must be positive"),
     ({"pose_changes": [[90, 0]]}, r"render pose: \|alpha\| must be below pi/2"),
+    ({"pose_changes": [[-30, 0]]}, r"render pose: a tilt of -30 degrees puts the bottom mic"),
     # a mic beyond MAX_PATH_M - MAX_SOURCE_RADIUS of the mouth: these once
     # failed only after the enrollment renders had run
     ({"pose_changes": [[0, 20]]}, r"mic 20 m from the mouth, over 9.9 m"),
     ({"replace_distances": [20], "replace_attacks": 1}, r"mic 20 m from the mouth, over 9.9 m"),
-], ids=["pose_behind_mouth", "pose_flat", "pose_far", "replace_far"])
+], ids=["pose_behind_mouth", "pose_flat", "pose_tilted_behind_mouth", "pose_far", "replace_far"])
 def test_config_refuses_a_pose_no_render_takes(doc, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict(doc)

@@ -32,6 +32,17 @@ def test_pose_validation():
         DevicePose(x=0.03, l1=-0.1, l2=0.01, l=0.15)
 
 
+def test_pose_refuses_a_tilt_that_puts_the_bottom_mic_behind_the_mouth():
+    # at the reference pose the bottom mic reaches the mouth plane at
+    # asin(0.03 / 0.15) = -11.54 degrees; at -12 it sits at y = -0.0012 m
+    assert mic_positions(REFERENCE_POSE.with_(alpha=math.radians(-11.5)))[1][0] > 0
+    for alpha_deg in (-12.0, -30.0, -80.0):
+        with pytest.raises(InvalidPoseError, match="bottom mic at or behind the mouth"):
+            REFERENCE_POSE.with_(alpha=math.radians(alpha_deg))
+    with pytest.raises(InvalidPoseError, match="bottom mic"):
+        DevicePose(x=0.03, l1=0.14, l2=0.01, l=0.15, alpha=-math.asin(0.2))
+
+
 def test_symmetric_pose_zero_delay():
     pose = DevicePose(x=0.05, l1=0.075, l2=0.075, l=0.15)
     assert pose_to_tdoa(pose, (0.0, 0.0), FS) == pytest.approx(0.0, abs=1e-12)
