@@ -55,14 +55,6 @@ class PhonemeInventory:
     def symbols(self) -> frozenset:
         return frozenset(self.classes)
 
-    @property
-    def vowels(self) -> tuple:
-        return tuple(s for s, c in self.classes.items() if c == VOWEL)
-
-    @property
-    def consonants(self) -> tuple:
-        return tuple(s for s, c in self.classes.items() if c != VOWEL)
-
     def __contains__(self, label: str) -> bool:
         return label in self.classes
 
@@ -71,9 +63,6 @@ class PhonemeInventory:
             return self.classes[label]
         except KeyError:
             raise SchemaError(f"unknown phoneme label {label!r}") from None
-
-    def is_vowel(self, label: str) -> bool:
-        return self.articulation_class(label) == VOWEL
 
     def is_voiced(self, label: str) -> bool:
         if label not in self.voiced:

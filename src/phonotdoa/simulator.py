@@ -119,14 +119,6 @@ class SimulatedUtterance:
     segments: tuple
     ground_truth: tuple
 
-    @property
-    def labels(self) -> tuple:
-        return tuple(s.label for s in self.segments)
-
-    @property
-    def true_delays(self) -> np.ndarray:
-        return np.array([g.delay_samples for g in self.ground_truth])
-
 
 def circle_trajectory(radius: float = 0.05, turns: float = 1.5, phase: float = 0.0) -> tuple:
     """TRAJECTORY_POINTS loudspeaker waypoints circling the mouth."""

@@ -26,7 +26,7 @@ from phonotdoa.evaluation import (
     run_experiment,
 )
 from phonotdoa.geometry import REFERENCE_POSE, pose_to_tdoa, transform_tdoa
-from phonotdoa.phonemes import AFFRICATE, INVENTORY, NASAL, STOP
+from phonotdoa.phonemes import AFFRICATE, INVENTORY, NASAL, STOP, VOWEL
 from phonotdoa.profiles import (
     PhonemeTemplate, ProfileMode, enroll_from_dynamics, normalize_dynamic,
 )
@@ -144,11 +144,11 @@ def calibration_stats(source_model):
 
 def test_c3_reference_bands(calibration_stats, source_model):
     means, stds = calibration_stats
-    vowels = [l for l in source_model.labels if INVENTORY.is_vowel(l)]
+    vowels = [l for l in source_model.labels if INVENTORY.articulation_class(l) == VOWEL]
     nasals = [l for l in source_model.labels if INVENTORY.articulation_class(l) == NASAL]
     other_consonants = [
         l for l in source_model.labels
-        if not INVENTORY.is_vowel(l) and l not in nasals
+        if INVENTORY.articulation_class(l) != VOWEL and l not in nasals
     ]
     vowel_lo = min(means[l] for l in vowels)
     vowel_hi = max(means[l] for l in vowels)
@@ -175,7 +175,7 @@ def test_c3_reference_bands(calibration_stats, source_model):
 
 def test_c3_stability_ordering(calibration_stats, source_model):
     means, stds = calibration_stats
-    vowel_stds = [stds[l] for l in source_model.labels if INVENTORY.is_vowel(l)]
+    vowel_stds = [stds[l] for l in source_model.labels if INVENTORY.articulation_class(l) == VOWEL]
     stop_labels = [
         l for l in source_model.labels
         if INVENTORY.articulation_class(l) in (STOP, AFFRICATE)

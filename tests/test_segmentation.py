@@ -5,7 +5,7 @@ import pytest
 
 from phonotdoa.audio_io import StereoRecording
 from phonotdoa.errors import SchemaError
-from phonotdoa.phonemes import default_inventory
+from phonotdoa.phonemes import VOWEL, default_inventory
 from phonotdoa.segmentation import (
     PhonemeSegment,
     load_alignment,
@@ -26,8 +26,11 @@ def _alignment_file(tmp_path, doc):
 def test_inventory_has_44_symbols():
     inv = default_inventory()
     assert len(inv.symbols) == 44
-    assert len(inv.vowels) + len(inv.consonants) == 44
-    assert inv.is_vowel("AA")
+    vowels = [s for s, c in inv.classes.items() if c == VOWEL]
+    consonants = [s for s, c in inv.classes.items() if c != VOWEL]
+    assert (len(vowels), len(consonants)) == (19, 25)
+    assert len(vowels) + len(consonants) == 44
+    assert inv.articulation_class("AA") == VOWEL
     assert inv.articulation_class("M") == "nasal"
     assert not inv.is_voiced("K")
     with pytest.raises(SchemaError, match="unknown phoneme label 'QQ'"):
