@@ -69,10 +69,11 @@ class DevicePose:
             raise InvalidPoseError("l1 and l2 must be non-negative and finite")
         if not abs(self.alpha) < math.pi / 2:
             raise InvalidPoseError("|alpha| must be below pi/2")
-        if not self.x + self.l * math.sin(self.alpha) > 0:
+        bottom_y = self.x + self.l * math.sin(self.alpha)  # as in mic_positions
+        if not bottom_y > 0:
             raise InvalidPoseError(
                 f"a tilt of {math.degrees(self.alpha):.4g} degrees puts the bottom mic at or "
-                f"behind the mouth: x + l sin(alpha) = {self.x + self.l * math.sin(self.alpha):.4g} m"
+                f"behind the mouth: x + l sin(alpha) = {bottom_y:.4g} m"
             )
 
     def with_(self, **kwargs) -> "DevicePose":
