@@ -158,6 +158,11 @@ def test_distance_transform_invalid_pose():
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
     with pytest.raises(InvalidPoseError):
         transform_tdoa(tdoa, REFERENCE_POSE, REFERENCE_POSE.with_(x=0.03 - 5.0), FS)
+    # a valid moved pose that puts a source solved 1 cm nearer than the
+    # handset behind it: transform_tdoa's own check, not DevicePose's
+    near = pose_to_tdoa(REFERENCE_POSE.with_(x=0.02), (0.0, 0.0), FS)
+    with pytest.raises(InvalidPoseError, match="more than 0.01 m, got 0.005"):
+        transform_tdoa(near, REFERENCE_POSE, REFERENCE_POSE.with_(x=0.005), FS)
 
 
 @settings(max_examples=60, deadline=None)
