@@ -12,8 +12,8 @@ on the --device-spacing-m handset and `pose` solves at it and moves it;
 `config`, measures on the profile's handset unless --device-spacing-m
 names one, and takes its distance from --distance-m or --beep-echo,
 never both. `verify` loads, measures, ranges and builds the verification
-DevicePose here and passes it whole to UserProfile.score, the path
-run_experiment scores through too.
+DevicePose on the measuring handset here and passes it whole to
+UserProfile.score, the path run_experiment scores through too.
 
 `simulate` loads simulator and sourcemodel, and `evaluate` evaluation,
 when they run; no other command loads these modules.
@@ -148,20 +148,22 @@ def cmd_verify(args) -> int:
     log.info("effective config: %s", json.dumps(
         {"scoring": {"method": method.value, "threshold": threshold}}, sort_keys=True))
     profile = load_profile(args.profile)
-    # pose release: the templates move to the verification pose, which
-    # DevicePose refuses before anything is measured (x <= 0, a flat tilt,
-    # a tilt that puts the bottom mic at or behind the mouth)
+    # pose release: the templates move to the verification pose on the
+    # measuring handset, which DevicePose refuses before anything is
+    # measured (x <= 0, a flat tilt, a tilt that puts the bottom mic at or
+    # behind the mouth)
     enrolled = profile.enrollment_pose
+    device = _device_from_args(args, enrolled.l)
     x = args.distance_m
     if args.beep_echo is not None:
         echo_rec = load_wav(args.beep_echo)
         x = estimate_face_distance(echo_rec, make_beep(echo_rec.sample_rate))
         log.info("beep-echo distance estimate: %.4f m", x)
-    pose = enrolled.with_(x=enrolled.x if x is None else x,
-                          alpha=math.radians(args.angle_deg or 0.0))
+    pose = enrolled.with_spacing(device.mic_spacing_m).with_(
+        x=enrolled.x if x is None else x, alpha=math.radians(args.angle_deg or 0.0))
     with WavReader(args.recording) as recording:
         segments = load_alignment(args.alignment, recording)
-        dynamic = measure_dynamic(recording, segments, device=_device_from_args(args, enrolled.l))
+        dynamic = measure_dynamic(recording, segments, device=device)
     sim = profile.score(dynamic, args.passphrase_id, pose)
     decision = decide(sim, threshold, method)
     _emit(decision.to_json_dict())
@@ -212,9 +214,9 @@ def cmd_tdoa(args) -> int:
 def cmd_pose(args) -> int:
     check_sample_rate(args.sample_rate)
     transform = args.angle_deg is not None or args.delta_x_m is not None
-    if transform:
-        moved = REFERENCE_POSE.with_(x=REFERENCE_POSE.x + (args.delta_x_m or 0.0),
-                                     alpha=math.radians(args.angle_deg or 0.0))
+    # built first, so DevicePose refuses a bad move before the solve
+    moved = REFERENCE_POSE.with_(x=REFERENCE_POSE.x + (args.delta_x_m or 0.0),
+                                 alpha=math.radians(args.angle_deg or 0.0))
     try:
         x = solve_source_distance(args.tdoa, REFERENCE_POSE.l1, REFERENCE_POSE.l2, args.sample_rate)
     except NoSolutionError:

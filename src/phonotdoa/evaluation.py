@@ -26,7 +26,7 @@ from .audio_io import (
     FIELD_ERRORS, check_sample_rate, json_int, json_list, json_pair, json_real, write_json,
 )
 from .errors import ConfigError, InvalidPoseError
-from .geometry import REFERENCE_POSE, DevicePose, mic_positions
+from .geometry import REFERENCE_POSE, mic_positions
 from .profiles import MIN_TRIALS, ProfileMode, enroll_from_dynamics
 from .scoring import MIN_SEQUENCE_LENGTH, ScoringMethod
 from .simulator import (
@@ -211,17 +211,16 @@ class ExperimentConfig:
         )
         if self.live_trials < 1 or total_attacks < 1:
             raise ConfigError("need at least one live trial and one attack")
-        changes = ((0.0, 0.0),) + self.pose_changes
-        labels = [_pose_label(a, dx) for a, dx in changes]
-        _require(len(set(labels)) == len(labels), f"two poses share a report label in {labels}")
         # every handset pose a render takes: DevicePose must accept it, and
         # no mic may sit out of MAX_PATH_M reach of a source near the mouth
         try:
-            poses = [_verification_pose(a, dx) for a, dx in changes]
+            labels, poses = _verification_poses(self.pose_changes)
             if self.replace_attacks:
-                poses += [p.with_(x=d) for p in poses for d in self.replace_distances]
+                poses += tuple(p.with_(x=d) for p in poses for d in self.replace_distances)
         except InvalidPoseError as exc:
             raise ConfigError(f"bad experiment config: a render pose: {exc}") from exc
+        _require(len(set(labels)) == len(labels),
+                 f"two poses share a report label in {list(labels)}")
         reach = MAX_PATH_M - MAX_SOURCE_RADIUS
         for pose in poses:
             far = max(math.hypot(*mic) for mic in mic_positions(pose))
@@ -261,9 +260,16 @@ _FIELD_READERS = {
 }
 
 
-def _verification_pose(alpha_deg: float, delta_x: float) -> DevicePose:
-    """REFERENCE_POSE tilted by alpha_deg and moved back by delta_x."""
-    return REFERENCE_POSE.with_(x=REFERENCE_POSE.x + delta_x, alpha=math.radians(alpha_deg))
+def _verification_poses(pose_changes) -> tuple:
+    """(report labels, DevicePoses) of the poses an experiment renders
+    live trials and attacks at: REFERENCE_POSE, then REFERENCE_POSE
+    tilted by alpha_deg and moved back by delta_x for each pose change."""
+    changes = ((0.0, 0.0),) + tuple(pose_changes)
+    return (
+        tuple(_pose_label(a, dx) for a, dx in changes),
+        tuple(REFERENCE_POSE.with_(x=REFERENCE_POSE.x + dx, alpha=math.radians(a))
+              for a, dx in changes),
+    )
 
 
 def _pose_label(alpha_deg: float, delta_x: float) -> str:
@@ -403,8 +409,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """
     config.validate()
     model = load_source_model()
-    changes = ((0.0, 0.0),) + config.pose_changes
-    poses = [_verification_pose(alpha_deg, delta_x) for alpha_deg, delta_x in changes]
+    labels, poses = _verification_poses(config.pose_changes)
     jobs, passphrases = _plan(config, model, poses)
     dynamics = fork_map(functools.partial(_measure, config), jobs)
 
@@ -422,7 +427,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                     "user": user_id,
                     "passphrase": passphrase_id,
                     "band": band,
-                    "pose": _pose_label(*changes[pose_idx]),
+                    "pose": labels[pose_idx],
                     **{m.value: sim.selected(m) for m in config.methods},
                 }
             )

@@ -194,25 +194,25 @@ def transform_tdoa(
     Solves the delay at pose for the source distance x on the mouth axis,
     or, where no distance fits (a nasal), for the source height dz on the
     vertical line through the mouth. It then evaluates the forward model
-    at the moved handset, so the transform and the simulator share one
-    geometry. Raises NoSolutionError when neither line fits. DevicePose
-    validates the moved handset; a move that puts the source at or behind
-    it raises InvalidPoseError naming pose.x - x.
+    at moved, with the source pose.x - x in front of the mouth, so the
+    transform and the simulator share one geometry. Raises
+    NoSolutionError when neither line fits, and InvalidPoseError naming
+    pose.x - x when moved puts the source at or behind the handset.
     """
     try:
         x = solve_source_distance(tdoa_samples, pose.l1, pose.l2, sample_rate)
-        source = (0.0, 0.0)
+        dz = 0.0
     except NoSolutionError:
         delta_d = tdoa_samples * SPEED_OF_SOUND / sample_rate
-        x, source = pose.x, (0.0, solve_on_line(delta_d, pose.l1, pose.l1 - pose.l, h=pose.x))
+        x, dz = pose.x, solve_on_line(delta_d, pose.l1, pose.l1 - pose.l, h=pose.x)
     if moved == pose:
         return tdoa_samples  # no pose change (solve above validated the input)
-    delta_x = moved.x - pose.x
-    if not x + delta_x > 0:
+    dy = pose.x - x
+    if not moved.x > dy:
         raise InvalidPoseError(
-            f"the handset distance must be more than {pose.x - x:.4g} m, got {moved.x:.4g}"
+            f"the handset distance must be more than {dy:.4g} m, got {moved.x:.4g}"
         )
-    return pose_to_tdoa(moved.with_(x=x + delta_x), source, sample_rate=sample_rate)
+    return pose_to_tdoa(moved, (dy, dz), sample_rate=sample_rate)
 
 
 def make_beep(sample_rate: int) -> np.ndarray:

@@ -269,6 +269,18 @@ def test_pose_and_verify_refuse_a_tilt_that_puts_the_bottom_mic_behind_the_mouth
     )
     assert (code, out) == (2, "")
     assert json.loads(capsys.readouterr().err) == error
+    # -6 degrees is valid on the profile's 0.15 m handset, but not on the
+    # 0.30 m handset that measures: 0.03 - 0.30 sin(6 degrees) < 0
+    code, out = run_cli(
+        "verify", tmp_path / "missing.wav", live_dir / "alignment.json",
+        "--profile", profile, "--device-spacing-m", "0.30", "--angle-deg", "-6",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidPoseError",
+        "message": "a tilt of -6 degrees puts the bottom mic at or behind the mouth: "
+        "x + l sin(alpha) = -0.001359 m",
+    }
 
 
 @pytest.mark.parametrize("rate", ["0", "-192000", "384001"])
@@ -410,6 +422,13 @@ def test_verify_names_the_template_a_small_distance_puts_behind_the_handset(
     assert 0.0001 < pose.x - solved < pose.x
     # a text-dependent profile whose templates all move still scores
     code, out = run_cli(*verify, "--profile", td_profile, "--distance-m", "0.0001")
+    assert code == 1 and json.loads(out)["verdict"] == "replay"
+    # -10 degrees at 3 cm is a valid pose, though it swings the bottom mic
+    # 0.026 m towards the mouth, past the plane of S's source: S moves
+    # and the profile scores (REPLAY: the hand-written delays are not
+    # the live speaker's)
+    assert solved + pose.l * math.sin(math.radians(-10)) < 0
+    code, out = run_cli(*verify, "--profile", ti_profile, "--angle-deg", "-10")
     assert code == 1 and json.loads(out)["verdict"] == "replay"
 
 

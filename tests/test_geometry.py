@@ -129,6 +129,16 @@ def test_angle_transform_matches_hand_evaluation(alpha_deg):
     assert got == pytest.approx(want, abs=1e-3)
 
 
+def test_back_tilt_moves_a_source_its_bottom_mic_passes():
+    # a source solved at 0.02 m sits 1 cm in front of the mouth; the valid
+    # -10 degree pose swings the bottom mic 0.026 m towards the mouth, past
+    # the source's plane, and the source is still moved, not refused
+    near = pose_to_tdoa(REFERENCE_POSE.with_(x=0.02), (0.0, 0.0), FS)
+    alpha = math.radians(-10)
+    got = transform_tdoa(near, REFERENCE_POSE, REFERENCE_POSE.with_(alpha=alpha), FS)
+    assert got == pytest.approx(_hand_transform(near, 0.14, 0.01, 0.15, alpha), abs=1e-3)
+
+
 def test_distance_identity_at_zero():
     tdoa = pose_to_tdoa(REFERENCE_POSE, (0.0, 0.0), FS)
     out = transform_tdoa(tdoa, REFERENCE_POSE, REFERENCE_POSE.with_(x=0.03 + 0.0), FS)

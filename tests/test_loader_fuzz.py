@@ -536,7 +536,7 @@ def test_experiment_config_loaded_means_runnable(field, value):
     if config is None:
         return
     try:
-        poses = [(0.0, 0.0)] + [tuple(p) for p in config.pose_changes]
+        _, poses = evaluation._verification_poses(config.pose_changes)
         jobs, _ = evaluation._plan(config, SOURCE_MODEL, poses)
         evaluation._measure(config, jobs[0])
     except PhonotdoaError:
