@@ -55,14 +55,20 @@ class PhonemeTemplate:
         object.__setattr__(self, "delays", tuple(float(d) for d in self.delays))
 
 
-def _template_from_delays(label: str, delays) -> PhonemeTemplate:
-    arr = np.asarray(delays, dtype=float)
-    return PhonemeTemplate(
-        label=label,
-        mean_delay=float(np.mean(arr)),
-        std_delay=float(np.std(arr, ddof=1)),
-        delays=tuple(arr),
-    )
+def _templates(pairs) -> list:
+    """The PhonemeTemplates of (label, delays) pairs, in order. Pairs
+    with one delay count share one mean and one std call, row by row the
+    same bits as np.mean and np.std(ddof=1) of each."""
+    pairs = list(pairs)
+    groups = {}
+    for i, (_, delays) in enumerate(pairs):
+        groups.setdefault(len(delays), []).append(i)
+    out = [None] * len(pairs)
+    for rows in groups.values():
+        arr = np.array([pairs[i][1] for i in rows], dtype=float)
+        for i, d, mean, std in zip(rows, arr, arr.mean(axis=1), arr.std(axis=1, ddof=1)):
+            out[i] = PhonemeTemplate(pairs[i][0], float(mean), float(std), tuple(d))
+    return out
 
 
 @dataclass(frozen=True)
@@ -258,17 +264,14 @@ def enroll_from_dynamics(
     passphrases, phonemes = {}, {}
     if mode == ProfileMode.TEXT_DEPENDENT:
         stacked = np.stack([d.delays for d in dynamics])  # trials x positions
-        passphrases[passphrase_id] = [
-            _template_from_delays(label, stacked[:, i])
-            for i, label in enumerate(dynamics[0].labels)
-        ]
+        passphrases[passphrase_id] = _templates(zip(dynamics[0].labels, stacked.T))
     else:
         delays = {}
         for d in dynamics:
             for m in d.measurements:
                 delays.setdefault(m.label, []).append(m.delay_samples)
-        for label in sorted(delays):
-            phonemes[label] = _template_from_delays(label, delays[label])
+        labels = sorted(delays)
+        phonemes = dict(zip(labels, _templates((label, delays[label]) for label in labels)))
     return UserProfile(
         user_id=user_id,
         mode=mode,
@@ -390,9 +393,6 @@ def load_profile(path) -> UserProfile:
         raise SchemaError(f"{path}: {exc}") from None
     return UserProfile(
         user_id, mode, pose, rate,
-        passphrase_templates={
-            pid: [_template_from_delays(*t) for t in templates]
-            for pid, templates in passphrases.items()
-        },
-        phoneme_templates={label: _template_from_delays(*t) for label, t in phonemes.items()},
+        passphrase_templates={pid: _templates(t) for pid, t in passphrases.items()},
+        phoneme_templates=dict(zip(phonemes, _templates(phonemes.values()))),
     )

@@ -9,9 +9,12 @@ windows. CC transforms the whole window at the next power of two
 >= window length + max_lag, which keeps the circular wraparound outside
 the searched lag range. GCC-PHAT (Knapp & Carter, IEEE TASSP 1976)
 averages sub-windows that fill one FFT length (PHAT_SEGMENT_FACTOR).
-Each window is centred by its own mean straight into the rows of one
-zero-filled (2, sub-windows, FFT length) buffer, Hann-weighted in place
-with a cached window and transformed without a further copy.
+Each window is centred by its own mean into one contiguous array,
+whose sum of squares the variance floor checks; the floor reads the
+window's max and min only when the bound max|x| <= |mean| + norm leaves
+it in doubt. One multiply by a cached Hann window writes that array
+into the rows of a (2, sub-windows, FFT length) buffer whose pad columns
+alone are zeroed, and rfft transforms the buffer without a further copy.
 
 A measurement reads only the frames inside its segments: it asks the
 recording for each segment's window(start, end), which a StereoRecording
@@ -131,11 +134,14 @@ def _checked_windows(a, b, max_lag: int):
     return a, b
 
 
-def _check_variance(x: np.ndarray, sum_sq: float) -> float:
-    """The centred norm of window x from its sum of squared deviations;
-    a zero-variance window raises DegenerateSignalError."""
+def _check_variance(x: np.ndarray, mean: float, sum_sq: float) -> float:
+    """The centred norm of window x from its mean and its sum of squared
+    deviations; a zero-variance window raises DegenerateSignalError."""
     norm = math.sqrt(sum_sq)
-    if norm <= _RELATIVE_VARIANCE_FLOOR * max(x.max(), -x.min()) * math.sqrt(x.size):
+    # max|x| <= |mean| + norm, so a norm that clears the floor at twice
+    # that bound, rounding included, skips the max and min passes
+    if (norm <= 2 * _RELATIVE_VARIANCE_FLOOR * (abs(mean) + norm) * math.sqrt(x.size)
+            and norm <= _RELATIVE_VARIANCE_FLOOR * max(x.max(), -x.min()) * math.sqrt(x.size)):
         raise DegenerateSignalError("zero-variance correlation window")
     return norm
 
@@ -148,8 +154,9 @@ def _centered(a, b, max_lag: int):
     buf = np.zeros((2, max(a.size, b.size)))
     norms = []
     for x, row in zip((a, b), buf):
-        centered = np.subtract(x, x.mean(), out=row[: x.size])
-        norms.append(_check_variance(x, np.sum(centered * centered)))
+        mean = x.mean()
+        centered = np.subtract(x, mean, out=row[: x.size])
+        norms.append(_check_variance(x, mean, np.sum(centered * centered)))
     return buf, norms
 
 
@@ -211,18 +218,19 @@ def gcc_phat(a, b, max_lag: int) -> np.ndarray:
     n = _fft_length(min(PHAT_SEGMENT_FACTOR * max_lag, length), max_lag)
     n_seg = -(-length // (n - max_lag))
     seg = length // n_seg
-    # rows zero-padded to the FFT length up front, so rfft makes no padded copy
-    frames = np.zeros((2, n_seg, n))
+    # rows zero-padded to the FFT length up front, so rfft makes no padded
+    # copy; the multiply below writes the rest of each row
+    frames = np.empty((2, n_seg, n))
+    frames[:, :, seg:] = 0.0
+    window = _hann(seg) if n_seg > 1 else 1.0
     for x, rows in zip((a, b), frames):
         mean = x.mean()
-        filled = np.subtract(x[: n_seg * seg].reshape(n_seg, seg), mean, out=rows[:, :seg])
-        # the variance check covers the rows and the samples past the last
-        # sub-window. einsum, not np.dot: a BLAS dot starts threads, which
-        # made every process of fork_map's pool 5x slower
-        tail = x[n_seg * seg :] - mean
-        _check_variance(x, np.einsum("ij,ij->", filled, filled) + np.einsum("i,i->", tail, tail))
-    if n_seg > 1:
-        frames[:, :, :seg] *= _hann(seg)
+        centred = x - mean
+        # the variance check covers the samples past the last sub-window
+        # too. einsum, not np.dot: a BLAS dot starts threads, which made
+        # every process of fork_map's pool 5x slower
+        _check_variance(x, mean, np.einsum("i,i->", centred, centred))
+        np.multiply(centred[: n_seg * seg].reshape(n_seg, seg), window, out=rows[:, :seg])
     spec_a, spec_b = np.fft.rfft(frames, axis=-1)
     np.conjugate(spec_a, out=spec_a)
     spec_a *= spec_b

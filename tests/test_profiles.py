@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -57,11 +58,30 @@ def test_identical_trials_zero_std(source_model):
         assert len(t.delays) == 3
 
 
-def test_enrollment_stats_match_recomputation(enrolled):
-    for t in enrolled.passphrase_templates["pp0"]:
-        assert len(t.delays) == 3
-        assert t.mean_delay == pytest.approx(np.mean(t.delays))
-        assert t.std_delay == pytest.approx(np.std(t.delays, ddof=1))
+def test_enrollment_stats_match_recomputation(enrolled, ti_profile, tmp_path):
+    # bit for bit the mean and std of each template's own delays: enrolled
+    # profiles of both modes, and a stored one whose phonemes hold 3, 4, 8
+    # and 9 delays, so templates of several counts, on both sides of
+    # numpy's 8-way unrolled sums, are rebuilt side by side
+    counts = (3, 4, 8, 9)
+    rng = np.random.default_rng(0)
+    phonemes = {
+        label: {"label": label, "delays": (rng.standard_normal(counts[k % 4]) * 3.1 + 20).tolist()}
+        for k, label in enumerate(INVENTORY.symbols)
+    }
+    path = tmp_path / "ti.json"
+    path.write_text(json.dumps({
+        "version": 3, "user_id": "u3", "mode": "text_independent", "sample_rate": 192000,
+        "pose": asdict(REFERENCE_POSE), "passphrases": {}, "phonemes": phonemes,
+    }))
+    stored = load_profile(path)
+    assert sorted({len(t.delays) for t in stored.phoneme_templates.values()}) == list(counts)
+    assert all(len(t.delays) == 3 for t in enrolled.passphrase_templates["pp0"])
+    for templates in (enrolled.passphrase_templates["pp0"],
+                      ti_profile.phoneme_templates.values(), stored.phoneme_templates.values()):
+        for t in templates:
+            assert t.mean_delay == np.mean(t.delays)
+            assert t.std_delay == np.std(t.delays, ddof=1)
 
 
 def test_unit_jitter_reproduced_in_stds(source_model):

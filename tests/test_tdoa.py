@@ -69,13 +69,32 @@ def test_cc_constant_signal_degenerate():
         gcc_phat(a, b, 40)
 
 
-@pytest.mark.parametrize("window", [np.full(3000, 0.3), np.zeros(3000)], ids=["constant", "zeros"])
+# (constant, noise std over the constant): a constant and zeros, then noise
+# below the variance floor, above it by 1.5, which gcc_phat's bound on
+# max|x| leaves to the exact check, and above it by 10, which it does not
+FLOOR_WINDOWS = [(0.3, 0.0), (0.0, 0.0)] + [
+    (c, ratio) for ratio in (1e-13, 1.5e-12, 1e-11) for c in (0.3, 1e6)
+]
+
+
+@pytest.mark.parametrize(
+    "c, ratio", FLOOR_WINDOWS,
+    ids=["constant", "zeros"] + [f"{c:g}+{ratio:g}" for c, ratio in FLOOR_WINDOWS[2:]],
+)
 @pytest.mark.parametrize("side", ["a", "b"])
-def test_gcc_phat_degenerate_window(window, side):
+def test_gcc_phat_degenerate_window(c, ratio, side):
+    window = c + c * ratio * np.random.default_rng(1).standard_normal(3000)
+    centred = window - window.mean()
+    floor = 1e-12 * np.abs(window).max() * np.sqrt(window.size)
+    degenerate = np.sqrt(np.sum(centred * centred)) <= floor
+    assert degenerate == (ratio < 1e-12)
     other = _band_noise(3100)
     a, b = (window, other) if side == "a" else (other, window)
-    with pytest.raises(DegenerateSignalError, match="zero-variance correlation window"):
-        gcc_phat(a, b, 40)
+    if degenerate:
+        with pytest.raises(DegenerateSignalError, match="zero-variance correlation window"):
+            gcc_phat(a, b, 40)
+    else:
+        assert gcc_phat(a, b, 40).shape == (81,)
 
 
 def test_gcc_phat_variance_past_last_sub_window_counts():
